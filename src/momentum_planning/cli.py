@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from pathlib import Path

@@ -3,13 +3,16 @@
 Everything here is plain float64 numpy, written so a forward pass is a
 composition of small, separately testable stages:
 
-    score_gate -> lstm mixing (per candidate row) -> cross attention -> plan head
+    score_gate -> lstm mixing (all K rows at once) -> cross attention -> plan head
 
-The weight container is a named map of dense matrices, serialized to JSON
-with exact float round-trip.  ``trajectory_sq_loss_and_grads`` implements a
-hand-derived reverse pass for the squared-norm loss over the produced
-trajectories, returning a gradient for every weight entry; it exists so the
-forward math can be verified against finite differences.
+Every stage works on whole (K, D) arrays; the only loop is the one over
+the 1-2 history steps.  The weight container is a named map of dense
+matrices, serialized to JSON with exact float round-trip.
+``trajectory_sq_loss_and_grads`` runs the same stage code as
+``mpi_forward``, keeps its intermediates, and feeds them to a hand-derived
+reverse pass for the squared-norm loss over the produced trajectories,
+returning a gradient for every weight entry; it exists so the forward math
+can be verified against finite differences.
 
 Shape conventions (D = query width, K = candidates, N = waypoints):
     query row        (D,)
@@ -102,26 +105,6 @@ class QueryBatch:
     @property
     def width(self) -> int:
         return int(self.rows.shape[1])
-
-
-@dataclass(frozen=True)
-class LstmState:
-    h: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=np.float64).reshape(-1)
-        c = np.asarray(self.c, dtype=np.float64).reshape(-1)
-        if h.shape != c.shape:
-            raise ShapeError(f"h and c must match, got {h.shape} vs {c.shape}")
-        h.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "c", c)
-
-    @staticmethod
-    def zeros(width: int) -> "LstmState":
-        return LstmState(np.zeros(width), np.zeros(width))
 
 
 class WeightBundle:
@@ -250,6 +233,21 @@ class WeightBundle:
 
 # ---------------------------------------------------------------------------
 # forward stages
+#
+# Each stage has a private form that also returns the intermediates the
+# reverse pass needs; the public stage drops them.  ``mpi_forward`` composes
+# the public stages and ``trajectory_sq_loss_and_grads`` the private ones, so
+# inference and the gradient run the same forward code.
+
+
+def _score_gate(batch: QueryBatch, weights: WeightBundle, activation: str):
+    # returns (pre-activation, activation, sigmoid(score) column, gated rows)
+    if batch.width != weights.d_q:
+        raise ShapeError(f"row width {batch.width} != weight width {weights.d_q}")
+    pre = batch.rows @ weights.get("mlp.W").T + weights.get("mlp.b")
+    act = _apply_activation(pre, activation)
+    gate = sigmoid(batch.scores)[:, None]
+    return pre, act, gate, gate * act
 
 
 def score_gate(batch: QueryBatch, weights: WeightBundle, activation: str = "identity") -> np.ndarray:
@@ -257,37 +255,41 @@ def score_gate(batch: QueryBatch, weights: WeightBundle, activation: str = "iden
 
     Returns (K, D): sigmoid(score_k) * act(W row_k + b).
     """
-    w, b = weights.get("mlp.W"), weights.get("mlp.b")
-    if batch.width != weights.d_q:
-        raise ShapeError(f"row width {batch.width} != weight width {weights.d_q}")
-    pre = batch.rows @ w.T + b
-    return sigmoid(batch.scores)[:, None] * _apply_activation(pre, activation)
+    return _score_gate(batch, weights, activation)[-1]
 
 
 def _lstm_gates(x, h, c, w_ih, w_hh, b):
-    # returns every intermediate; gate order along the 4D axis is i, f, g, o
-    a = w_ih @ x + w_hh @ h + b
+    # one cell update for all K rows of x, h, c (each (K, D)); returns every
+    # intermediate, gate order along the 4D axis is i, f, g, o
+    a = x @ w_ih.T + h @ w_hh.T + b
     d = len(b) // 4
-    i = sigmoid(a[:d])
-    f = sigmoid(a[d : 2 * d])
-    g = np.tanh(a[2 * d : 3 * d])
-    o = sigmoid(a[3 * d :])
+    i = sigmoid(a[:, :d])
+    f = sigmoid(a[:, d : 2 * d])
+    g = np.tanh(a[:, 2 * d : 3 * d])
+    o = sigmoid(a[:, 3 * d :])
     c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return i, f, g, o, c_new, h_new
+    tanh_c = np.tanh(c_new)
+    return i, f, g, o, c_new, tanh_c, o * tanh_c
 
 
-def lstm_step(x, state: LstmState, weights: WeightBundle):
-    """One cell update for a single row; returns (h_new, new state)."""
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    if len(x) != weights.d_q or len(state.h) != weights.d_q:
-        raise ShapeError(
-            f"lstm width mismatch: x {len(x)}, h {len(state.h)}, weights {weights.d_q}"
-        )
-    *_, c_new, h_new = _lstm_gates(
-        x, state.h, state.c, weights.get("lstm.W_ih"), weights.get("lstm.W_hh"), weights.get("lstm.b")
-    )
-    return h_new, LstmState(h_new, c_new)
+def _mix_history(history, weights: WeightBundle, activation: str):
+    # returns (final hidden rows, per-step (batch, score-gate values, h, c,
+    # cell values)) with h, c the state the step started from
+    steps = [history] if isinstance(history, QueryBatch) else list(history)
+    if not steps:
+        raise EmptyInputError("history must contain at least one query batch")
+    k, d = steps[0].k, steps[0].width
+    if any(step.k != k or step.width != d for step in steps):
+        raise ShapeError("all history batches must share K and D")
+    w_ih, w_hh, b = weights.get("lstm.W_ih"), weights.get("lstm.W_hh"), weights.get("lstm.b")
+    h = c = np.zeros((k, d))
+    tape = []
+    for step in steps:
+        gate = _score_gate(step, weights, activation)
+        cell = _lstm_gates(gate[-1], h, c, w_ih, w_hh, b)
+        tape.append((step, gate, h, c, cell))
+        _, _, _, _, c, _, h = cell
+    return h, tape
 
 
 def mix_history(
@@ -295,31 +297,17 @@ def mix_history(
     weights: WeightBundle,
     activation: str = "identity",
 ) -> np.ndarray:
-    """Run gated history rows through the cell, one candidate at a time.
+    """Run gated history rows through the cell, all K candidates at once.
 
     ``history`` may be a single batch or an oldest-first sequence of
-    batches; each candidate row starts from the zero state and consumes its
+    batches; every candidate row starts from the zero state and consumes its
     row from every step in order.  Returns the final hidden rows (K, D).
     """
-    steps = [history] if isinstance(history, QueryBatch) else list(history)
-    if not steps:
-        raise EmptyInputError("history must contain at least one query batch")
-    k, d = steps[0].k, steps[0].width
-    for step in steps:
-        if step.k != k or step.width != d:
-            raise ShapeError("all history batches must share K and D")
-    gated = [score_gate(step, weights, activation) for step in steps]
-    out = np.zeros((k, d))
-    for row in range(k):
-        state = LstmState.zeros(d)
-        for g in gated:
-            h, state = lstm_step(g[row], state, weights)
-        out[row] = h
-    return out
+    return _mix_history(history, weights, activation)[0]
 
 
-def attention_weights(query, keys, weights: WeightBundle) -> np.ndarray:
-    """Normalized attention distribution of one query over K key rows."""
+def _attention_logits(query, keys, weights: WeightBundle):
+    # returns (query, projected query, projected keys, scaled logits)
     q = np.asarray(query, dtype=np.float64).reshape(-1)
     kk = np.asarray(keys, dtype=np.float64)
     if kk.ndim != 2 or kk.shape[1] != len(q):
@@ -328,27 +316,35 @@ def attention_weights(query, keys, weights: WeightBundle) -> np.ndarray:
         raise EmptyInputError("attention needs at least one key row")
     qp = weights.get("attn.W_q") @ q
     kp = kk @ weights.get("attn.W_k").T
-    logits = kp @ qp / math.sqrt(len(q))
-    return softmax(logits)
+    return q, qp, kp, kp @ qp / math.sqrt(len(q))
 
 
-def cross_attention(query, keys, values, weights: WeightBundle) -> np.ndarray:
-    """Single-head scaled dot-product attention; returns the refined query."""
+def attention_weights(query, keys, weights: WeightBundle) -> np.ndarray:
+    """Normalized attention distribution of one query over K key rows."""
+    return softmax(_attention_logits(query, keys, weights)[-1])
+
+
+def _cross_attention(query, keys, values, weights: WeightBundle):
+    # returns (refined query, (query, projected query, projected keys,
+    # projected values, attention weights, context))
     vv = np.asarray(values, dtype=np.float64)
     kk = np.asarray(keys, dtype=np.float64)
     if vv.shape != kk.shape:
         raise ShapeError(f"keys {kk.shape} and values {vv.shape} must match")
-    w = attention_weights(query, kk, weights)
+    q, qp, kp, logits = _attention_logits(query, kk, weights)
+    w = softmax(logits)
     vp = vv @ weights.get("attn.W_v").T
     ctx = w @ vp
-    return weights.get("attn.W_o") @ ctx
+    return weights.get("attn.W_o") @ ctx, (q, qp, kp, vp, w, ctx)
 
 
-def plan_head(query, instance_features, weights: WeightBundle):
-    """Decode K trajectories and score logits from the refined query.
+def cross_attention(query, keys, values, weights: WeightBundle) -> np.ndarray:
+    """Single-head scaled dot-product attention; returns the refined query."""
+    return _cross_attention(query, keys, values, weights)[0]
 
-    Returns (trajectories (K, N, 2), score_logits (K,)).
-    """
+
+def _plan_head(query, instance_features, weights: WeightBundle):
+    # returns ((trajectories, score logits), pooled head input z)
     q = np.asarray(query, dtype=np.float64).reshape(-1)
     feats = np.asarray(instance_features, dtype=np.float64)
     if feats.ndim != 2 or feats.shape[1] != len(q):
@@ -358,8 +354,15 @@ def plan_head(query, instance_features, weights: WeightBundle):
     z = np.concatenate([q, feats.mean(axis=0)])
     flat = weights.get("head.W_traj") @ z + weights.get("head.b_traj")
     scores = weights.get("head.W_score") @ z + weights.get("head.b_score")
-    k, n = weights.k, weights.n_t
-    return flat.reshape(k, n, 2), scores
+    return (flat.reshape(weights.k, weights.n_t, 2), scores), z
+
+
+def plan_head(query, instance_features, weights: WeightBundle):
+    """Decode K trajectories and score logits from the refined query.
+
+    Returns (trajectories (K, N, 2), score_logits (K,)).
+    """
+    return _plan_head(query, instance_features, weights)[0]
 
 
 def mpi_forward(
@@ -389,77 +392,29 @@ def trajectory_sq_loss_and_grads(
     """Loss = sum of squares of every produced waypoint offset, plus the
     analytic gradient for each weight tensor.
 
-    The forward pass is recomputed here stage by stage so every
-    intermediate needed by the chain rule is cached; the math matches
-    :func:`mpi_forward` exactly.
+    The forward values come from the same stage code :func:`mpi_forward`
+    runs, so the loss equals the sum of squares of its trajectories bit for
+    bit; the reverse pass reads every intermediate from that forward and
+    works on all K candidate rows at once.
     """
-    steps = [history] if isinstance(history, QueryBatch) else list(history)
-    if not steps:
-        raise EmptyInputError("history must contain at least one query batch")
-    q_sel = np.asarray(selected_query, dtype=np.float64).reshape(-1)
-    feats = np.asarray(instance_features, dtype=np.float64)
-    d = weights.d_q
-    k_rows = steps[0].k
-    w_m, b_m = weights.get("mlp.W"), weights.get("mlp.b")
-    w_ih, w_hh, b_l = weights.get("lstm.W_ih"), weights.get("lstm.W_hh"), weights.get("lstm.b")
-    w_q, w_k, w_v, w_o = (
-        weights.get("attn.W_q"),
-        weights.get("attn.W_k"),
-        weights.get("attn.W_v"),
-        weights.get("attn.W_o"),
+    mixed, mix_tape = _mix_history(history, weights, activation)
+    refined, (q_sel, qp, kp, vp, w_att, ctx) = _cross_attention(
+        selected_query, mixed, mixed, weights
     )
-    w_t, b_t = weights.get("head.W_traj"), weights.get("head.b_traj")
-
-    # forward, caching per-step gate values
-    pres, acts, gates_in = [], [], []
-    for step in steps:
-        pre = step.rows @ w_m.T + b_m
-        act_out = _apply_activation(pre, activation)
-        gated = sigmoid(step.scores)[:, None] * act_out
-        pres.append(pre)
-        acts.append(act_out)
-        gates_in.append(gated)
-
-    n_steps = len(steps)
-    i_c = np.zeros((n_steps, k_rows, d))
-    f_c = np.zeros_like(i_c)
-    g_c = np.zeros_like(i_c)
-    o_c = np.zeros_like(i_c)
-    c_c = np.zeros_like(i_c)
-    h_c = np.zeros((n_steps + 1, k_rows, d))  # h_c[0] is the zero init
-    c_prevs = np.zeros_like(i_c)
-    for row in range(k_rows):
-        h, c = np.zeros(d), np.zeros(d)
-        for b in range(n_steps):
-            i, f, g, o, c_new, h_new = _lstm_gates(gates_in[b][row], h, c, w_ih, w_hh, b_l)
-            i_c[b, row], f_c[b, row], g_c[b, row], o_c[b, row] = i, f, g, o
-            c_prevs[b, row] = c
-            c_c[b, row] = c_new
-            h_c[b + 1, row] = h_new
-            h, c = h_new, c_new
-    mixed = h_c[n_steps]
-
-    qp = w_q @ q_sel
-    kp = mixed @ w_k.T
-    vp = mixed @ w_v.T
-    logits = kp @ qp / math.sqrt(d)
-    w_att = softmax(logits)
-    ctx = w_att @ vp
-    att = w_o @ ctx
-
-    fbar = feats.mean(axis=0)
-    z = np.concatenate([att, fbar])
-    y = w_t @ z + b_t
+    (trajs, _), z = _plan_head(refined, instance_features, weights)
+    y = trajs.reshape(-1)
     loss = float(y @ y)
 
-    # reverse pass
+    d = weights.d_q
+    w_ih, w_hh = weights.get("lstm.W_ih"), weights.get("lstm.W_hh")
+    w_k, w_v, w_o = weights.get("attn.W_k"), weights.get("attn.W_v"), weights.get("attn.W_o")
     grads = {name: np.zeros_like(weights.get(name)) for name in WEIGHT_NAMES}
+    # score logits never touch the loss; their grads stay zero
+
     dy = 2.0 * y
     grads["head.W_traj"] = np.outer(dy, z)
-    grads["head.b_traj"] = dy.copy()
-    # score logits never touch the loss; their grads stay zero
-    dz = w_t.T @ dy
-    datt = dz[:d]
+    grads["head.b_traj"] = dy
+    datt = (weights.get("head.W_traj").T @ dy)[:d]
 
     grads["attn.W_o"] = np.outer(datt, ctx)
     dctx = w_o.T @ datt
@@ -471,45 +426,34 @@ def trajectory_sq_loss_and_grads(
     grads["attn.W_q"] = np.outer(dqp, q_sel)
     grads["attn.W_k"] = dkp.T @ mixed
     grads["attn.W_v"] = dvp.T @ mixed
-    dmixed = dkp @ w_k + dvp @ w_v
 
-    dgates_in = [np.zeros((k_rows, d)) for _ in range(n_steps)]
-    for row in range(k_rows):
-        dh = dmixed[row]
-        dc = np.zeros(d)
-        for b in range(n_steps - 1, -1, -1):
-            i, f, g, o = i_c[b, row], f_c[b, row], g_c[b, row], o_c[b, row]
-            tc = np.tanh(c_c[b, row])
-            do = dh * tc
-            dc = dc + dh * o * (1.0 - tc * tc)
-            di = dc * g
-            dg = dc * i
-            df = dc * c_prevs[b, row]
-            da = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ]
-            )
-            grads["lstm.W_ih"] += np.outer(da, gates_in[b][row])
-            grads["lstm.W_hh"] += np.outer(da, h_c[b, row])
-            grads["lstm.b"] += da
-            dgates_in[b][row] = w_ih.T @ da
-            dh = w_hh.T @ da
-            dc = dc * f
+    # back through time, every candidate row at once
+    dh = dkp @ w_k + dvp @ w_v
+    dc = np.zeros_like(dh)
+    for step, (pre, act, gate, x), h_prev, c_prev, cell in reversed(mix_tape):
+        i, f, g, o, _, tanh_c, _ = cell
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        da = np.concatenate(
+            [
+                dc * g * i * (1.0 - i),
+                dc * c_prev * f * (1.0 - f),
+                dc * i * (1.0 - g * g),
+                dh * tanh_c * o * (1.0 - o),
+            ],
+            axis=1,
+        )
+        grads["lstm.W_ih"] += da.T @ x
+        grads["lstm.W_hh"] += da.T @ h_prev
+        grads["lstm.b"] += da.sum(axis=0)
+        dh = da @ w_hh
+        dc = dc * f
 
-    for b, step in enumerate(steps):
-        d_act = dgates_in[b] * sigmoid(step.scores)[:, None]
-        if activation == "identity":
-            dpre = d_act
-        elif activation == "relu":
-            dpre = d_act * (pres[b] > 0.0)
-        else:  # tanh
-            dpre = d_act * (1.0 - acts[b] * acts[b])
-        grads["mlp.W"] += dpre.T @ step.rows
-        grads["mlp.b"] += dpre.sum(axis=0)
+        d_act = (da @ w_ih) * gate
+        if activation == "relu":
+            d_act = d_act * (pre > 0.0)
+        elif activation == "tanh":
+            d_act = d_act * (1.0 - act * act)
+        grads["mlp.W"] += d_act.T @ step.rows
+        grads["mlp.b"] += d_act.sum(axis=0)
 
-    # score-head tensors never touch this loss; their grads stay zero
     return loss, grads

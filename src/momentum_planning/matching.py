@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -105,24 +104,17 @@ def ttm_select(
     history: Trajectory,
     frame_delta: Pose2,
     kind: DistanceKind = DistanceKind.HAUSDORFF,
-    subset: Sequence[int] | None = None,
 ) -> int:
     """Pick the candidate closest to the historical trajectory.
 
     Every candidate is moved into the historical frame via ``frame_delta``
     before the distance is evaluated.  Ties resolve to the lowest index.
-    ``subset`` restricts the argmin to the given candidate indices (the
-    returned index stays absolute).
     """
-    indices = list(range(len(candidates))) if subset is None else [int(i) for i in subset]
-    if not indices:
-        raise EmptyInputError("candidate subset is empty")
     best_idx = -1
     best_dist = np.inf
-    for i in indices:
-        moved = transform_to_frame(candidates.trajectories[i], frame_delta)
-        d = trajectory_distance(moved, history, kind)
+    for i, candidate in enumerate(candidates.trajectories):
+        d = trajectory_distance(transform_to_frame(candidate, frame_delta), history, kind)
         if d < best_dist:
             best_dist = d
-            best_idx = int(i)
+            best_idx = i
     return best_idx

@@ -100,8 +100,16 @@ class ScenarioSpec:
             raise ConfigError(f"unknown scenario kind {self.kind!r}; pick one of {SCENARIO_KINDS}")
         if not (self.duration_s > 0.0 and math.isfinite(self.duration_s)):
             raise ConfigError(f"duration must be positive, got {self.duration_s}")
+        if round(self.duration_s / SIM_DT) < 1:
+            raise ConfigError(
+                f"duration {self.duration_s} s is shorter than one {SIM_DT} s planning frame"
+            )
         if not (self.speed_mps > 0.0 and math.isfinite(self.speed_mps)):
             raise ConfigError(f"speed must be positive, got {self.speed_mps}")
+        if not (math.isfinite(self.radius_m) and math.isfinite(self.angle_rad)):
+            raise ConfigError(
+                f"radius and turn angle must be finite, got {self.radius_m} and {self.angle_rad}"
+            )
         if self.kind in ("arc_turn", "s_curve") and not self.radius_m > 0.0:
             raise ConfigError(f"radius must be positive, got {self.radius_m}")
         if self.kind == "arc_turn" and not self.angle_rad > 0.0:
@@ -161,7 +169,11 @@ class ScenarioSpec:
                 obstacles=obstacles,
                 seed=obj.get("seed", 0),
             )
-        except (KeyError, TypeError, IndexError) as exc:
+        except ConfigError:
+            raise
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            # ValueError covers non-numeric fields and the obstacle box's
+            # own ShapeError
             raise ConfigError(f"bad scenario spec: {exc}") from exc
 
 
@@ -249,6 +261,8 @@ class RunSettings:
         if unknown:
             raise ConfigError(f"unknown settings keys: {sorted(unknown)}")
         merged = defaults.to_dict() | dict(obj)
+        if not isinstance(merged["horizons_s"], (list, tuple)):
+            raise ConfigError(f"horizons_s must be a list of seconds, got {merged['horizons_s']!r}")
         try:
             return RunSettings(
                 planner=merged["planner"],
@@ -274,13 +288,6 @@ class RunSettings:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"bad run settings: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class EgoState:
-    pose: Pose2
-    speed_mps: float
-    time_s: float
 
 
 @dataclass(frozen=True)
@@ -335,6 +342,15 @@ def _path_point(spec: ScenarioSpec, s: float) -> tuple[float, float]:
     )
 
 
+def _gen_path(spec: ScenarioSpec, extra_steps: int) -> Trajectory:
+    # ``round(duration/dt) + extra_steps`` waypoints; the ego's start pose at
+    # the origin is not one
+    n_steps = int(round(spec.duration_s / SIM_DT)) + int(extra_steps)
+    step_len = spec.speed_mps * SIM_DT
+    pts = np.array([_path_point(spec, step_len * (j + 1)) for j in range(n_steps)])
+    return Trajectory(pts, dt=SIM_DT)
+
+
 def gen_scenario(spec: ScenarioSpec, extra_steps: int = 0):
     """Ground-truth future path plus per-step obstacle tracks.
 
@@ -342,14 +358,9 @@ def gen_scenario(spec: ScenarioSpec, extra_steps: int = 0):
     extra_steps`` waypoints (the ego's start pose at the origin is not a
     waypoint) and ``tracks[i][step]`` is obstacle i at that absolute step.
     """
-    n_steps = int(round(spec.duration_s / SIM_DT)) + int(extra_steps)
-    if n_steps < 1:
-        raise ConfigError("scenario too short for a single step")
-    step_len = spec.speed_mps * SIM_DT
-    pts = np.array([_path_point(spec, step_len * (j + 1)) for j in range(n_steps)])
-    path = Trajectory(pts, dt=SIM_DT)
+    path = _gen_path(spec, extra_steps)
     tracks = [
-        [obstacle.at_step(step) for step in range(n_steps + 1)]
+        [obstacle.at_step(step) for step in range(len(path) + 1)]
         for obstacle in spec.obstacles
     ]
     return path, tracks
@@ -470,7 +481,7 @@ def step_momentum(
     candidate whose shape best matches the most recent chosen trajectory
     (after moving into that frame) supplies the query; the refinement stack
     re-scores the candidate set and the argmax of the refined scores wins.
-    Returns ``(chosen_index, refined_set | None)``.
+    Returns ``(chosen_index, refined_scores | None)``.
     """
     history = list(history)
     if not history:
@@ -478,16 +489,10 @@ def step_momentum(
     anchor = history[-1]
     k_star = ttm_select(proposals, anchor.chosen_trajectory, frame_delta, kind)
     batches = [QueryBatch(f.proposals.queries, f.proposals.scores) for f in history]
-    trajs, refined_scores = mpi_forward(
+    _, refined_scores = mpi_forward(
         proposals.queries[k_star], batches, proposals.queries, weights
     )
-    dt = proposals.trajectories[0].dt
-    refined = TrajectorySet(
-        tuple(Trajectory(t, dt=dt) for t in trajs),
-        refined_scores,
-        proposals.queries,
-    )
-    return int(np.argmax(refined_scores)), refined
+    return int(np.argmax(refined_scores)), refined_scores
 
 
 # ---------------------------------------------------------------------------
@@ -519,21 +524,17 @@ def run_closed_loop(
             f"settings ({settings.d_q}, {settings.k}, {settings.horizon_steps})"
         )
     h = settings.horizon_steps
-    path, _tracks = gen_scenario(spec, extra_steps=h)
+    path = _gen_path(spec, extra_steps=h)
     n_frames = int(round(spec.duration_s / SIM_DT))
     world = np.vstack([[0.0, 0.0], path.points])
     first_dir = world[1] - world[0]
-    ego = EgoState(
-        pose=Pose2.from_heading(math.atan2(first_dir[1], first_dir[0]), (0.0, 0.0)),
-        speed_mps=spec.speed_mps,
-        time_s=0.0,
-    )
+    pose = Pose2.from_heading(math.atan2(first_dir[1], first_dir[0]), (0.0, 0.0))
     rng = np.random.default_rng(spec.seed)
     frames: list[FrameRecord] = []
 
     for j in range(n_frames):
         future_world = Trajectory(world[j + 1 : j + 1 + h], dt=SIM_DT)
-        gt_future = transform_to_frame(future_world, ego.pose)
+        gt_future = transform_to_frame(future_world, pose)
         proposals = propose(
             gt_future, settings.k, settings.mode_noise_m, settings.jitter_m, rng, settings.d_q
         )
@@ -549,35 +550,29 @@ def run_closed_loop(
             proposals = _flattened_scores(proposals)
 
         if settings.planner == "oneshot" or settings.history_depth == 0:
-            idx, refined = step_oneshot(proposals), None
+            idx, refined_scores = step_oneshot(proposals), None
         else:
             history = frames[-settings.history_depth :]
-            delta = (
-                relative_pose(history[-1].ego_pose, ego.pose) if history else Pose2.identity()
-            )
-            idx, refined = step_momentum(
+            delta = relative_pose(history[-1].ego_pose, pose) if history else Pose2.identity()
+            idx, refined_scores = step_momentum(
                 proposals, history, delta, weights, settings.distance
             )
         chosen = proposals.trajectories[idx]
         frames.append(
             FrameRecord(
                 time_s=j * SIM_DT,
-                ego_pose=ego.pose,
+                ego_pose=pose,
                 proposals=proposals,
                 chosen_index=idx,
                 chosen_trajectory=chosen,
-                refined_scores=None if refined is None else refined.scores,
+                refined_scores=refined_scores,
             )
         )
 
-        step_world = ego.pose.rotation @ chosen.points[0] + ego.pose.translation
-        disp = step_world - ego.pose.translation
-        heading = math.atan2(disp[1], disp[0]) if (disp[0], disp[1]) != (0.0, 0.0) else ego.pose.heading()
-        ego = EgoState(
-            pose=Pose2.from_heading(heading, step_world),
-            speed_mps=spec.speed_mps,
-            time_s=(j + 1) * SIM_DT,
-        )
+        step_world = pose.rotation @ chosen.points[0] + pose.translation
+        disp = step_world - pose.translation
+        heading = math.atan2(disp[1], disp[0]) if (disp[0], disp[1]) != (0.0, 0.0) else pose.heading()
+        pose = Pose2.from_heading(heading, step_world)
 
     log = ScenarioLog(spec, settings, tuple(frames))
     return log, report_from_log(log)

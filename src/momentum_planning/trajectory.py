@@ -15,10 +15,8 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,11 +29,6 @@ from .errors import (
 
 DEFAULT_DT = 0.5
 ORTHONORMAL_TOL = 1e-9
-
-
-class Waypoint(NamedTuple):
-    x: float
-    y: float
 
 
 def _as_points(points) -> np.ndarray:
@@ -71,12 +64,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    def waypoint(self, i: int) -> Waypoint:
-        return Waypoint(float(self.points[i, 0]), float(self.points[i, 1]))
-
-    def horizon_s(self) -> float:
-        return len(self.points) * self.dt
 
 
 @dataclass(frozen=True)
@@ -221,19 +208,3 @@ def trajectory_from_dict(obj: dict) -> Trajectory:
     if not isinstance(obj, dict) or "dt" not in obj or "points" not in obj:
         raise GeometryError("trajectory record must carry 'dt' and 'points'")
     return Trajectory(np.asarray(obj["points"], dtype=np.float64), dt=float(obj["dt"]))
-
-
-def save_trajectories_jsonl(path, trajectories: Iterable[Trajectory]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for traj in trajectories:
-            fh.write(json.dumps(trajectory_to_dict(traj)) + "\n")
-
-
-def load_trajectories_jsonl(path) -> list[Trajectory]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(trajectory_from_dict(json.loads(line)))
-    return out

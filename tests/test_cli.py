@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -62,10 +63,23 @@ def test_malformed_config_exits_2_without_outputs(tmp_path):
     assert not out.exists()
 
 
-def test_bad_config_values_exit_2_without_outputs(tmp_path):
+BAD_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": -1, "width": 2.0}
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("settings", "history_depth", 5),
+        ("scenario", "obstacles", [BAD_BOX]),
+        ("scenario", "radius_m", math.inf),
+        ("scenario", "duration_s", 0.2),
+    ],
+    ids=["history_depth", "obstacle_length", "radius_inf", "short_duration"],
+)
+def test_bad_config_values_exit_2_without_outputs(tmp_path, section, key, value):
     cfg = write_config(tmp_path / "cfg.json")
     obj = json.loads(cfg.read_text())
-    obj["settings"]["history_depth"] = 5
+    obj[section][key] = value
     cfg.write_text(json.dumps(obj))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2

@@ -33,10 +33,12 @@ def flat_sq_loss(q, hist, feats, activation="identity"):
 
 
 def test_reported_loss_matches_forward():
-    q, hist, feats = make_inputs(0)
     wb = WeightBundle.seeded(D, K, N, seed=0)
-    loss, _ = trajectory_sq_loss_and_grads(q, hist, feats, wb)
-    assert loss == flat_sq_loss(q, hist, feats)(wb)
+    for depth in (1, 2):
+        q, hist, feats = make_inputs(depth, depth)
+        for activation in ("identity", "relu", "tanh"):
+            loss, _ = trajectory_sq_loss_and_grads(q, hist, feats, wb, activation)
+            assert loss == flat_sq_loss(q, hist, feats, activation)(wb), (depth, activation)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

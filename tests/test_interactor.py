@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from momentum_planning.errors import EmptyInputError, ShapeError
 from momentum_planning.interactor import (
-    LstmState,
     QueryBatch,
     WeightBundle,
     attention_weights,
     cross_attention,
-    lstm_step,
     mix_history,
     mpi_forward,
     plan_head,
@@ -119,17 +117,17 @@ def _reference_cell(x, h, c, w_ih, w_hh, b):
     return o * np.tanh(c2), c2
 
 
-def test_lstm_step_matches_reference_cell(wb):
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal(D)
-    state = LstmState(rng.standard_normal(D), rng.standard_normal(D))
-    h, new_state = lstm_step(x, state, wb)
-    ref_h, ref_c = _reference_cell(
-        x, state.h, state.c, wb.get("lstm.W_ih"), wb.get("lstm.W_hh"), wb.get("lstm.b")
-    )
-    np.testing.assert_allclose(h, ref_h, atol=1e-12)
-    np.testing.assert_allclose(new_state.c, ref_c, atol=1e-12)
-    np.testing.assert_array_equal(new_state.h, h)
+def reference_rows(gated_steps, wb):
+    # the oracle cell applied row by row from the zero state, oldest step first
+    w_ih, w_hh, b = wb.get("lstm.W_ih"), wb.get("lstm.W_hh"), wb.get("lstm.b")
+    k, d = gated_steps[0].shape
+    out = np.zeros((k, d))
+    for row in range(k):
+        h, c = np.zeros(d), np.zeros(d)
+        for gated in gated_steps:
+            h, c = _reference_cell(gated[row], h, c, w_ih, w_hh, b)
+        out[row] = h
+    return out
 
 
 @given(st.integers(0, 10_000))
@@ -137,15 +135,15 @@ def test_lstm_step_matches_reference_cell(wb):
 def test_hidden_state_stays_bounded(seed):
     rng = np.random.default_rng(seed)
     w = WeightBundle.seeded(D, K, N, seed=seed)
-    x = rng.uniform(-100.0, 100.0, D)
-    state = LstmState(rng.uniform(-0.99, 0.99, D), rng.uniform(-5.0, 5.0, D))
-    h, _ = lstm_step(x, state, w)
-    assert np.abs(h).max() < 1.0 + 1e-12
+    hist = [QueryBatch(rng.uniform(-100.0, 100.0, (K, D)), rng.uniform(-5.0, 5.0, K))
+            for _ in range(2)]
+    for depth in (1, 2):
+        assert np.abs(mix_history(hist[:depth], w)).max() < 1.0 + 1e-12
 
 
 def test_lstm_width_mismatch(wb):
     with pytest.raises(ShapeError):
-        lstm_step(np.zeros(D + 2), LstmState.zeros(D), wb)
+        mix_history(QueryBatch(np.zeros((K, D + 2)), np.zeros(K)), wb)
 
 
 # --- history mixing ----------------------------------------------------------------
@@ -154,22 +152,17 @@ def test_lstm_width_mismatch(wb):
 def test_mix_history_single_batch_equals_manual_rows(wb):
     rng = np.random.default_rng(5)
     qb = batch(rng)
-    gated = score_gate(qb, wb)
-    mixed = mix_history(qb, wb)
-    for row in range(K):
-        h, _ = lstm_step(gated[row], LstmState.zeros(D), wb)
-        np.testing.assert_array_equal(mixed[row], h)
+    expect = reference_rows([score_gate(qb, wb)], wb)
+    np.testing.assert_allclose(mix_history(qb, wb), expect, atol=1e-12)
 
 
 def test_mix_history_two_steps_chains_states(wb):
     rng = np.random.default_rng(6)
     older, newer = batch(rng), batch(rng)
-    mixed = mix_history([older, newer], wb)
-    g_old, g_new = score_gate(older, wb), score_gate(newer, wb)
-    for row in range(K):
-        _, state = lstm_step(g_old[row], LstmState.zeros(D), wb)
-        h, _ = lstm_step(g_new[row], state, wb)
-        np.testing.assert_array_equal(mixed[row], h)
+    expect = reference_rows([score_gate(older, wb), score_gate(newer, wb)], wb)
+    np.testing.assert_allclose(mix_history([older, newer], wb), expect, atol=1e-12)
+    # the order of the steps matters: the older batch seeds the state
+    assert not np.allclose(mix_history([newer, older], wb), expect, atol=1e-12)
 
 
 def test_mix_history_rejects_empty_and_mismatched(wb):

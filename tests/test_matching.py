@@ -158,23 +158,6 @@ def test_tie_breaks_to_lowest_index():
     assert ttm_select(cands, traj, Pose2.identity()) == 0
 
 
-def test_subset_restricts_argmin_but_keeps_absolute_index():
-    history = Trajectory([[1.0, 0.0], [2.0, 0.0]])
-    near = Trajectory([[1.0, 0.1], [2.0, 0.1]])
-    far = Trajectory([[1.0, 5.0], [2.0, 5.0]])
-    farther = Trajectory([[1.0, 9.0], [2.0, 9.0]])
-    cands = make_set([near, far, farther])
-    assert ttm_select(cands, history, Pose2.identity()) == 0
-    assert ttm_select(cands, history, Pose2.identity(), subset=[1, 2]) == 1
-
-
-def test_empty_subset_rejected():
-    traj = Trajectory([[0.0, 1.0]])
-    cands = make_set([traj])
-    with pytest.raises(EmptyInputError):
-        ttm_select(cands, traj, Pose2.identity(), subset=[])
-
-
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_rigid_motion_leaves_selection_invariant(seed):

@@ -113,6 +113,9 @@ def test_obstacle_tracks_follow_scripted_velocity():
         dict(kind="straight", duration_s=1.0, speed_mps=-2.0),
         dict(kind="arc_turn", duration_s=1.0, speed_mps=1.0, radius_m=0.0),
         dict(kind="arc_turn", duration_s=1.0, speed_mps=1.0, angle_rad=0.0),
+        dict(kind="straight", duration_s=0.2, speed_mps=1.0),
+        dict(kind="arc_turn", duration_s=1.0, speed_mps=1.0, radius_m=math.inf),
+        dict(kind="arc_turn", duration_s=1.0, speed_mps=1.0, angle_rad=math.inf),
     ],
 )
 def test_bad_scenario_spec_rejected(kwargs):
@@ -156,6 +159,7 @@ def test_settings_round_trip_and_defaults():
         {"horizons_s": ()},
         {"ego_length_m": 0.0},
         {"nonsense": 1},
+        {"horizons_s": "12"},
     ],
 )
 def test_bad_settings_rejected(patch):
@@ -274,9 +278,9 @@ def test_momentum_without_history_is_oneshot():
     pts = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
     ts = make_set([pts, pts + 1.0], [0.4, 0.6])
     w = WeightBundle.seeded(8, 2, 6, seed=0)
-    idx, refined = step_momentum(ts, [], Pose2.identity(), w)
+    idx, refined_scores = step_momentum(ts, [], Pose2.identity(), w)
     assert idx == step_oneshot(ts)
-    assert refined is None
+    assert refined_scores is None
 
 
 def frame_for(ts, chosen):
@@ -293,11 +297,10 @@ def test_momentum_zero_weights_score_tie_picks_first():
     zero = w
     for name in w.names():
         zero = zero.with_tensor(name, np.zeros_like(w.get(name)))
-    idx, refined = step_momentum(ts, [frame_for(ts, 0)], Pose2.identity(), zero)
+    idx, refined_scores = step_momentum(ts, [frame_for(ts, 0)], Pose2.identity(), zero)
     assert idx == 0
-    np.testing.assert_array_equal(refined.scores, 0.0)
-    for traj in refined.trajectories:
-        np.testing.assert_array_equal(traj.points, 0.0)
+    assert refined_scores.shape == (2,)
+    np.testing.assert_array_equal(refined_scores, 0.0)
 
 
 def test_momentum_holds_mode_through_score_flip():
@@ -316,8 +319,9 @@ def test_momentum_holds_mode_through_score_flip():
     # placed there
     probe = make_set([straight + rng.normal(0, 0.05, straight.shape), swerve],
                      [0.2, 0.8])
-    probe_idx, probe_refined = step_momentum(probe, history, Pose2.identity(), w)
-    order = [0, 1] if int(np.argmax(probe_refined.scores)) == 0 else [1, 0]
+    probe_idx, probe_scores = step_momentum(probe, history, Pose2.identity(), w)
+    assert probe_idx == int(np.argmax(probe_scores))
+    order = [0, 1] if probe_idx == 0 else [1, 0]
 
     cands = [None, None]
     cands[order[0]] = probe.trajectories[0].points
@@ -327,7 +331,7 @@ def test_momentum_holds_mode_through_score_flip():
     cur = make_set(cands, scores)
 
     assert step_oneshot(cur) == order[1]
-    idx, refined = step_momentum(cur, history, Pose2.identity(), w)
+    idx, _ = step_momentum(cur, history, Pose2.identity(), w)
     assert idx == order[0]
     np.testing.assert_array_equal(
         cur.trajectories[idx].points, probe.trajectories[0].points
