@@ -119,18 +119,13 @@ def _load_run_config(path, args):
         overrides["ns"] = args.ns
     settings = RunSettings.from_dict(dict(settings_dict) | overrides)
 
-    if args.seed is not None:
-        seeds = [args.seed]
-    elif "seeds" in obj:
-        seeds = obj["seeds"]
-        if (
-            not isinstance(seeds, list)
-            or not seeds
-            or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)
-        ):
-            raise ConfigError("'seeds' must be a non-empty list of integers")
-    else:
-        seeds = [spec.seed]
+    seeds = [args.seed] if args.seed is not None else obj.get("seeds", [spec.seed])
+    if (
+        not isinstance(seeds, list)
+        or not seeds
+        or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)
+    ):
+        raise ConfigError("seeds must be a non-empty list of non-negative integers")
     return spec, settings, list(seeds)
 
 

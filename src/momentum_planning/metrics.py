@@ -53,11 +53,26 @@ class ObstacleBox:
         object.__setattr__(self, "center", (cx, cy))
 
     def corners(self) -> np.ndarray:
-        c, s = math.cos(self.heading), math.sin(self.heading)
-        hx, hy = 0.5 * self.length, 0.5 * self.width
-        local = np.array([[hx, hy], [hx, -hy], [-hx, -hy], [-hx, hy]])
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.asarray(self.center)
+        return _box_corners(self.center, self.heading, self.length, self.width)
+
+    def fields(self) -> tuple:
+        """``(center, heading, length, width)``, the form :func:`overlap_flags` takes."""
+        return np.asarray(self.center), self.heading, self.length, self.width
+
+
+_CORNER_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]])
+
+
+def _box_corners(center, heading, length, width) -> np.ndarray:
+    """Corners (..., 4, 2) of oriented rectangles broadcast over the
+    leading axes of the inputs (center carries a trailing axis of 2)."""
+    c, s = np.cos(heading), np.sin(heading)
+    half = np.stack(np.broadcast_arrays(0.5 * np.asarray(length, dtype=np.float64),
+                                        0.5 * np.asarray(width, dtype=np.float64)), axis=-1)
+    local = half[..., None, :] * _CORNER_SIGNS
+    rot = np.stack((c, -s, s, c), axis=-1).reshape(*np.shape(c), 2, 2)
+    # one small matrix product per box, as a single box would compute it
+    return local @ np.swapaxes(rot, -1, -2) + np.asarray(center)[..., None, :]
 
 
 def _horizon_index(horizon_s: float, dt: float, available: int) -> int:
@@ -93,42 +108,66 @@ def l2_error(
     return out
 
 
+def overlap_flags(a, b) -> np.ndarray:
+    """Separating-axis test for broadcast stacks of oriented rectangles.
+
+    ``a`` and ``b`` are ``(center, heading, length, width)`` array tuples
+    (center with a trailing axis of 2) whose leading axes broadcast against
+    each other; returns one flag per broadcast position.  Touching counts
+    as overlap: a pair is apart only when some box axis separates the
+    corner projections strictly.
+    """
+    ca, cb = _box_corners(*a), _box_corners(*b)
+    shape = np.broadcast_shapes(ca.shape, cb.shape)
+    # a's four corners then b's, so one product projects both onto an axis
+    corners = np.concatenate([np.broadcast_to(ca, shape), np.broadcast_to(cb, shape)], axis=-2)
+    apart = np.zeros(shape[:-2], dtype=bool)
+    for heading in (a[1], b[1]):
+        c, s = np.cos(heading), np.sin(heading)
+        for axis in (np.stack((c, s), axis=-1), np.stack((-s, c), axis=-1)):
+            # corner index first, so the extremes reduce across whole arrays
+            proj = np.moveaxis((corners @ axis[..., None])[..., 0], -1, 0).copy()
+            pa, pb = proj[:4], proj[4:]
+            apart |= (pa.max(axis=0) < pb.min(axis=0)) | (pb.max(axis=0) < pa.min(axis=0))
+    return ~apart
+
+
 def boxes_overlap(a: ObstacleBox, b: ObstacleBox) -> bool:
     """Separating-axis test for two oriented rectangles; touching counts."""
-    ca, cb = a.corners(), b.corners()
-    for box in (a, b):
-        c, s = math.cos(box.heading), math.sin(box.heading)
-        for axis in ((c, s), (-s, c)):
-            pa = ca @ axis
-            pb = cb @ axis
-            if pa.max() < pb.min() or pb.max() < pa.min():
-                return False
-    return True
+    return bool(overlap_flags(a.fields(), b.fields()))
 
 
-def _obstacle_at(obstacle, step: int) -> ObstacleBox:
+def ego_headings(points: np.ndarray) -> np.ndarray:
+    """Heading per waypoint of (..., n, 2) paths, from forward differences.
+
+    A zero-length step keeps the heading of the step before it (0 at the
+    start) and the last waypoint reuses the previous heading; a single
+    waypoint points from the origin towards itself.
+    """
+    if points.shape[-2] == 1:
+        x, y = points[..., 0], points[..., 1]
+        return np.where((x != 0.0) | (y != 0.0), np.arctan2(y, x), 0.0)
+    d = np.diff(points, axis=-2)
+    moved = (d[..., 0] != 0.0) | (d[..., 1] != 0.0)
+    last_moved = np.maximum.accumulate(np.where(moved, np.arange(moved.shape[-1]), -1), axis=-1)
+    step_heading = np.arctan2(d[..., 1], d[..., 0])
+    headings = np.where(
+        last_moved >= 0,
+        np.take_along_axis(step_heading, np.maximum(last_moved, 0), axis=-1),
+        0.0,
+    )
+    return np.concatenate([headings, headings[..., -1:]], axis=-1)
+
+
+def _clamped_track(obstacle, n: int) -> list:
+    """An obstacle's box at each of ``n`` waypoints: a static box
+    everywhere, a track clamped at its end."""
     if isinstance(obstacle, ObstacleBox):
-        return obstacle
+        return [obstacle] * n
     seq = list(obstacle)
     if not seq:
         raise EmptyInputError("dynamic obstacle track is empty")
-    return seq[min(step, len(seq) - 1)]
-
-
-def _ego_headings(points: np.ndarray) -> np.ndarray:
-    """Heading per waypoint from forward differences; the last waypoint
-    reuses the previous heading."""
-    n = len(points)
-    headings = np.zeros(n)
-    if n == 1:
-        x, y = points[0]
-        headings[0] = math.atan2(y, x) if (x, y) != (0.0, 0.0) else 0.0
-        return headings
-    diffs = np.diff(points, axis=0)
-    for i, (dx, dy) in enumerate(diffs):
-        headings[i] = math.atan2(dy, dx) if (dx, dy) != (0.0, 0.0) else (headings[i - 1] if i else 0.0)
-    headings[-1] = headings[-2]
-    return headings
+    return seq[:n] + seq[-1:] * (n - len(seq))
 
 
 def collision_flags(pred: Trajectory, ego_dims: tuple[float, float], obstacles) -> np.ndarray:
@@ -138,15 +177,16 @@ def collision_flags(pred: Trajectory, ego_dims: tuple[float, float], obstacles) 
     sequence of boxes (clamped at its end for longer predictions).
     """
     length, width = float(ego_dims[0]), float(ego_dims[1])
-    headings = _ego_headings(pred.points)
-    flags = np.zeros(len(pred), dtype=bool)
-    for i, (pt, heading) in enumerate(zip(pred.points, headings)):
-        ego_box = ObstacleBox((float(pt[0]), float(pt[1])), float(heading), length, width)
-        for obstacle in obstacles:
-            if boxes_overlap(ego_box, _obstacle_at(obstacle, i)):
-                flags[i] = True
-                break
-    return flags
+    if not (0.0 < length < math.inf and 0.0 < width < math.inf):
+        raise ShapeError(f"ego extents must be positive and finite, got {ego_dims}")
+    n = len(pred)
+    tracks = [_clamped_track(obstacle, n) for obstacle in obstacles]
+    rows = np.array(
+        [[(*box.center, box.heading, box.length, box.width) for box in track] for track in tracks],
+        dtype=np.float64,
+    ).reshape(len(tracks), n, 5)
+    ego = (pred.points, ego_headings(pred.points), length, width)
+    return overlap_flags(ego, (rows[..., :2], rows[..., 2], rows[..., 3], rows[..., 4])).any(axis=0)
 
 
 def collision_rate(

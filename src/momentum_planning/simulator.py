@@ -23,32 +23,31 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, LogCorruptionError
+from .errors import AlignmentError, ConfigError, EmptyInputError, LogCorruptionError
 from .interactor import QueryBatch, WeightBundle, mpi_forward, softmax
 from .matching import DistanceKind, TrajectorySet, ttm_select
-from .metrics import (
-    L2Protocol,
-    MetricReport,
-    ObstacleBox,
-    collision_flags,
-    l2_error,
-    min_ade_fde,
-    tpc,
-)
+from .metrics import L2Protocol, MetricReport, ObstacleBox, ego_headings, overlap_flags
+from .metrics import collision_flags, l2_error, min_ade_fde, tpc  # noqa: F401
 from .trajectory import (
-    OverlapMask,
     Pose2,
     Trajectory,
-    overlap_mask,
     relative_pose,
-    transform_from_frame,
     transform_to_frame,
     trajectory_from_dict,
     trajectory_to_dict,
 )
 
+# The per-trajectory metrics above score one frame each and report_from_log
+# does not call them; they stay importable here because bench/tracing.py
+# wraps them on this module.
+
 SIM_DT = 0.5
 LOG_FORMAT_VERSION = 1
+
+# scenario bounds: faster or longer scenes overflow the metrics or build
+# paths of millions of waypoints before the first frame is planned
+MAX_SPEED_MPS = 100.0
+MAX_DURATION_S = 600.0
 
 SCENARIO_KINDS = ("straight", "arc_turn", "s_curve")
 PLANNER_KINDS = ("oneshot", "momentum")
@@ -57,6 +56,16 @@ PLANNER_KINDS = ("oneshot", "momentum")
 # once per (width, horizon) and never depends on the scenario seed
 _QUERY_PROJECTION_SEED = 1_400_305
 _query_projections: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _integral(name: str, value) -> int:
+    """``value`` as an int; bools, fractions and non-numbers are rejected
+    rather than truncated."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -68,19 +77,21 @@ class ScriptedObstacle:
 
     def __post_init__(self):
         vx, vy = float(self.velocity[0]), float(self.velocity[1])
-        if not (math.isfinite(vx) and math.isfinite(vy)):
-            raise ConfigError("obstacle velocity must be finite")
+        if not math.hypot(vx, vy) <= MAX_SPEED_MPS:
+            raise ConfigError(
+                f"obstacle speed must be finite and at most {MAX_SPEED_MPS} m/s, got {(vx, vy)}"
+            )
         object.__setattr__(self, "velocity", (vx, vy))
 
-    def at_step(self, step: int) -> ObstacleBox:
-        t = step * SIM_DT
+    def centers_at(self, steps) -> np.ndarray:
+        """Box centre (..., 2) at each absolute step of an integer array."""
+        t = np.asarray(steps) * SIM_DT
         cx, cy = self.box.center
-        return ObstacleBox(
-            (cx + self.velocity[0] * t, cy + self.velocity[1] * t),
-            self.box.heading,
-            self.box.length,
-            self.box.width,
-        )
+        return np.stack((cx + self.velocity[0] * t, cy + self.velocity[1] * t), axis=-1)
+
+    def at_step(self, step: int) -> ObstacleBox:
+        cx, cy = self.centers_at(step)
+        return ObstacleBox((float(cx), float(cy)), self.box.heading, self.box.length, self.box.width)
 
 
 @dataclass(frozen=True)
@@ -98,14 +109,18 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIO_KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}; pick one of {SCENARIO_KINDS}")
-        if not (self.duration_s > 0.0 and math.isfinite(self.duration_s)):
-            raise ConfigError(f"duration must be positive, got {self.duration_s}")
+        if not 0.0 < self.duration_s <= MAX_DURATION_S:
+            raise ConfigError(
+                f"duration must be positive and at most {MAX_DURATION_S} s, got {self.duration_s}"
+            )
         if round(self.duration_s / SIM_DT) < 1:
             raise ConfigError(
                 f"duration {self.duration_s} s is shorter than one {SIM_DT} s planning frame"
             )
-        if not (self.speed_mps > 0.0 and math.isfinite(self.speed_mps)):
-            raise ConfigError(f"speed must be positive, got {self.speed_mps}")
+        if not 0.0 < self.speed_mps <= MAX_SPEED_MPS:
+            raise ConfigError(
+                f"speed must be positive and at most {MAX_SPEED_MPS} m/s, got {self.speed_mps}"
+            )
         if not (math.isfinite(self.radius_m) and math.isfinite(self.angle_rad)):
             raise ConfigError(
                 f"radius and turn angle must be finite, got {self.radius_m} and {self.angle_rad}"
@@ -114,10 +129,10 @@ class ScenarioSpec:
             raise ConfigError(f"radius must be positive, got {self.radius_m}")
         if self.kind == "arc_turn" and not self.angle_rad > 0.0:
             raise ConfigError(f"turn angle must be positive, got {self.angle_rad}")
-        if int(self.seed) != self.seed:
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", _integral("seed", self.seed))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        object.__setattr__(self, "seed", int(self.seed))
 
     def to_dict(self) -> dict:
         return {
@@ -201,6 +216,10 @@ class RunSettings:
     def __post_init__(self):
         if self.planner not in PLANNER_KINDS:
             raise ConfigError(f"unknown planner {self.planner!r}; pick one of {PLANNER_KINDS}")
+        for name in ("history_depth", "k", "horizon_steps", "d_q", "weight_seed", "occlusion_len"):
+            object.__setattr__(self, name, _integral(name, getattr(self, name)))
+        if self.occlusion_start is not None:
+            object.__setattr__(self, "occlusion_start", _integral("occlusion_start", self.occlusion_start))
         if self.history_depth not in (0, 1, 2):
             raise ConfigError(f"history depth must be 0, 1 or 2, got {self.history_depth}")
         object.__setattr__(self, "distance", DistanceKind(self.distance))
@@ -215,10 +234,14 @@ class RunSettings:
             value = getattr(self, name)
             if value < 0.0 or not math.isfinite(value):
                 raise ConfigError(f"{name} must be non-negative, got {value}")
+        if self.weight_seed < 0:
+            raise ConfigError(f"weight seed must be >= 0, got {self.weight_seed}")
+        if self.occlusion_start is not None and self.occlusion_start < 0:
+            raise ConfigError(f"occlusion start must be >= 0, got {self.occlusion_start}")
         if self.occlusion_len < 0:
             raise ConfigError(f"occlusion length must be >= 0, got {self.occlusion_len}")
-        if self.ego_length_m <= 0.0 or self.ego_width_m <= 0.0:
-            raise ConfigError("ego dimensions must be positive")
+        if not (0.0 < self.ego_length_m < math.inf and 0.0 < self.ego_width_m < math.inf):
+            raise ConfigError("ego dimensions must be positive and finite")
         horizons = tuple(float(h) for h in self.horizons_s)
         if not horizons:
             raise ConfigError("at least one evaluation horizon is required")
@@ -266,19 +289,17 @@ class RunSettings:
         try:
             return RunSettings(
                 planner=merged["planner"],
-                history_depth=int(merged["history_depth"]),
+                history_depth=merged["history_depth"],
                 distance=DistanceKind(merged["distance"]),
-                k=int(merged["k"]),
-                horizon_steps=int(merged["horizon_steps"]),
-                d_q=int(merged["d_q"]),
+                k=merged["k"],
+                horizon_steps=merged["horizon_steps"],
+                d_q=merged["d_q"],
                 mode_noise_m=float(merged["mode_noise_m"]),
                 jitter_m=float(merged["jitter_m"]),
                 ns=float(merged["ns"]),
-                weight_seed=int(merged["weight_seed"]),
-                occlusion_start=None
-                if merged["occlusion_start"] is None
-                else int(merged["occlusion_start"]),
-                occlusion_len=int(merged["occlusion_len"]),
+                weight_seed=merged["weight_seed"],
+                occlusion_start=merged["occlusion_start"],
+                occlusion_len=merged["occlusion_len"],
                 ego_length_m=float(merged["ego_length_m"]),
                 ego_width_m=float(merged["ego_width_m"]),
                 protocol=L2Protocol(merged["protocol"]),
@@ -578,68 +599,98 @@ def run_closed_loop(
     return log, report_from_log(log)
 
 
+def _stack_log(log: ScenarioLog):
+    """Ego rotations (F, 2, 2) and positions (F, 2), chosen plans (F, h, 2)
+    and proposals (F, K, h, 2) of a log whose frames all fit its settings."""
+    h, k = log.settings.horizon_steps, log.settings.k
+    for j, frame in enumerate(log.frames):
+        chosen = frame.chosen_trajectory
+        if chosen.dt != SIM_DT:
+            raise AlignmentError(f"frame {j}: chosen plan dt {chosen.dt} != {SIM_DT}")
+        if len(frame.proposals) != k:
+            raise AlignmentError(f"frame {j}: {len(frame.proposals)} proposals, settings say k={k}")
+        lengths = {len(chosen), *(len(t) for t in frame.proposals.trajectories)}
+        if lengths != {h}:
+            raise AlignmentError(
+                f"frame {j}: plans of {sorted(lengths)} waypoints, settings say {h}"
+            )
+    f = len(log.frames)
+    rot = np.array([fr.ego_pose.rotation for fr in log.frames]).reshape(f, 2, 2)
+    xy = np.array([fr.ego_pose.translation for fr in log.frames]).reshape(f, 2)
+    chosen = np.array([fr.chosen_trajectory.points for fr in log.frames]).reshape(f, h, 2)
+    proposals = np.array(
+        [[t.points for t in fr.proposals.trajectories] for fr in log.frames]
+    ).reshape(f, k, h, 2)
+    return rot, xy, chosen, proposals
+
+
 def report_from_log(log: ScenarioLog) -> MetricReport:
     """Recompute every metric from a log alone (the run uses this too, so
-    replaying a persisted log reproduces the original report exactly)."""
+    replaying a persisted log reproduces the original report exactly).
+
+    The whole log is scored at once on stacked (frame, waypoint) arrays;
+    every matrix product is the one a single frame would compute, so the
+    report matches scoring frame by frame with the per-trajectory metric
+    functions bit for bit.  Per-frame values are then summed with
+    ``math.fsum`` in frame order.
+    """
     settings = log.settings
     h = settings.horizon_steps
-    path, tracks = gen_scenario(log.spec, extra_steps=h)
+    rot, xy, chosen, proposals = _stack_log(log)
+    n_frames = len(chosen)
+    path = _gen_path(log.spec, extra_steps=h)
     world = np.vstack([[0.0, 0.0], path.points])
-    horizons = settings.horizons_s
-
-    l2_acc = {hh: [] for hh in horizons}
-    col_acc = {hh: [] for hh in horizons}
-    tpc_acc = {hh: [] for hh in horizons}
-    ade_acc, fde_acc = [], []
-
-    for j, frame in enumerate(log.frames):
-        future_world = Trajectory(world[j + 1 : j + 1 + h], dt=SIM_DT)
-        gt_future = transform_to_frame(future_world, frame.ego_pose)
-        frame_l2 = l2_error(frame.chosen_trajectory, gt_future, horizons, settings.protocol)
-        for hh in horizons:
-            l2_acc[hh].append(frame_l2[hh])
-
-        pred_world = transform_from_frame(frame.chosen_trajectory, frame.ego_pose)
-        aligned = [
-            [track[min(j + 1 + i, len(track) - 1)] for i in range(len(pred_world))]
-            for track in tracks
-        ]
-        flags = collision_flags(
-            pred_world, (settings.ego_length_m, settings.ego_width_m), aligned
+    if n_frames + h > len(world):
+        raise AlignmentError(
+            f"log has {n_frames} frames, the scenario's path covers {len(world) - h}"
         )
-        for hh in horizons:
-            steps = int(round(hh / SIM_DT))
-            col_acc[hh].append(100.0 if flags[:steps].any() else 0.0)
+    # absolute step of waypoint i planned at frame j; always within the path
+    steps = np.arange(n_frames)[:, None] + 1 + np.arange(h)
+    gt = (world[steps] - xy[:, None, :]) @ rot
 
-        ade, fde, _ = min_ade_fde(frame.proposals, gt_future)
-        ade_acc.append(ade)
-        fde_acc.append(fde)
+    # displacement, both protocols
+    d = np.linalg.norm(chosen - gt, axis=-1)
+    dist = np.linalg.norm(proposals - gt[:, None], axis=-1)
+    averaged = settings.protocol is L2Protocol.AVERAGED_UP_TO
 
-        if j > 0:
-            prev = log.frames[j - 1]
-            delta = relative_pose(prev.ego_pose, frame.ego_pose)
-            base_mask = overlap_mask(frame.chosen_trajectory, prev.chosen_trajectory, 1)
-            for hh in horizons:
-                steps = int(round(hh / SIM_DT))
-                flags_h = base_mask.flags & (np.arange(len(base_mask)) < steps)
-                value = tpc(
-                    frame.chosen_trajectory,
-                    prev.chosen_trajectory,
-                    delta,
-                    OverlapMask(flags_h),
-                )
-                if value is not None:
-                    tpc_acc[hh].append(value)
+    # consistency: frame j's plan moved into frame j-1, waypoint i against
+    # the previous plan's waypoint i+1
+    rot_t = np.swapaxes(rot[1:], -1, -2)
+    delta_rot = rot_t @ rot[:-1]
+    delta_xy = (rot_t @ (xy[:-1] - xy[1:])[..., None])[..., 0]
+    moved = (chosen[1:] - delta_xy[:, None, :]) @ delta_rot
+    gap = moved[:, : h - 1] - chosen[:-1, 1:]
+    sq = gap[..., 0] ** 2 + gap[..., 1] ** 2
+
+    # collisions: ego boxes swept along the plans against every obstacle at
+    # the same absolute step, one kernel call over (obstacle, frame, waypoint)
+    pred_world = chosen @ np.swapaxes(rot, -1, -2) + xy[:, None, :]
+    ego = (pred_world, ego_headings(pred_world), settings.ego_length_m, settings.ego_width_m)
+    obstacles = log.spec.obstacles
+    n_obs = len(obstacles)
+    boxes = (
+        np.array([o.centers_at(steps) for o in obstacles]).reshape(n_obs, n_frames, h, 2),
+        np.array([o.box.heading for o in obstacles]).reshape(n_obs, 1, 1),
+        np.array([o.box.length for o in obstacles]).reshape(n_obs, 1, 1),
+        np.array([o.box.width for o in obstacles]).reshape(n_obs, 1, 1),
+    )
+    hits = overlap_flags(ego, boxes).any(axis=0)
 
     def mean_of(values):
-        return math.fsum(values) / len(values) if values else 0.0
+        return math.fsum(values.tolist()) / len(values) if len(values) else 0.0
 
+    l2, collision, consistency = {}, {}, {}
+    for hh in settings.horizons_s:
+        s = int(round(hh / SIM_DT))
+        l2[hh] = mean_of(d[:, :s].mean(axis=-1) if averaged else d[:, s - 1])
+        collision[hh] = mean_of(np.where(hits[:, :s].any(axis=-1), 100.0, 0.0))
+        consistency[hh] = mean_of(np.sqrt(sq[:, : min(s, h - 1)].mean(axis=-1)))
     return MetricReport(
-        l2={hh: mean_of(l2_acc[hh]) for hh in horizons},
-        collision_rate={hh: mean_of(col_acc[hh]) for hh in horizons},
-        tpc={hh: mean_of(tpc_acc[hh]) for hh in horizons},
-        min_ade=mean_of(ade_acc),
-        min_fde=mean_of(fde_acc),
+        l2=l2,
+        collision_rate=collision,
+        tpc=consistency,
+        min_ade=mean_of(dist.mean(axis=-1).min(axis=-1)),
+        min_fde=mean_of(dist[..., -1].min(axis=-1)),
     )
 
 

@@ -173,8 +173,10 @@ def resample(traj: Trajectory, n: int) -> Trajectory:
     s = np.concatenate([[0.0], np.cumsum(seg)])
     total = s[-1]
     if total <= 0.0:
-        # all points coincide; any parameterization collapses to the point
+        # all points coincide, or lie so close that their squared gaps
+        # underflow to zero; collapse onto the first point, endpoints exact
         out = np.repeat(pts[:1], n, axis=0)
+        out[-1] = pts[-1]
         return Trajectory(out, dt=traj.dt)
     targets = np.linspace(0.0, total, n)
     out = np.column_stack(

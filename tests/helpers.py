@@ -1,6 +1,20 @@
-"""Shared finite-difference harness for gradient verification."""
+"""Shared test harnesses: finite differences for gradient verification and
+the per-frame scoring loop the batched ``report_from_log`` must reproduce."""
+
+import math
 
 import numpy as np
+
+from momentum_planning.metrics import MetricReport, ObstacleBox, l2_error, min_ade_fde, tpc
+from momentum_planning.simulator import SIM_DT, gen_scenario
+from momentum_planning.trajectory import (
+    OverlapMask,
+    Trajectory,
+    overlap_mask,
+    relative_pose,
+    transform_from_frame,
+    transform_to_frame,
+)
 
 
 def fd_grad(loss_fn, weights, name, step=1e-5):
@@ -25,3 +39,114 @@ def max_rel_err(analytic, numeric, floor=1e-4):
     n = np.asarray(numeric).reshape(-1)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float((np.abs(a - n) / denom).max())
+
+
+# ---------------------------------------------------------------------------
+# per-frame scoring: the loop that ``report_from_log`` replaced, kept as the
+# reference its batched form must reproduce byte for byte
+
+
+def reference_boxes_overlap(a, b):
+    """Separating-axis test on one pair of boxes, one axis at a time."""
+    ca, cb = a.corners(), b.corners()
+    for box in (a, b):
+        c, s = math.cos(box.heading), math.sin(box.heading)
+        for axis in ((c, s), (-s, c)):
+            pa = ca @ axis
+            pb = cb @ axis
+            if pa.max() < pb.min() or pb.max() < pa.min():
+                return False
+    return True
+
+
+def _reference_ego_headings(points):
+    n = len(points)
+    headings = np.zeros(n)
+    if n == 1:
+        x, y = points[0]
+        headings[0] = math.atan2(y, x) if (x, y) != (0.0, 0.0) else 0.0
+        return headings
+    diffs = np.diff(points, axis=0)
+    for i, (dx, dy) in enumerate(diffs):
+        headings[i] = math.atan2(dy, dx) if (dx, dy) != (0.0, 0.0) else (headings[i - 1] if i else 0.0)
+    headings[-1] = headings[-2]
+    return headings
+
+
+def reference_collision_flags(pred, ego_dims, obstacles):
+    """Per-waypoint flags from one box-pair test per obstacle and waypoint."""
+    length, width = float(ego_dims[0]), float(ego_dims[1])
+    headings = _reference_ego_headings(pred.points)
+    flags = np.zeros(len(pred), dtype=bool)
+    for i, (pt, heading) in enumerate(zip(pred.points, headings)):
+        ego_box = ObstacleBox((float(pt[0]), float(pt[1])), float(heading), length, width)
+        for obstacle in obstacles:
+            box = obstacle if isinstance(obstacle, ObstacleBox) else obstacle[min(i, len(obstacle) - 1)]
+            if reference_boxes_overlap(ego_box, box):
+                flags[i] = True
+                break
+    return flags
+
+
+def reference_report_from_log(log):
+    """Every metric of a log, scored frame by frame and waypoint by waypoint."""
+    settings = log.settings
+    h = settings.horizon_steps
+    path, tracks = gen_scenario(log.spec, extra_steps=h)
+    world = np.vstack([[0.0, 0.0], path.points])
+    horizons = settings.horizons_s
+
+    l2_acc = {hh: [] for hh in horizons}
+    col_acc = {hh: [] for hh in horizons}
+    tpc_acc = {hh: [] for hh in horizons}
+    ade_acc, fde_acc = [], []
+
+    for j, frame in enumerate(log.frames):
+        future_world = Trajectory(world[j + 1 : j + 1 + h], dt=SIM_DT)
+        gt_future = transform_to_frame(future_world, frame.ego_pose)
+        frame_l2 = l2_error(frame.chosen_trajectory, gt_future, horizons, settings.protocol)
+        for hh in horizons:
+            l2_acc[hh].append(frame_l2[hh])
+
+        pred_world = transform_from_frame(frame.chosen_trajectory, frame.ego_pose)
+        aligned = [
+            [track[min(j + 1 + i, len(track) - 1)] for i in range(len(pred_world))]
+            for track in tracks
+        ]
+        flags = reference_collision_flags(
+            pred_world, (settings.ego_length_m, settings.ego_width_m), aligned
+        )
+        for hh in horizons:
+            steps = int(round(hh / SIM_DT))
+            col_acc[hh].append(100.0 if flags[:steps].any() else 0.0)
+
+        ade, fde, _ = min_ade_fde(frame.proposals, gt_future)
+        ade_acc.append(ade)
+        fde_acc.append(fde)
+
+        if j > 0:
+            prev = log.frames[j - 1]
+            delta = relative_pose(prev.ego_pose, frame.ego_pose)
+            base_mask = overlap_mask(frame.chosen_trajectory, prev.chosen_trajectory, 1)
+            for hh in horizons:
+                steps = int(round(hh / SIM_DT))
+                flags_h = base_mask.flags & (np.arange(len(base_mask)) < steps)
+                value = tpc(
+                    frame.chosen_trajectory,
+                    prev.chosen_trajectory,
+                    delta,
+                    OverlapMask(flags_h),
+                )
+                if value is not None:
+                    tpc_acc[hh].append(value)
+
+    def mean_of(values):
+        return math.fsum(values) / len(values) if values else 0.0
+
+    return MetricReport(
+        l2={hh: mean_of(l2_acc[hh]) for hh in horizons},
+        collision_rate={hh: mean_of(col_acc[hh]) for hh in horizons},
+        tpc={hh: mean_of(tpc_acc[hh]) for hh in horizons},
+        min_ade=mean_of(ade_acc),
+        min_fde=mean_of(fde_acc),
+    )

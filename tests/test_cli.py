@@ -64,6 +64,8 @@ def test_malformed_config_exits_2_without_outputs(tmp_path):
 
 
 BAD_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": -1, "width": 2.0}
+FAST_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": 4.0, "width": 2.0,
+            "velocity": [1e308, 0.0]}
 
 
 @pytest.mark.parametrize(
@@ -73,8 +75,15 @@ BAD_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": -1, "width": 2.0}
         ("scenario", "obstacles", [BAD_BOX]),
         ("scenario", "radius_m", math.inf),
         ("scenario", "duration_s", 0.2),
+        ("settings", "weight_seed", -1),
+        ("settings", "k", 2.5),
+        ("scenario", "speed_mps", 1e200),
+        ("scenario", "seed", -1),
+        ("scenario", "obstacles", [FAST_BOX]),
     ],
-    ids=["history_depth", "obstacle_length", "radius_inf", "short_duration"],
+    ids=["history_depth", "obstacle_length", "radius_inf", "short_duration",
+         "negative_weight_seed", "fractional_k", "speed_over_bound", "negative_seed",
+         "obstacle_speed_over_bound"],
 )
 def test_bad_config_values_exit_2_without_outputs(tmp_path, section, key, value):
     cfg = write_config(tmp_path / "cfg.json")
@@ -83,6 +92,14 @@ def test_bad_config_values_exit_2_without_outputs(tmp_path, section, key, value)
     cfg.write_text(json.dumps(obj))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds, flag", [([2, -1], []), ([0], ["--seed", "-3"])])
+def test_negative_run_seed_exits_2_without_outputs(tmp_path, seeds, flag):
+    cfg = write_config(tmp_path / "cfg.json", seeds=seeds)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), *flag]) == 2
     assert not out.exists()
 
 

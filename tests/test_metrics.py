@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import reference_boxes_overlap, reference_collision_flags
 
 from momentum_planning.errors import (
     AlignmentError,
@@ -19,10 +23,12 @@ from momentum_planning.metrics import (
     collision_flags,
     collision_rate,
     combined_losses,
+    ego_headings,
     focal_loss,
     l2_error,
     mean_reports,
     min_ade_fde,
+    overlap_flags,
     tpc,
 )
 from momentum_planning.trajectory import (
@@ -134,6 +140,114 @@ def test_sat_agrees_with_sampling_oracle():
         if depth > 1e-3:
             assert boxes_overlap(a, b)
         assert boxes_overlap(a, b) == boxes_overlap(b, a)
+
+
+# --- the batched overlap kernel ----------------------------------------------------
+
+
+def _fields(boxes):
+    """Stack boxes into the (center, heading, length, width) arrays the kernel takes."""
+    return (
+        np.array([b.center for b in boxes]),
+        np.array([b.heading for b in boxes]),
+        np.array([b.length for b in boxes]),
+        np.array([b.width for b in boxes]),
+    )
+
+
+def test_kernel_counts_edge_and_corner_contact_as_overlap():
+    a = ObstacleBox((0.0, 0.0), 0.0, 2.0, 2.0)
+    others = [
+        ObstacleBox((2.0, 0.0), 0.0, 2.0, 2.0),  # shares the edge x = 1
+        ObstacleBox((2.0, 2.0), 0.0, 2.0, 2.0),  # shares the corner (1, 1)
+        ObstacleBox((0.0, -3.0), 0.0, 4.0, 4.0),  # shares the edge y = -1
+        ObstacleBox((2.0 + 1e-9, 0.0), 0.0, 2.0, 2.0),  # a hair apart
+    ]
+    flags = overlap_flags(a.fields(), _fields(others))
+    assert flags.tolist() == [True, True, True, False]
+    assert [boxes_overlap(a, b) for b in others] == [True, True, True, False]
+    assert [boxes_overlap(b, a) for b in others] == [True, True, True, False]
+
+
+box_strategy = st.builds(
+    ObstacleBox,
+    st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+    st.floats(-4.0, 4.0),
+    st.floats(0.5, 4.0),
+    st.floats(0.5, 4.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(box_strategy, box_strategy), min_size=1, max_size=12))
+def test_kernel_is_symmetric_and_matches_the_pairwise_test(pairs):
+    a, b = _fields([p[0] for p in pairs]), _fields([p[1] for p in pairs])
+    forward = overlap_flags(a, b)
+    np.testing.assert_array_equal(forward, overlap_flags(b, a))
+    assert forward.tolist() == [reference_boxes_overlap(x, y) for x, y in pairs]
+
+
+def test_kernel_broadcasts_one_box_against_a_grid():
+    ego = ObstacleBox((0.0, 0.0), 0.3, 4.0, 2.0)
+    xs, ys = np.meshgrid(np.linspace(-6, 6, 13), np.linspace(-4, 4, 9))
+    centers = np.stack([xs, ys], axis=-1)
+    flags = overlap_flags(ego.fields(), (centers, 1.1, 1.5, 1.0))
+    assert flags.shape == (9, 13)
+    for idx in np.ndindex(flags.shape):
+        other = ObstacleBox(tuple(centers[idx]), 1.1, 1.5, 1.0)
+        assert flags[idx] == reference_boxes_overlap(ego, other)
+
+
+def test_zero_length_step_keeps_the_previous_heading():
+    pts = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 2.0]])
+    np.testing.assert_array_equal(
+        ego_headings(pts), [math.pi / 4, math.pi / 4, math.pi / 4, math.pi / 2, math.pi / 2]
+    )
+    # a path that starts standing still points along +x until it moves
+    np.testing.assert_array_equal(
+        ego_headings(np.array([[3.0, 3.0], [3.0, 3.0], [3.0, 4.0]])), [0.0, math.pi / 2, math.pi / 2]
+    )
+    # batched over leading axes, row by row the same
+    stack = np.stack([pts, pts[::-1], np.zeros_like(pts)])
+    for row, points in zip(ego_headings(stack), stack):
+        np.testing.assert_array_equal(row, ego_headings(points))
+    np.testing.assert_array_equal(ego_headings(np.array([[0.0, 0.0]])), [0.0])
+    np.testing.assert_array_equal(ego_headings(np.array([[0.0, 2.0]])), [math.pi / 2])
+
+
+def test_zero_length_step_decides_a_collision():
+    # the ego drives diagonally, stands still for one step, then turns to
+    # +y; waypoint 1's own step has zero length, so it keeps the diagonal
+    # heading, and only that heading reaches the box (+x would miss it)
+    pred = Trajectory(np.array([[0.0, 0.0], [3.0, 3.0], [3.0, 3.0], [3.0, 6.0]]))
+    blocker = ObstacleBox((4.6, 4.6), math.pi / 4, 1.0, 1.0)
+    flags = collision_flags(pred, (4.0, 1.0), [blocker])
+    np.testing.assert_array_equal(flags, reference_collision_flags(pred, (4.0, 1.0), [blocker]))
+    assert flags.tolist() == [False, True, False, False]
+
+
+def test_no_obstacles_gives_all_false_flags():
+    pred = straight(5)
+    flags = collision_flags(pred, (4.0, 2.0), [])
+    assert flags.dtype == bool and flags.tolist() == [False] * 5
+    no_boxes = (np.zeros((0, 5, 2)), np.zeros((0, 1)), np.ones((0, 1)), np.ones((0, 1)))
+    ego = (pred.points, ego_headings(pred.points), 4.0, 2.0)
+    assert overlap_flags(ego, no_boxes).shape == (0, 5)
+
+
+def test_short_track_clamps_at_its_end():
+    pred = straight(5, speed=2.0)  # x = 1..5
+    track = [ObstacleBox((1.0, 5.0), 0.0, 1.0, 1.0), ObstacleBox((4.0, 0.0), 0.0, 1.0, 1.0)]
+    flags = collision_flags(pred, (1.0, 1.0), [track])
+    assert flags.tolist() == [False, False, True, True, True]
+    np.testing.assert_array_equal(flags, reference_collision_flags(pred, (1.0, 1.0), [track]))
+
+
+def test_collision_flags_reject_bad_ego_extents():
+    with pytest.raises(ShapeError):
+        collision_flags(straight(3), (0.0, 1.0), [])
+    with pytest.raises(ShapeError):
+        collision_flags(straight(3), (4.0, math.inf), [])
 
 
 # --- collision rate ----------------------------------------------------------------

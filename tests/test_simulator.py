@@ -1,16 +1,26 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from momentum_planning.errors import ConfigError, LogCorruptionError
+from helpers import reference_report_from_log
+
+from momentum_planning.errors import AlignmentError, ConfigError, LogCorruptionError
 from momentum_planning.interactor import WeightBundle
 from momentum_planning.matching import DistanceKind, TrajectorySet
 from momentum_planning.simulator import (
+    MAX_DURATION_S,
+    MAX_SPEED_MPS,
+    PLANNER_KINDS,
+    SCENARIO_KINDS,
     SIM_DT,
     FrameRecord,
     RunSettings,
+    ScenarioLog,
     ScenarioSpec,
     ScriptedObstacle,
     candidate_queries,
@@ -25,7 +35,7 @@ from momentum_planning.simulator import (
     step_momentum,
     step_oneshot,
 )
-from momentum_planning.metrics import ObstacleBox
+from momentum_planning.metrics import L2Protocol, ObstacleBox
 from momentum_planning.trajectory import Pose2, Trajectory
 
 
@@ -116,11 +126,30 @@ def test_obstacle_tracks_follow_scripted_velocity():
         dict(kind="straight", duration_s=0.2, speed_mps=1.0),
         dict(kind="arc_turn", duration_s=1.0, speed_mps=1.0, radius_m=math.inf),
         dict(kind="arc_turn", duration_s=1.0, speed_mps=1.0, angle_rad=math.inf),
+        dict(kind="straight", duration_s=1.0, speed_mps=1e200),
+        dict(kind="straight", duration_s=1.0, speed_mps=MAX_SPEED_MPS + 0.5),
+        dict(kind="straight", duration_s=1e6, speed_mps=1.0),
+        dict(kind="straight", duration_s=MAX_DURATION_S + 0.5, speed_mps=1.0),
+        dict(kind="straight", duration_s=1.0, speed_mps=1.0, seed=-1),
+        dict(kind="straight", duration_s=1.0, speed_mps=1.0, seed=True),
     ],
 )
 def test_bad_scenario_spec_rejected(kwargs):
     with pytest.raises(ConfigError):
         ScenarioSpec(**kwargs)
+
+
+@pytest.mark.parametrize("velocity", [(MAX_SPEED_MPS, 1.0), (1e308, 0.0), (math.nan, 0.0)])
+def test_obstacle_speed_is_bounded(velocity):
+    with pytest.raises(ConfigError):
+        ScriptedObstacle(ObstacleBox((1.0, 2.0), 0.3, 4.0, 2.0), velocity)
+
+
+def test_scenario_bounds_are_inclusive():
+    spec = ScenarioSpec("s_curve", MAX_DURATION_S, MAX_SPEED_MPS)
+    path, _ = gen_scenario(spec)
+    assert len(path) == int(MAX_DURATION_S / SIM_DT)
+    assert np.isfinite(path.points).all()
 
 
 def test_scenario_spec_dict_round_trip():
@@ -160,11 +189,27 @@ def test_settings_round_trip_and_defaults():
         {"ego_length_m": 0.0},
         {"nonsense": 1},
         {"horizons_s": "12"},
+        {"k": 2.5},
+        {"history_depth": True},
+        {"horizon_steps": 6.5},
+        {"d_q": "32"},
+        {"weight_seed": -1},
+        {"weight_seed": 0.5},
+        {"occlusion_start": -1},
+        {"occlusion_start": 1.5},
+        {"occlusion_len": True},
+        {"ego_width_m": math.inf},
     ],
 )
 def test_bad_settings_rejected(patch):
     with pytest.raises(ConfigError):
         RunSettings.from_dict(RunSettings().to_dict() | patch)
+
+
+def test_integral_float_settings_become_ints():
+    st = RunSettings.from_dict({"k": 4.0, "occlusion_start": 2.0, "weight_seed": np.int64(3)})
+    assert (st.k, st.occlusion_start, st.weight_seed) == (4, 2, 3)
+    assert all(type(v) is int for v in (st.k, st.occlusion_start, st.weight_seed))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +480,88 @@ def test_mismatched_weights_rejected():
     w = WeightBundle.seeded(8, 6, 6, seed=0)
     with pytest.raises(ConfigError):
         run_closed_loop(arc_spec(), RunSettings(), weights=w)
+
+
+# ---------------------------------------------------------------------------
+# batched scoring against the per-frame loop
+
+
+@st.composite
+def scored_logs(draw):
+    """A rollout log over a drawn scene: any kind, 0-4 static or moving
+    boxes placed near the path (some fast enough to leave it), either
+    protocol, 2-8 planning steps, and logs from one frame up to one frame
+    more than the scene's duration plans (the longest a path can score)."""
+    kind = draw(st.sampled_from(SCENARIO_KINDS))
+    duration = draw(st.sampled_from([0.5, 1.0, 2.0, 3.5]))
+    speed = draw(st.floats(1.0, 12.0))
+    radius = draw(st.floats(8.0, 40.0))
+    angle = draw(st.floats(0.3, 2.0))
+    h = draw(st.integers(2, 8))
+    path, _ = gen_scenario(ScenarioSpec(kind, duration, speed, radius, angle), extra_steps=h)
+    obstacles = []
+    for _ in range(draw(st.integers(0, 4))):
+        anchor = path.points[draw(st.integers(0, len(path) - 1))]
+        offset = draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+        velocity = draw(st.just((0.0, 0.0)) | st.tuples(st.floats(-15.0, 15.0), st.floats(-15.0, 15.0)))
+        box = ObstacleBox(
+            (float(anchor[0] + offset[0]), float(anchor[1] + offset[1])),
+            draw(st.floats(-math.pi, math.pi)),
+            draw(st.floats(0.5, 5.0)),
+            draw(st.floats(0.5, 3.0)),
+        )
+        obstacles.append(ScriptedObstacle(box, velocity))
+    horizons = draw(st.lists(st.integers(1, h), min_size=1, max_size=3, unique=True))
+    run_settings = RunSettings(
+        planner=draw(st.sampled_from(PLANNER_KINDS)),
+        history_depth=draw(st.integers(0, 2)),
+        k=draw(st.integers(1, 6)),
+        horizon_steps=h,
+        protocol=draw(st.sampled_from(list(L2Protocol))),
+        horizons_s=tuple(0.5 * s for s in horizons),
+        ego_length_m=draw(st.floats(1.0, 5.0)),
+        ego_width_m=draw(st.floats(0.5, 3.0)),
+    )
+    spec = ScenarioSpec(kind, duration, speed, radius, angle, tuple(obstacles),
+                        seed=draw(st.integers(0, 2**16)))
+    extra_frame = draw(st.booleans())
+    longer = dataclasses.replace(spec, duration_s=duration + SIM_DT) if extra_frame else spec
+    log, _ = run_closed_loop(longer, run_settings)
+    return ScenarioLog(spec, run_settings, log.frames)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scored_logs())
+def test_batched_report_matches_per_frame_loop(log):
+    assert report_from_log(log).to_csv_text() == reference_report_from_log(log).to_csv_text()
+
+
+def test_frame_with_wrong_plan_length_is_rejected():
+    log, _ = run_closed_loop(arc_spec(), RunSettings(horizon_steps=6))
+    frames = list(log.frames)
+    short = Trajectory(frames[3].chosen_trajectory.points[:5])
+    frames[3] = dataclasses.replace(frames[3], chosen_trajectory=short)
+    with pytest.raises(AlignmentError, match="frame 3"):
+        report_from_log(ScenarioLog(log.spec, log.settings, tuple(frames)))
+    props = frames[2].proposals
+    frames = list(log.frames)
+    frames[2] = dataclasses.replace(frames[2], proposals=TrajectorySet(
+        tuple(Trajectory(t.points[:5]) for t in props.trajectories), props.scores, props.queries))
+    with pytest.raises(AlignmentError, match="frame 2"):
+        report_from_log(ScenarioLog(log.spec, log.settings, tuple(frames)))
+
+
+def test_log_longer_than_its_path_is_rejected():
+    spec = arc_spec()
+    log, _ = run_closed_loop(dataclasses.replace(spec, duration_s=spec.duration_s + 2 * SIM_DT),
+                             RunSettings())
+    with pytest.raises(AlignmentError):
+        report_from_log(ScenarioLog(spec, log.settings, log.frames))
+
+
+def test_header_only_log_reports_zeros():
+    report = report_from_log(ScenarioLog(arc_spec(), RunSettings(), ()))
+    assert {v for _, _, v in report.rows()} == {0.0}
 
 
 # ---------------------------------------------------------------------------
