@@ -11,11 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from .errors import AlignmentError, EmptyInputError, ShapeError
-from .trajectory import Pose2, Trajectory, resample, transform_to_frame
+from .errors import AlignmentError, EmptyInputError, GeometryError, ShapeError
+from .trajectory import DEFAULT_DT, Pose2, Trajectory, resample
+from .trajectory import transform_to_frame  # noqa: F401
+
+# nothing here calls transform_to_frame; it stays importable on this module
+# because bench/tracing.py wraps it here.
 
 
 class DistanceKind(str, Enum):
@@ -23,36 +28,81 @@ class DistanceKind(str, Enum):
     MEAN_EUCLIDEAN = "euclidean"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TrajectorySet:
-    """K candidate plans with scores and per-candidate query embeddings."""
+    """K candidate plans with scores and per-candidate query embeddings.
 
-    trajectories: tuple[Trajectory, ...]
+    Every candidate has the same N waypoints and the same dt; a ragged or
+    mixed-rate set raises ``AlignmentError``.  The waypoints are kept once,
+    as the read-only (K, N, 2) array ``points`` that batched selection and
+    scoring read; ``trajectories`` wraps its rows as ``Trajectory`` views
+    the first time it is asked for.
+    """
+
+    points: np.ndarray
+    dt: float
     scores: np.ndarray
     queries: np.ndarray
 
-    def __post_init__(self):
-        trajs = tuple(self.trajectories)
+    def __init__(self, trajectories, scores, queries):
+        trajs = tuple(trajectories)
         if len(trajs) < 1:
             raise EmptyInputError("candidate set needs at least one trajectory")
-        scores = np.asarray(self.scores, dtype=np.float64).reshape(-1)
-        queries = np.asarray(self.queries, dtype=np.float64)
-        if len(scores) != len(trajs):
-            raise ShapeError(f"{len(trajs)} candidates but {len(scores)} scores")
-        if queries.ndim != 2 or queries.shape[0] != len(trajs):
-            raise ShapeError(
-                f"queries must be (K, D), got {queries.shape} for K={len(trajs)}"
-            )
+        lengths = {len(t) for t in trajs}
+        if len(lengths) != 1:
+            raise AlignmentError(f"candidates must share one length, got {sorted(lengths)}")
+        dts = {t.dt for t in trajs}
+        if len(dts) != 1:
+            raise AlignmentError(f"candidates must share one dt, got {sorted(dts)}")
+        points = np.stack([t.points for t in trajs])
+        points.setflags(write=False)
+        self._fill(points, trajs[0].dt, scores, queries)
+
+    @classmethod
+    def from_points(cls, points, scores, queries, dt: float = DEFAULT_DT) -> "TrajectorySet":
+        """A set over a (K, N, 2) stack of waypoints sampled every ``dt``."""
+        pts = np.array(points, dtype=np.float64)
+        if pts.ndim != 3 or pts.shape[2] != 2:
+            raise ShapeError(f"expected (K, N, 2) points, got shape {pts.shape}")
+        if len(pts) < 1:
+            raise EmptyInputError("candidate set needs at least one trajectory")
+        # the checks each candidate's Trajectory would make, in one pass
+        Trajectory(pts.reshape(-1, 2), dt)
+        pts.setflags(write=False)
+        out = cls.__new__(cls)
+        out._fill(pts, dt, scores, queries)
+        return out
+
+    def with_features(self, scores, queries) -> "TrajectorySet":
+        """The same candidates under new scores and queries; the point stack
+        is shared, not copied or checked again."""
+        out = TrajectorySet.__new__(TrajectorySet)
+        out._fill(self.points, self.dt, scores, queries)
+        return out
+
+    def _fill(self, points, dt, scores, queries):
+        k = len(points)
+        scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+        queries = np.asarray(queries, dtype=np.float64)
+        if len(scores) != k:
+            raise ShapeError(f"{k} candidates but {len(scores)} scores")
+        if queries.ndim != 2 or queries.shape[0] != k:
+            raise ShapeError(f"queries must be (K, D), got {queries.shape} for K={k}")
         if not (np.isfinite(scores).all() and np.isfinite(queries).all()):
             raise ShapeError("scores and queries must be finite")
         scores.setflags(write=False)
         queries.setflags(write=False)
-        object.__setattr__(self, "trajectories", trajs)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "dt", dt)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "queries", queries)
 
+    @cached_property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        return tuple(Trajectory(p, dt=self.dt) for p in self.points)
+
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return len(self.points)
 
 
 def _points_of(traj) -> np.ndarray:
@@ -107,14 +157,29 @@ def ttm_select(
 ) -> int:
     """Pick the candidate closest to the historical trajectory.
 
-    Every candidate is moved into the historical frame via ``frame_delta``
-    before the distance is evaluated.  Ties resolve to the lowest index.
+    All K candidates are moved into the historical frame via ``frame_delta``
+    in one product, then scored at once: the symmetric Hausdorff distance
+    from the (K, N, M) pointwise distances' minima and maxima along both
+    point axes, or the pointwise mean, which first resamples the candidates
+    and the history to the longer of N and M when they differ.  Each value
+    equals ``trajectory_distance`` on that candidate.  Ties resolve to the
+    lowest index.
     """
-    best_idx = -1
-    best_dist = np.inf
-    for i, candidate in enumerate(candidates.trajectories):
-        d = trajectory_distance(transform_to_frame(candidate, frame_delta), history, kind)
-        if d < best_dist:
-            best_dist = d
-            best_idx = i
-    return best_idx
+    kind = DistanceKind(kind)
+    moved = (candidates.points - frame_delta.translation) @ frame_delta.rotation
+    if not np.isfinite(moved).all():
+        raise GeometryError("candidate moved into the history frame is not finite")
+    hist = history.points
+    if kind is DistanceKind.HAUSDORFF:
+        dx = moved[..., 0, None] - hist[:, 0]
+        dy = moved[..., 1, None] - hist[:, 1]
+        d = np.sqrt(dx * dx + dy * dy)
+        dist = np.maximum(d.min(axis=2).max(axis=1), d.min(axis=1).max(axis=1))
+    else:
+        n = max(moved.shape[1], len(hist))
+        hist = resample(history, n).points
+        if moved.shape[1] != n:
+            moved = np.stack([resample(Trajectory(m, dt=candidates.dt), n).points for m in moved])
+        diff = moved - hist
+        dist = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2).mean(axis=-1)
+    return int(np.argmin(dist))

@@ -399,31 +399,32 @@ def _query_projection(d_q: int, flat_len: int) -> np.ndarray:
     return _query_projections[key]
 
 
-def candidate_queries(trajectories: Sequence[Trajectory], d_q: int) -> np.ndarray:
-    """Deterministic per-candidate embeddings: centered waypoints through a
-    fixed seeded projection."""
-    if not trajectories:
+def candidate_queries(points: np.ndarray, d_q: int) -> np.ndarray:
+    """Deterministic per-candidate embeddings of a (K, N, 2) stack: centered
+    waypoints through a fixed seeded projection, one stacked product."""
+    pts = np.asarray(points, dtype=np.float64)
+    if len(pts) == 0:
         raise EmptyInputError("no candidates to embed")
-    rows = []
-    for traj in trajectories:
-        centered = traj.points - traj.points.mean(axis=0)
-        flat = centered.reshape(-1)
-        rows.append(_query_projection(d_q, flat.size) @ flat)
-    return np.asarray(rows)
+    flat = (pts - pts.mean(axis=1, keepdims=True)).reshape(len(pts), -1, 1)
+    return (_query_projection(d_q, flat.shape[1]) @ flat)[..., 0]
 
 
 def _lateral_normals(points: np.ndarray) -> np.ndarray:
-    normals = np.zeros_like(points)
+    """Unit left normal at each waypoint: that of the segment leaving it, or
+    of the last segment for the final waypoint.  A zero-length segment
+    carries the normal of the last segment before it that has one, (0, 1)
+    if none has; a single waypoint takes the normal of a unit step along x."""
     n = len(points)
-    last = np.array([0.0, 1.0])
-    for i in range(n):
-        j = min(i, n - 2)
-        d = points[j + 1] - points[j] if n > 1 else np.array([1.0, 0.0])
-        norm = math.hypot(d[0], d[1])
-        if norm > 0.0:
-            last = np.array([-d[1], d[0]]) / norm
-        normals[i] = last
-    return normals
+    seg = np.diff(points, axis=0) if n > 1 else np.array([[1.0, 0.0]])
+    # math.hypot, not np.hypot: the two can differ in the last bit
+    norms = np.array([math.hypot(dx, dy) for dx, dy in seg.tolist()])
+    keep = norms > 0.0
+    unit = seg[:, ::-1] * (-1.0, 1.0)
+    np.divide(unit, norms[:, None], out=unit, where=keep[:, None])
+    if not keep.all():
+        carried = np.maximum.accumulate(np.where(keep, np.arange(len(seg)), -1))
+        unit = np.where((carried < 0)[:, None], (0.0, 1.0), unit[carried])
+    return unit[np.minimum(np.arange(n), len(seg) - 1)]
 
 
 def propose(
@@ -442,6 +443,10 @@ def propose(
     Scores are a softmax of negative ADE to a noise-corrupted observation
     of the future, so the score leader wobbles frame to frame the way a
     perception stack's would.
+
+    The K candidates are built as one (K, N, 2) stack.  Draw order: the
+    shared first-step jitter (2), then every candidate's jitter in one
+    (K, N-1, 2) draw, candidate by candidate, then the observation (N, 2).
     """
     if k < 1:
         raise EmptyInputError("need at least one candidate")
@@ -453,22 +458,16 @@ def propose(
     coeffs = np.linspace(-1.0, 1.0, k) if k > 1 else np.zeros(1)
 
     shared_first = rng.normal(0.0, jitter, 2)
-    candidates = []
-    for coef in coeffs:
-        offset = mode_noise * coef * ramp[:, None] * normals
-        cand = pts + offset
-        cand[0] = cand[0] + shared_first
-        if n > 1:
-            cand[1:] = cand[1:] + rng.normal(0.0, jitter, (n - 1, 2))
-        candidates.append(Trajectory(cand, dt=gt_future.dt))
+    cands = pts + (mode_noise * coeffs)[:, None, None] * ramp[:, None] * normals
+    cands[:, 0] += shared_first
+    if n > 1:
+        cands[:, 1:] += rng.normal(0.0, jitter, (k, n - 1, 2))
 
     observed = pts + rng.normal(0.0, mode_noise, (n, 2))
-    ades = np.array(
-        [np.linalg.norm(c.points - observed, axis=1).mean() for c in candidates]
-    )
+    ades = np.linalg.norm(cands - observed, axis=-1).mean(axis=-1)
     scores = softmax(-ades)
-    queries = candidate_queries(candidates, d_q)
-    return TrajectorySet(tuple(candidates), scores, queries)
+    queries = candidate_queries(cands, d_q)
+    return TrajectorySet.from_points(cands, scores, queries, dt=gt_future.dt)
 
 
 def perturb_features(features: np.ndarray, ns: float, seed) -> np.ndarray:
@@ -520,11 +519,6 @@ def step_momentum(
 # closed loop
 
 
-def _flattened_scores(proposals: TrajectorySet) -> TrajectorySet:
-    k = len(proposals)
-    return TrajectorySet(proposals.trajectories, np.full(k, 1.0 / k), proposals.queries)
-
-
 def run_closed_loop(
     spec: ScenarioSpec,
     settings: RunSettings,
@@ -537,13 +531,17 @@ def run_closed_loop(
     configured planner choose, record the frame, then advance the ego by
     the first step of the chosen trajectory.
     """
-    if weights is None:
-        weights = WeightBundle.seeded(settings.d_q, settings.k, settings.horizon_steps, settings.weight_seed)
-    if weights.d_q != settings.d_q or weights.k != settings.k or weights.n_t != settings.horizon_steps:
+    if weights is not None and (
+        weights.d_q != settings.d_q or weights.k != settings.k or weights.n_t != settings.horizon_steps
+    ):
         raise ConfigError(
             f"weights sized ({weights.d_q}, {weights.k}, {weights.n_t}) do not fit "
             f"settings ({settings.d_q}, {settings.k}, {settings.horizon_steps})"
         )
+    # only the momentum planner with history reads weights
+    uses_weights = settings.planner == "momentum" and settings.history_depth > 0
+    if weights is None and uses_weights:
+        weights = WeightBundle.seeded(settings.d_q, settings.k, settings.horizon_steps, settings.weight_seed)
     h = settings.horizon_steps
     path = _gen_path(spec, extra_steps=h)
     n_frames = int(round(spec.duration_s / SIM_DT))
@@ -559,18 +557,15 @@ def run_closed_loop(
         proposals = propose(
             gt_future, settings.k, settings.mode_noise_m, settings.jitter_m, rng, settings.d_q
         )
-        proposals = TrajectorySet(
-            proposals.trajectories,
-            proposals.scores,
-            perturb_features(proposals.queries, settings.ns, rng),
-        )
-        if (
+        queries = perturb_features(proposals.queries, settings.ns, rng)
+        occluded = (
             settings.occlusion_start is not None
             and settings.occlusion_start <= j < settings.occlusion_start + settings.occlusion_len
-        ):
-            proposals = _flattened_scores(proposals)
+        )
+        scores = np.full(settings.k, 1.0 / settings.k) if occluded else proposals.scores
+        proposals = proposals.with_features(scores, queries)
 
-        if settings.planner == "oneshot" or settings.history_depth == 0:
+        if not uses_weights:
             idx, refined_scores = step_oneshot(proposals), None
         else:
             history = frames[-settings.history_depth :]
@@ -578,7 +573,7 @@ def run_closed_loop(
             idx, refined_scores = step_momentum(
                 proposals, history, delta, weights, settings.distance
             )
-        chosen = proposals.trajectories[idx]
+        chosen = Trajectory(proposals.points[idx], dt=proposals.dt)
         frames.append(
             FrameRecord(
                 time_s=j * SIM_DT,
@@ -609,7 +604,7 @@ def _stack_log(log: ScenarioLog):
             raise AlignmentError(f"frame {j}: chosen plan dt {chosen.dt} != {SIM_DT}")
         if len(frame.proposals) != k:
             raise AlignmentError(f"frame {j}: {len(frame.proposals)} proposals, settings say k={k}")
-        lengths = {len(chosen), *(len(t) for t in frame.proposals.trajectories)}
+        lengths = {len(chosen), frame.proposals.points.shape[1]}
         if lengths != {h}:
             raise AlignmentError(
                 f"frame {j}: plans of {sorted(lengths)} waypoints, settings say {h}"
@@ -618,9 +613,7 @@ def _stack_log(log: ScenarioLog):
     rot = np.array([fr.ego_pose.rotation for fr in log.frames]).reshape(f, 2, 2)
     xy = np.array([fr.ego_pose.translation for fr in log.frames]).reshape(f, 2)
     chosen = np.array([fr.chosen_trajectory.points for fr in log.frames]).reshape(f, h, 2)
-    proposals = np.array(
-        [[t.points for t in fr.proposals.trajectories] for fr in log.frames]
-    ).reshape(f, k, h, 2)
+    proposals = np.array([fr.proposals.points for fr in log.frames]).reshape(f, k, h, 2)
     return rot, xy, chosen, proposals
 
 

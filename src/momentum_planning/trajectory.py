@@ -203,7 +203,7 @@ def overlap_mask(cur: Trajectory, prev: Trajectory, frame_gap_steps: int = 1) ->
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
-    return {"dt": float(traj.dt), "points": [[float(x), float(y)] for x, y in traj.points]}
+    return {"dt": float(traj.dt), "points": traj.points.tolist()}
 
 
 def trajectory_from_dict(obj: dict) -> Trajectory:

@@ -1,12 +1,16 @@
-"""Shared test harnesses: finite differences for gradient verification and
-the per-frame scoring loop the batched ``report_from_log`` must reproduce."""
+"""Shared test harnesses: finite differences for gradient verification, and
+the per-candidate proposal and matching loops and the per-frame scoring loop
+that the batched ``propose``, ``ttm_select`` and ``report_from_log`` must
+reproduce."""
 
 import math
 
 import numpy as np
 
+from momentum_planning.interactor import softmax
+from momentum_planning.matching import TrajectorySet, trajectory_distance
 from momentum_planning.metrics import MetricReport, ObstacleBox, l2_error, min_ade_fde, tpc
-from momentum_planning.simulator import SIM_DT, gen_scenario
+from momentum_planning.simulator import SIM_DT, _query_projection, gen_scenario
 from momentum_planning.trajectory import (
     OverlapMask,
     Trajectory,
@@ -150,3 +154,75 @@ def reference_report_from_log(log):
         min_ade=mean_of(ade_acc),
         min_fde=mean_of(fde_acc),
     )
+
+
+# ---------------------------------------------------------------------------
+# per-candidate proposals and matching: the loops that the (K, N, 2) stack
+# replaced, kept as the references the batched forms must reproduce bit for
+# bit, RNG stream included
+
+
+def reference_lateral_normals(points):
+    """Unit left normals, one waypoint at a time."""
+    normals = np.zeros_like(points)
+    n = len(points)
+    last = np.array([0.0, 1.0])
+    for i in range(n):
+        j = min(i, n - 2)
+        d = points[j + 1] - points[j] if n > 1 else np.array([1.0, 0.0])
+        norm = math.hypot(d[0], d[1])
+        if norm > 0.0:
+            last = np.array([-d[1], d[0]]) / norm
+        normals[i] = last
+    return normals
+
+
+def reference_candidate_queries(trajectories, d_q):
+    """One projection per candidate."""
+    rows = []
+    for traj in trajectories:
+        centered = traj.points - traj.points.mean(axis=0)
+        flat = centered.reshape(-1)
+        rows.append(_query_projection(d_q, flat.size) @ flat)
+    return np.asarray(rows)
+
+
+def reference_propose(gt_future, k, mode_noise, jitter, seed, d_q=32):
+    """The fan built candidate by candidate, with one jitter draw each."""
+    rng = np.random.default_rng(seed)
+    pts = gt_future.points
+    n = len(pts)
+    normals = reference_lateral_normals(pts)
+    ramp = np.arange(n) / (n - 1) if n > 1 else np.zeros(n)
+    coeffs = np.linspace(-1.0, 1.0, k) if k > 1 else np.zeros(1)
+
+    shared_first = rng.normal(0.0, jitter, 2)
+    candidates = []
+    for coef in coeffs:
+        offset = mode_noise * coef * ramp[:, None] * normals
+        cand = pts + offset
+        cand[0] = cand[0] + shared_first
+        if n > 1:
+            cand[1:] = cand[1:] + rng.normal(0.0, jitter, (n - 1, 2))
+        candidates.append(Trajectory(cand, dt=gt_future.dt))
+
+    observed = pts + rng.normal(0.0, mode_noise, (n, 2))
+    ades = np.array(
+        [np.linalg.norm(c.points - observed, axis=1).mean() for c in candidates]
+    )
+    scores = softmax(-ades)
+    queries = reference_candidate_queries(candidates, d_q)
+    return TrajectorySet(tuple(candidates), scores, queries)
+
+
+def reference_ttm_select(candidates, history, frame_delta, kind):
+    """One ``trajectory_distance`` call per candidate; the first strict
+    minimum wins."""
+    best_idx = -1
+    best_dist = np.inf
+    for i, candidate in enumerate(candidates.trajectories):
+        d = trajectory_distance(transform_to_frame(candidate, frame_delta), history, kind)
+        if d < best_dist:
+            best_dist = d
+            best_idx = i
+    return best_idx

@@ -165,6 +165,20 @@ def test_eval_corrupt_log_exits_4_with_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_eval_log_with_ragged_proposals_exits_4(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    log_path = out / "run_seed0.jsonl"
+    lines = log_path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    rec["proposals"]["trajectories"][0]["points"].pop()
+    lines[2] = json.dumps(rec)
+    log_path.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--log", str(log_path)]) == 4
+    assert "line 3" in capsys.readouterr().err
+
+
 def test_eval_missing_log_exits_3(tmp_path):
     assert main(["eval", "--log", str(tmp_path / "absent.jsonl")]) == 3
 

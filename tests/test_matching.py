@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_ttm_select
+
 from momentum_planning.errors import AlignmentError, EmptyInputError
 from momentum_planning.matching import (
     DistanceKind,
@@ -170,3 +172,62 @@ def test_rigid_motion_leaves_selection_invariant(seed):
     moved_history = transform_from_frame(history, motion)
     moved_cands = make_set([transform_from_frame(t, motion) for t in cands.trajectories])
     assert ttm_select(moved_cands, moved_history, Pose2.identity()) == base
+
+
+@st.composite
+def matching_cases(draw):
+    """K candidates of N waypoints with repeats and exact duplicates, so
+    that zero-length segments and distance ties both occur, a history of M
+    waypoints (often M != N) and a frame delta."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    k, n, m = draw(st.integers(1, 8)), draw(st.integers(2, 10)), draw(st.integers(2, 10))
+    pts = rng.uniform(-10.0, 10.0, (k, n, 2))
+    for i in range(1, k):
+        if draw(st.booleans()):
+            pts[i] = pts[int(rng.integers(0, i))]
+    repeat = rng.random((k, n)) < 0.2
+    repeat[:, 0] = False
+    for i, j in zip(*np.nonzero(repeat)):
+        pts[i, j] = pts[i, j - 1]
+    history = rng.uniform(-10.0, 10.0, (m, 2))
+    if draw(st.booleans()):
+        # the history is one of the candidates, so that candidate matches it exactly
+        history = pts[int(rng.integers(0, k))][: min(m, n)]
+    delta = Pose2.identity() if draw(st.booleans()) else Pose2.from_heading(
+        rng.uniform(-math.pi, math.pi), rng.uniform(-5.0, 5.0, 2))
+    cands = make_set([Trajectory(p) for p in pts])
+    return cands, Trajectory(history), delta, draw(st.sampled_from(list(DistanceKind)))
+
+
+@given(matching_cases())
+@settings(max_examples=400, deadline=None)
+def test_batched_ttm_matches_per_candidate_reference(case):
+    cands, history, delta, kind = case
+    assert ttm_select(cands, history, delta, kind) == reference_ttm_select(cands, history, delta, kind)
+
+
+def test_ragged_set_is_rejected():
+    with pytest.raises(AlignmentError):
+        make_set([Trajectory(np.zeros((3, 2))), Trajectory(np.zeros((4, 2)))])
+    with pytest.raises(AlignmentError):
+        make_set([Trajectory(np.zeros((3, 2)), dt=0.5), Trajectory(np.zeros((3, 2)), dt=0.25)])
+
+
+def test_set_keeps_one_read_only_stack():
+    rows = np.arange(12.0).reshape(2, 3, 2)
+    cands = make_set([Trajectory(r) for r in rows])
+    assert cands.points.shape == (2, 3, 2) and not cands.points.flags.writeable
+    np.testing.assert_array_equal(cands.points, rows)
+    for traj, row in zip(cands.trajectories, cands.points):
+        assert np.shares_memory(traj.points, row)
+
+
+def test_overflowing_distances_tie_to_first_index():
+    # every distance overflows to inf, a tie like any other: index 0 wins
+    far = Trajectory([[-1e308, 0.0], [-1e308, 1.0]])
+    history = Trajectory([[1e308, 0.0], [1e308, 1.0]])
+    cands = make_set([far, far, far])
+    with np.errstate(over="ignore"):
+        for kind in DistanceKind:
+            assert ttm_select(cands, history, Pose2.identity(), kind) == 0

@@ -1,13 +1,21 @@
 import dataclasses
+import importlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_report_from_log
+from helpers import (
+    reference_candidate_queries,
+    reference_lateral_normals,
+    reference_propose,
+    reference_report_from_log,
+)
 
 from momentum_planning.errors import AlignmentError, ConfigError, LogCorruptionError
 from momentum_planning.interactor import WeightBundle
@@ -23,6 +31,7 @@ from momentum_planning.simulator import (
     ScenarioLog,
     ScenarioSpec,
     ScriptedObstacle,
+    _lateral_normals,
     candidate_queries,
     gen_scenario,
     load_log,
@@ -296,11 +305,58 @@ def test_perturb_features_noise_scale():
     assert abs(out.std() - 0.1) < 0.005
 
 
+@st.composite
+def futures(draw, min_len=2, max_len=10):
+    """A ground-truth future whose waypoints may repeat, so that some of its
+    segments have zero length (the first one included)."""
+    n = draw(st.integers(min_len, max_len))
+    coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
+    rows = [draw(st.tuples(coord, coord))]
+    for _ in range(n - 1):
+        rows.append(rows[-1] if draw(st.booleans()) else draw(st.tuples(coord, coord)))
+    return Trajectory(np.asarray(rows, dtype=np.float64), dt=SIM_DT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(futures(min_len=1))
+def test_lateral_normals_match_per_waypoint_reference(gt):
+    assert _lateral_normals(gt.points).tobytes() == reference_lateral_normals(gt.points).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    futures(),
+    st.integers(1, 8),
+    st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    st.sampled_from([0.0, 0.1, 0.3]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 4, 32]),
+)
+def test_batched_propose_matches_per_candidate_reference(gt, k, mode_noise, jitter, seed, d_q):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = propose(gt, k, mode_noise, jitter, rng, d_q)
+    ref = reference_propose(gt, k, mode_noise, jitter, ref_rng, d_q)
+    assert out.points.shape == (k, len(gt), 2)
+    ref_points = np.stack([t.points for t in ref.trajectories])
+    assert out.points.tobytes() == ref_points.tobytes()
+    assert out.scores.tobytes() == ref.scores.tobytes()
+    assert out.queries.tobytes() == ref.queries.tobytes()
+    assert out.dt == ref.trajectories[0].dt
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(futures(min_len=4, max_len=4), min_size=1, max_size=8), st.sampled_from([3, 16]))
+def test_stacked_queries_match_per_row_reference(trajs, d_q):
+    stacked = candidate_queries(np.stack([t.points for t in trajs]), d_q)
+    assert stacked.tobytes() == reference_candidate_queries(trajs, d_q).tobytes()
+
+
 def test_candidate_queries_translation_invariant():
     gt = gt_line()
-    q1 = candidate_queries([gt], d_q=16)
+    q1 = candidate_queries(gt.points[None], d_q=16)
     shifted = Trajectory(gt.points + np.array([13.0, -4.0]), dt=gt.dt)
-    q2 = candidate_queries([shifted], d_q=16)
+    q2 = candidate_queries(shifted.points[None], d_q=16)
     np.testing.assert_allclose(q1, q2, atol=1e-9)
 
 
@@ -310,7 +366,8 @@ def test_candidate_queries_translation_invariant():
 
 def make_set(points_list, scores, d_q=8):
     trajs = tuple(Trajectory(p, dt=SIM_DT) for p in points_list)
-    return TrajectorySet(trajs, np.asarray(scores, float), candidate_queries(trajs, d_q))
+    queries = candidate_queries(np.stack([t.points for t in trajs]), d_q)
+    return TrajectorySet(trajs, np.asarray(scores, float), queries)
 
 
 def test_oneshot_takes_argmax_lowest_on_tie():
@@ -476,6 +533,29 @@ def test_momentum_beats_oneshot_on_turn_consistency():
     assert wins >= 9
 
 
+@pytest.mark.parametrize("planner,depth", [("oneshot", 0), ("momentum", 0)])
+def test_rollouts_that_never_refine_build_no_weights(monkeypatch, planner, depth):
+    spec = arc_spec(seed=6)
+    st_ = RunSettings(planner=planner, history_depth=depth)
+    expected = log_to_jsonl(run_closed_loop(spec, st_)[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("weights built for a rollout that never reads them")
+
+    monkeypatch.setattr(WeightBundle, "seeded", staticmethod(refuse))
+    log, _ = run_closed_loop(spec, st_)
+    assert log_to_jsonl(log) == expected
+    with pytest.raises(AssertionError):
+        run_closed_loop(spec, RunSettings(planner="momentum", history_depth=1))
+
+
+@pytest.mark.parametrize("planner,depth", [("oneshot", 0), ("momentum", 0), ("momentum", 2)])
+def test_mismatched_weights_rejected_for_every_planner(planner, depth):
+    w = WeightBundle.seeded(8, 6, 6, seed=0)
+    with pytest.raises(ConfigError):
+        run_closed_loop(arc_spec(), RunSettings(planner=planner, history_depth=depth), weights=w)
+
+
 def test_mismatched_weights_rejected():
     w = WeightBundle.seeded(8, 6, 6, seed=0)
     with pytest.raises(ConfigError):
@@ -564,6 +644,18 @@ def test_header_only_log_reports_zeros():
     assert {v for _, _, v in report.rows()} == {0.0}
 
 
+def test_every_traced_function_resolves_where_the_bench_looks_it_up():
+    # bench/tracing.py wraps functions on the module their caller reads them
+    # from; a name dropped there would stop the traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr, _ in tracing.TARGETS:
+        module = importlib.import_module(f"momentum_planning.{module_name}")
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
 # ---------------------------------------------------------------------------
 # log persistence
 
@@ -623,6 +715,19 @@ def test_load_rejects_empty_file(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
     with pytest.raises(LogCorruptionError):
+        load_log(path)
+
+
+def test_load_rejects_ragged_proposals(tmp_path):
+    log, _ = run_closed_loop(arc_spec(seed=2), RunSettings())
+    path = tmp_path / "run.jsonl"
+    save_log(log, path)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["proposals"]["trajectories"][1]["points"].pop()
+    lines[3] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogCorruptionError, match="line 4"):
         load_log(path)
 
 
