@@ -16,6 +16,7 @@ they should for consistency studies: in the predicted tails.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, EmptyInputError, LogCorruptionError
+from .errors import AlignmentError, ConfigError, EmptyInputError, LogCorruptionError, ShapeError
 from .interactor import QueryBatch, WeightBundle, mpi_forward, softmax
 from .matching import DistanceKind, TrajectorySet, ttm_select
 from .metrics import L2Protocol, MetricReport, ObstacleBox, ego_headings, overlap_flags
@@ -34,7 +35,6 @@ from .trajectory import (
     relative_pose,
     transform_to_frame,
     trajectory_from_dict,
-    trajectory_to_dict,
 )
 
 # The per-trajectory metrics above score one frame each and report_from_log
@@ -42,7 +42,7 @@ from .trajectory import (
 # wraps them on this module.
 
 SIM_DT = 0.5
-LOG_FORMAT_VERSION = 1
+LOG_FORMAT_VERSION = 2
 
 # scenario bounds: faster or longer scenes overflow the metrics or build
 # paths of millions of waypoints before the first frame is planned
@@ -691,56 +691,119 @@ def report_from_log(log: ScenarioLog) -> MetricReport:
 # log persistence
 
 
-def _pose_to_dict(pose: Pose2) -> dict:
-    # the matrix itself round-trips exactly; a heading would pick up one
-    # ulp of trig noise on reload
-    return {
-        "rotation": pose.rotation.tolist(),
-        "xy": [float(pose.translation[0]), float(pose.translation[1])],
-    }
+# Format v2, the one written: a header line, then one JSON line per frame.
+# Every float array is one string, base64 of its little-endian float64
+# bytes, so it reads back bit for bit (-0.0 and subnormals included); its
+# shape comes from the header's k, horizon_steps and d_q.  The chosen plan
+# is not stored: it is row chosen_index of the proposals.  Format v1, still
+# read, wrote the arrays as decimal JSON lists and the chosen plan in full.
 
 
-def _pose_from_dict(obj: dict) -> Pose2:
-    return Pose2(
-        np.asarray(obj["rotation"], dtype=np.float64),
-        np.asarray(obj["xy"], dtype=np.float64),
-    )
+def _encode(array) -> str:
+    return base64.b64encode(np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
 
 
-def _frame_to_dict(frame: FrameRecord) -> dict:
+def _decode(text: str, shape: tuple[int, ...], name: str) -> np.ndarray:
+    raw = base64.b64decode(text, validate=True)
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise ShapeError(f"{name} holds {len(raw)} bytes, shape {shape} needs {size}")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+
+
+def _frame_to_dict(frame: FrameRecord, settings: RunSettings) -> dict:
+    props, idx, k = frame.proposals, frame.chosen_index, settings.k
+    refined = frame.refined_scores
+    chosen = frame.chosen_trajectory
+    # a frame v2 cannot hold would load as a different frame, or not at all
+    if (
+        props.points.shape != (k, settings.horizon_steps, 2)
+        or props.queries.shape != (k, settings.d_q)
+        or (refined is not None and np.shape(refined) != (k,))
+        or not 0 <= idx < k
+        or chosen.dt != props.dt
+        or chosen.points.tobytes() != props.points[idx].tobytes()
+    ):
+        raise AlignmentError(
+            f"frame at {frame.time_s} s does not fit the log's settings, "
+            f"or its chosen plan is not proposal {idx}"
+        )
     rec = {
         "kind": "frame",
         "time_s": float(frame.time_s),
-        "ego_pose": _pose_to_dict(frame.ego_pose),
-        "chosen_index": int(frame.chosen_index),
-        "chosen_trajectory": trajectory_to_dict(frame.chosen_trajectory),
-        "proposals": {
-            "trajectories": [trajectory_to_dict(t) for t in frame.proposals.trajectories],
-            "scores": frame.proposals.scores.tolist(),
-            "queries": frame.proposals.queries.tolist(),
-        },
+        "chosen_index": int(idx),
+        "dt": float(props.dt),
+        "rotation": _encode(frame.ego_pose.rotation),
+        "xy": _encode(frame.ego_pose.translation),
+        "points": _encode(props.points),
+        "scores": _encode(props.scores),
+        "queries": _encode(props.queries),
     }
-    if frame.refined_scores is not None:
-        rec["refined_scores"] = np.asarray(frame.refined_scores).tolist()
+    if refined is not None:
+        rec["refined_scores"] = _encode(refined)
     return rec
 
 
-def _frame_from_dict(obj: dict) -> FrameRecord:
+def _finite_number(obj: dict, key: str) -> float:
+    value = obj[key]
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _frame_record(obj: dict, pose: Pose2, proposals: TrajectorySet, refined) -> FrameRecord:
+    """The checks both versions share; the chosen plan is rebuilt from its index."""
+    k = len(proposals)
+    idx = obj["chosen_index"]
+    if type(idx) is not int or not 0 <= idx < k:
+        raise ValueError(f"chosen_index must be an integer in [0, {k}), got {idx!r}")
+    if refined is not None and (refined.shape != (k,) or not np.isfinite(refined).all()):
+        raise ValueError(f"refined_scores must be {k} finite numbers")
+    return FrameRecord(
+        time_s=_finite_number(obj, "time_s"),
+        ego_pose=pose,
+        proposals=proposals,
+        chosen_index=idx,
+        chosen_trajectory=Trajectory(proposals.points[idx], dt=proposals.dt),
+        refined_scores=refined,
+    )
+
+
+def _frame_from_v2(obj: dict, settings: RunSettings) -> FrameRecord:
+    k = settings.k
+    proposals = TrajectorySet.from_points(
+        _decode(obj["points"], (k, settings.horizon_steps, 2), "points"),
+        _decode(obj["scores"], (k,), "scores"),
+        _decode(obj["queries"], (k, settings.d_q), "queries"),
+        dt=_finite_number(obj, "dt"),
+    )
+    pose = Pose2(_decode(obj["rotation"], (2, 2), "rotation"), _decode(obj["xy"], (2,), "xy"))
+    refined = obj.get("refined_scores")
+    if refined is not None:
+        refined = _decode(refined, (k,), "refined_scores")
+    return _frame_record(obj, pose, proposals, refined)
+
+
+def _frame_from_v1(obj: dict, settings: RunSettings) -> FrameRecord:
     props = obj["proposals"]
     proposals = TrajectorySet(
         tuple(trajectory_from_dict(t) for t in props["trajectories"]),
         np.asarray(props["scores"], dtype=np.float64),
         np.asarray(props["queries"], dtype=np.float64),
     )
-    refined = obj.get("refined_scores")
-    return FrameRecord(
-        time_s=float(obj["time_s"]),
-        ego_pose=_pose_from_dict(obj["ego_pose"]),
-        proposals=proposals,
-        chosen_index=int(obj["chosen_index"]),
-        chosen_trajectory=trajectory_from_dict(obj["chosen_trajectory"]),
-        refined_scores=None if refined is None else np.asarray(refined, dtype=np.float64),
+    pose = Pose2(
+        np.asarray(obj["ego_pose"]["rotation"], dtype=np.float64),
+        np.asarray(obj["ego_pose"]["xy"], dtype=np.float64),
     )
+    refined = obj.get("refined_scores")
+    if refined is not None:
+        refined = np.asarray(refined, dtype=np.float64)
+    frame = _frame_record(obj, pose, proposals, refined)
+    stored = trajectory_from_dict(obj["chosen_trajectory"])
+    derived = frame.chosen_trajectory
+    if stored.dt != derived.dt or stored.points.tobytes() != derived.points.tobytes():
+        raise ValueError(f"chosen_trajectory is not proposal {frame.chosen_index}")
+    return frame
 
 
 def log_to_jsonl(log: ScenarioLog) -> str:
@@ -751,7 +814,7 @@ def log_to_jsonl(log: ScenarioLog) -> str:
         "settings": log.settings.to_dict(),
     }
     lines = [json.dumps(header)]
-    lines.extend(json.dumps(_frame_to_dict(frame)) for frame in log.frames)
+    lines.extend(json.dumps(_frame_to_dict(frame, log.settings)) for frame in log.frames)
     return "\n".join(lines) + "\n"
 
 
@@ -778,16 +841,16 @@ def load_log(path) -> ScenarioLog:
     header = parse(1, lines[0])
     if header.get("kind") != "header":
         raise LogCorruptionError("first record must be the header", line_number=1)
-    if header.get("format_version") != LOG_FORMAT_VERSION:
-        raise LogCorruptionError(
-            f"unsupported format_version {header.get('format_version')!r}", line_number=1
-        )
+    version = header.get("format_version")
+    if type(version) is not int or version not in (1, LOG_FORMAT_VERSION):
+        raise LogCorruptionError(f"unsupported format_version {version!r}", line_number=1)
     try:
         spec = ScenarioSpec.from_dict(header["spec"])
         settings = RunSettings.from_dict(header["settings"])
     except (KeyError, ConfigError) as exc:
         raise LogCorruptionError(f"bad header: {exc}", line_number=1) from exc
 
+    read_frame = _frame_from_v1 if version == 1 else _frame_from_v2
     frames = []
     for line_no, text in enumerate(lines[1:], start=2):
         if not text.strip():
@@ -796,7 +859,7 @@ def load_log(path) -> ScenarioLog:
         if obj.get("kind") != "frame":
             raise LogCorruptionError(f"unexpected record kind {obj.get('kind')!r}", line_number=line_no)
         try:
-            frames.append(_frame_from_dict(obj))
+            frames.append(read_frame(obj, settings))
         except (KeyError, TypeError, ValueError) as exc:
             raise LogCorruptionError(f"bad frame record: {exc}", line_number=line_no) from exc
     return ScenarioLog(spec, settings, tuple(frames))

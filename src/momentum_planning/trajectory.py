@@ -78,11 +78,16 @@ class Pose2:
         trans = np.asarray(self.translation, dtype=np.float64).reshape(2)
         if rot.shape != (2, 2):
             raise InvalidPoseError(f"rotation must be 2x2, got {rot.shape}")
-        if not (np.isfinite(rot).all() and np.isfinite(trans).all()):
+        # the checks run on Python floats: numpy's per-call overhead on a
+        # 2x2 block costs ten times the arithmetic
+        (a, b), (c, d) = rot.tolist()
+        if not all(map(math.isfinite, (a, b, c, d, *trans.tolist()))):
             raise InvalidPoseError("pose contains non-finite entries")
-        if np.abs(rot.T @ rot - np.eye(2)).max() > ORTHONORMAL_TOL:
+        # the entries of R^T R - I
+        off = max(abs(a * a + c * c - 1.0), abs(a * b + c * d), abs(b * b + d * d - 1.0))
+        if off > ORTHONORMAL_TOL:
             raise InvalidPoseError("rotation block is not orthonormal")
-        if abs(float(np.linalg.det(rot)) - 1.0) > ORTHONORMAL_TOL:
+        if abs(a * d - b * c - 1.0) > ORTHONORMAL_TOL:
             raise InvalidPoseError("rotation block must have determinant +1")
         rot.setflags(write=False)
         trans.setflags(write=False)

@@ -1,13 +1,22 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from momentum_planning.cli import main
 from momentum_planning.curation import SampleRecord, save_samples_jsonl
-from momentum_planning.simulator import RunSettings, ScenarioSpec, load_log, run_closed_loop
+from momentum_planning.simulator import (
+    RunSettings,
+    ScenarioSpec,
+    load_log,
+    run_closed_loop,
+    save_log,
+)
 from momentum_planning.trajectory import Trajectory
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(path, **extra):
@@ -166,17 +175,68 @@ def test_eval_corrupt_log_exits_4_with_line(tmp_path, capsys):
 
 
 def test_eval_log_with_ragged_proposals_exits_4(tmp_path, capsys):
-    cfg = write_config(tmp_path / "cfg.json")
-    out = tmp_path / "out"
-    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    log_path = out / "run_seed0.jsonl"
-    lines = log_path.read_text().splitlines()
+    # only a v1 log, which lists each candidate on its own, can be ragged
+    log_path = tmp_path / "run_seed0.jsonl"
+    lines = (DATA / "v1_arc_momentum_depth2.jsonl").read_text().splitlines()
     rec = json.loads(lines[2])
     rec["proposals"]["trajectories"][0]["points"].pop()
     lines[2] = json.dumps(rec)
     log_path.write_text("\n".join(lines) + "\n")
     assert main(["eval", "--log", str(log_path)]) == 4
     assert "line 3" in capsys.readouterr().err
+
+
+V1_FIXTURES = ["v1_arc_momentum_depth2", "v1_obstacles_oneshot"]
+
+
+@pytest.mark.parametrize("name", V1_FIXTURES)
+def test_eval_v1_log_reproduces_its_csv_bytes(tmp_path, name):
+    # each fixture log and CSV were written by format-v1 code: an arc-turn
+    # momentum run at depth 2, and a one-shot run past a parked and a moving box
+    assert main(["eval", "--log", str(DATA / f"{name}.jsonl"), "--out", str(tmp_path)]) == 0
+    expected = (DATA / f"{name}.metrics.csv").read_bytes()
+    assert (tmp_path / f"{name}.metrics.csv").read_bytes() == expected
+
+
+def _other_proposal(rec):
+    k = len(rec["proposals"]["trajectories"])
+    rec["chosen_trajectory"] = rec["proposals"]["trajectories"][(rec["chosen_index"] + 1) % k]
+
+
+def _one_ulp_off(rec):
+    x, y = rec["chosen_trajectory"]["points"][-1]
+    rec["chosen_trajectory"]["points"][-1] = [x, float(np.nextafter(y, math.inf))]
+
+
+def _set(**kv):
+    return lambda rec: rec.update(kv)
+
+
+FRAME_EDITS = [
+    *(pytest.param(v, _set(chosen_index=i), id=f"v{v}-index-{i!r}")
+      for v in (1, 2) for i in (99, 6, -1, 2.7, 3.0, True, "3", None)),
+    *(pytest.param(v, _set(time_s=t), id=f"v{v}-time-{t}")
+      for v in (1, 2) for t in (math.nan, math.inf, "0.5")),
+    pytest.param(1, _other_proposal, id="v1-chosen-is-another-proposal"),
+    pytest.param(1, _one_ulp_off, id="v1-chosen-one-ulp-off"),
+]
+
+
+@pytest.mark.parametrize("version,edit", FRAME_EDITS)
+def test_eval_rejects_bad_chosen_plan_or_time(tmp_path, capsys, version, edit):
+    log_path = tmp_path / "run.jsonl"
+    fixture = DATA / "v1_arc_momentum_depth2.jsonl"
+    if version == 1:
+        log_path.write_text(fixture.read_text())
+    else:
+        save_log(load_log(fixture), log_path)
+    lines = log_path.read_text().splitlines()
+    rec = json.loads(lines[3])
+    edit(rec)
+    lines[3] = json.dumps(rec)
+    log_path.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--log", str(log_path)]) == 4
+    assert "line 4" in capsys.readouterr().err
 
 
 def test_eval_missing_log_exits_3(tmp_path):

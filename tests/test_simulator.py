@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import importlib
 import importlib.util
@@ -46,6 +47,8 @@ from momentum_planning.simulator import (
 )
 from momentum_planning.metrics import L2Protocol, ObstacleBox
 from momentum_planning.trajectory import Pose2, Trajectory
+
+DATA = Path(__file__).parent / "data"
 
 
 def arc_spec(seed=0, duration=4.0, speed=5.0):
@@ -719,10 +722,10 @@ def test_load_rejects_empty_file(tmp_path):
 
 
 def test_load_rejects_ragged_proposals(tmp_path):
-    log, _ = run_closed_loop(arc_spec(seed=2), RunSettings())
+    # format v2 stores one (K, N, 2) stack and cannot express a ragged set;
+    # a v1 log lists each candidate on its own
     path = tmp_path / "run.jsonl"
-    save_log(log, path)
-    lines = path.read_text().splitlines()
+    lines = (DATA / "v1_arc_momentum_depth2.jsonl").read_text().splitlines()
     rec = json.loads(lines[3])
     rec["proposals"]["trajectories"][1]["points"].pop()
     lines[3] = json.dumps(rec)
@@ -743,3 +746,187 @@ def test_load_rejects_bad_frame_record(tmp_path):
     with pytest.raises(LogCorruptionError) as err:
         load_log(path)
     assert err.value.line_number == 3
+
+
+# ---------------------------------------------------------------------------
+# log format v2: exact arrays, the chosen plan derived from its index
+
+
+def assert_logs_bit_equal(a, b):
+    assert (a.spec, a.settings, len(a.frames)) == (b.spec, b.settings, len(b.frames))
+    for fa, fb in zip(a.frames, b.frames):
+        assert (fa.time_s, fa.chosen_index, fa.proposals.dt, fa.chosen_trajectory.dt) == (
+            fb.time_s, fb.chosen_index, fb.proposals.dt, fb.chosen_trajectory.dt)
+        assert (fa.refined_scores is None) == (fb.refined_scores is None)
+        pairs = [
+            (fa.ego_pose.rotation, fb.ego_pose.rotation),
+            (fa.ego_pose.translation, fb.ego_pose.translation),
+            (fa.proposals.points, fb.proposals.points),
+            (fa.proposals.scores, fb.proposals.scores),
+            (fa.proposals.queries, fb.proposals.queries),
+            (fa.chosen_trajectory.points, fb.chosen_trajectory.points),
+        ]
+        if fa.refined_scores is not None:
+            pairs.append((fa.refined_scores, fb.refined_scores))
+        for x, y in pairs:
+            assert x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def round_trip(log, tmp_path):
+    path = tmp_path / "log.jsonl"
+    save_log(log, path)
+    return load_log(path)
+
+
+@st.composite
+def rollout_logs(draw):
+    settings_ = RunSettings(
+        planner=draw(st.sampled_from(PLANNER_KINDS)),
+        history_depth=draw(st.integers(0, 2)),
+        k=draw(st.integers(1, 7)),
+        horizon_steps=draw(st.integers(2, 8)),
+        d_q=draw(st.sampled_from([4, 8, 32])),
+        horizons_s=(1.0,),
+    )
+    spec = ScenarioSpec(
+        draw(st.sampled_from(SCENARIO_KINDS)),
+        draw(st.sampled_from([0.5, 1.5, 3.0])),
+        draw(st.floats(1.0, 12.0)),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return run_closed_loop(spec, settings_)[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(log=rollout_logs())
+def test_v2_round_trip_is_bit_exact(tmp_path_factory, log):
+    loaded = round_trip(log, tmp_path_factory.mktemp("v2"))
+    assert_logs_bit_equal(loaded, log)
+    assert log_to_jsonl(loaded) == log_to_jsonl(log)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@st.composite
+def raw_frame_logs(draw):
+    """Logs built by hand from any finite floats, -0.0 and subnormals
+    included, with and without refined scores."""
+    k, h, d_q = draw(st.integers(1, 4)), draw(st.integers(2, 5)), draw(st.sampled_from([4, 8]))
+
+    def block(*shape):
+        n = math.prod(shape)
+        values = draw(st.lists(finite, min_size=n, max_size=n))
+        return np.array(values, dtype=np.float64).reshape(shape)
+
+    frames = []
+    for j in range(draw(st.integers(1, 3))):
+        proposals = TrajectorySet.from_points(block(k, h, 2), block(k), block(k, d_q))
+        idx = draw(st.integers(0, k - 1))
+        frames.append(FrameRecord(
+            time_s=j * SIM_DT,
+            ego_pose=Pose2.from_heading(draw(st.floats(-math.pi, math.pi)), block(2)),
+            proposals=proposals,
+            chosen_index=idx,
+            chosen_trajectory=Trajectory(proposals.points[idx]),
+            refined_scores=block(k) if draw(st.booleans()) else None,
+        ))
+    settings_ = RunSettings(k=k, horizon_steps=h, d_q=d_q, horizons_s=(1.0,))
+    return ScenarioLog(arc_spec(), settings_, tuple(frames))
+
+
+def test_v2_round_trip_keeps_signed_zeros_and_subnormals(tmp_path):
+    odd = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+    points = np.array(odd * 3).reshape(1, 6, 2)
+    proposals = TrajectorySet.from_points(points, [-0.0], [odd])
+    frame = FrameRecord(-0.0, Pose2(np.eye(2) * -1.0, [-0.0, 5e-324]), proposals, 0,
+                        Trajectory(points[0]), np.array([5e-324]))
+    log = ScenarioLog(arc_spec(), RunSettings(k=1, d_q=4), (frame,))
+    assert_logs_bit_equal(round_trip(log, tmp_path), log)
+
+
+@settings(max_examples=60, deadline=None)
+@given(log=raw_frame_logs())
+def test_v2_round_trip_keeps_every_float_bit(tmp_path_factory, log):
+    assert_logs_bit_equal(round_trip(log, tmp_path_factory.mktemp("raw")), log)
+
+
+def test_v2_frame_carries_no_chosen_plan_and_one_dt():
+    log, _ = run_closed_loop(arc_spec(seed=2), RunSettings(planner="momentum", history_depth=2))
+    lines = log_to_jsonl(log).splitlines()
+    assert json.loads(lines[0])["format_version"] == 2
+    rec = json.loads(lines[2])
+    assert set(rec) == {"kind", "time_s", "chosen_index", "dt", "rotation", "xy",
+                        "points", "scores", "queries", "refined_scores"}
+
+
+def test_save_refuses_a_frame_v2_cannot_hold(tmp_path):
+    log, _ = run_closed_loop(arc_spec(), RunSettings())
+    frames = list(log.frames)
+    other = frames[2].proposals.points[(frames[2].chosen_index + 1) % 6]
+    frames[2] = dataclasses.replace(frames[2], chosen_trajectory=Trajectory(other))
+    with pytest.raises(AlignmentError, match="proposal"):
+        save_log(ScenarioLog(log.spec, log.settings, tuple(frames)), tmp_path / "x.jsonl")
+    with pytest.raises(AlignmentError):
+        save_log(ScenarioLog(log.spec, RunSettings(d_q=8), log.frames), tmp_path / "y.jsonl")
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+V2_FRAME_EDITS = {
+    "truncated_points": lambda r: r.update(points=r["points"][:-4]),
+    "truncated_padding": lambda r: r.update(queries=r["queries"][:-1]),
+    "extra_score": lambda r: r.update(scores=_b64([0.1] * 7)),
+    "non_base64_char": lambda r: r.update(queries="*" + r["queries"][1:]),
+    "non_ascii_char": lambda r: r.update(scores="é" + r["scores"][1:]),
+    "array_as_number": lambda r: r.update(xy=1.0),
+    "missing_points": lambda r: r.pop("points"),
+    "nan_point": lambda r: r.update(points=_b64([math.nan] + [0.0] * 71)),
+    "inf_score": lambda r: r.update(scores=_b64([math.inf] + [0.1] * 5)),
+    "nan_query": lambda r: r.update(queries=_b64([math.nan] * 6 * 32)),
+    "nan_rotation": lambda r: r.update(rotation=_b64([1.0, 0.0, 0.0, math.nan])),
+    "inf_xy": lambda r: r.update(xy=_b64([0.0, -math.inf])),
+    "nan_refined": lambda r: r.update(refined_scores=_b64([math.nan] * 6)),
+    "index_k": lambda r: r.update(chosen_index=6),
+    "index_negative": lambda r: r.update(chosen_index=-1),
+    "index_float": lambda r: r.update(chosen_index=1.0),
+    "negative_dt": lambda r: r.update(dt=-0.5),
+    "string_dt": lambda r: r.update(dt="0.5"),
+    "nan_time": lambda r: r.update(time_s=math.nan),
+}
+
+
+@pytest.mark.parametrize("edit", list(V2_FRAME_EDITS))
+def test_v2_load_rejects_bad_frame(tmp_path, edit):
+    log, _ = run_closed_loop(arc_spec(seed=2), RunSettings(planner="momentum", history_depth=2))
+    lines = log_to_jsonl(log).splitlines()
+    rec = json.loads(lines[2])
+    V2_FRAME_EDITS[edit](rec)
+    lines[2] = json.dumps(rec)
+    path = tmp_path / "v2.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogCorruptionError) as err:
+        load_log(path)
+    assert err.value.line_number == 3
+
+
+@pytest.mark.parametrize("version", [0, 3, True, 2.0, "2", None])
+def test_load_rejects_other_format_versions(tmp_path, version):
+    log, _ = run_closed_loop(arc_spec(), RunSettings(planner="oneshot", history_depth=0))
+    lines = log_to_jsonl(log).splitlines()
+    header = json.loads(lines[0])
+    header["format_version"] = version
+    lines[0] = json.dumps(header)
+    path = tmp_path / "other.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogCorruptionError, match="format_version") as err:
+        load_log(path)
+    assert err.value.line_number == 1
+
+
+@pytest.mark.parametrize("name", ["v1_arc_momentum_depth2", "v1_obstacles_oneshot"])
+def test_v1_log_converts_to_v2_exactly(tmp_path, name):
+    v1 = load_log(DATA / f"{name}.jsonl")
+    assert_logs_bit_equal(round_trip(v1, tmp_path), v1)

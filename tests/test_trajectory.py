@@ -72,6 +72,64 @@ def test_pose_accepts_rotations_within_tolerance():
     assert pose.heading() == pytest.approx(0.3)
 
 
+def _stretched(x):
+    # R^T R = diag((1+x)^2, (1-x)^2): diagonal off by about 2x, det 1 - x^2
+    return np.diag([1.0 + x, 1.0 - x]) @ rotation_matrix(0.7)
+
+
+def _sheared(e):
+    # R^T R = [[1, e], [e, 1 + e^2]], det exactly 1: off-diagonal only
+    return np.array([[1.0, e], [0.0, 1.0]])
+
+
+def _scaled(s2):
+    # R^T R = s^2 I and det = s^2: both checks see the same deviation, the
+    # most a matrix within the orthonormality tolerance can move its
+    # determinant; the determinant check itself separates reflections
+    return math.sqrt(1.0 + s2) * rotation_matrix(-2.1)
+
+
+@pytest.mark.parametrize(
+    "rotation",
+    [
+        _stretched(0.45e-9),
+        _stretched(-0.45e-9),
+        _sheared(0.9e-9),
+        _scaled(0.9e-9),
+        _scaled(-0.9e-9),
+    ],
+    ids=["stretch+", "stretch-", "shear", "det+", "det-"],
+)
+def test_pose_accepts_rotation_just_inside_tolerance(rotation):
+    Pose2(rotation, np.zeros(2))
+
+
+@pytest.mark.parametrize(
+    "rotation",
+    [
+        _stretched(0.55e-9),
+        _stretched(-0.55e-9),
+        _sheared(1.1e-9),
+        _scaled(1.1e-9),
+        _scaled(-1.1e-9),
+        _scaled(0.9e-9) @ np.diag([1.0, -1.0]),
+    ],
+    ids=["stretch+", "stretch-", "shear", "det+", "det-", "reflection"],
+)
+def test_pose_rejects_rotation_just_outside_tolerance(rotation):
+    with pytest.raises(InvalidPoseError):
+        Pose2(rotation, np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["rotation", "translation"])
+def test_pose_rejects_non_finite_entries(bad, where):
+    rot, trans = np.eye(2), np.zeros(2)
+    (rot if where == "rotation" else trans).flat[1] = bad
+    with pytest.raises(InvalidPoseError, match="non-finite"):
+        Pose2(rot, trans)
+
+
 # --- frame transforms -------------------------------------------------------------
 
 
