@@ -28,6 +28,8 @@ def main() -> int:
     )
     parser.add_argument("--horizon", type=float, default=3.0)
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     base_m = RunSettings(planner="momentum", history_depth=1)
     base_o = RunSettings(planner="oneshot", history_depth=0)

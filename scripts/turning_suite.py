@@ -37,6 +37,8 @@ def main() -> int:
     parser.add_argument("--horizon", type=float, default=3.0)
     parser.add_argument("--out", default=None, help="optional per-seed CSV")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
 
     momentum = RunSettings(planner="momentum", history_depth=args.depth)
     oneshot = RunSettings(planner="oneshot", history_depth=0)

@@ -15,7 +15,6 @@ the RMSE over those pairs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -333,27 +332,6 @@ class MetricReport:
         for name, h, v in self.rows():
             lines.append(f"{name},{'' if h is None else repr(h)},{repr(v)}")
         return "\n".join(lines) + "\n"
-
-    def to_json_text(self) -> str:
-        payload = {
-            "l2": [[float(h), float(v)] for h, v in sorted(self.l2.items())],
-            "collision_rate": [[float(h), float(v)] for h, v in sorted(self.collision_rate.items())],
-            "tpc": [[float(h), float(v)] for h, v in sorted(self.tpc.items())],
-            "min_ade": float(self.min_ade),
-            "min_fde": float(self.min_fde),
-        }
-        return json.dumps(payload)
-
-    @staticmethod
-    def from_json_text(text: str) -> "MetricReport":
-        obj = json.loads(text)
-        return MetricReport(
-            l2={float(h): float(v) for h, v in obj["l2"]},
-            collision_rate={float(h): float(v) for h, v in obj["collision_rate"]},
-            tpc={float(h): float(v) for h, v in obj["tpc"]},
-            min_ade=float(obj["min_ade"]),
-            min_fde=float(obj["min_fde"]),
-        )
 
 
 def mean_reports(reports: Sequence[MetricReport]) -> MetricReport:

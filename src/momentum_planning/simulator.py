@@ -48,6 +48,9 @@ LOG_FORMAT_VERSION = 2
 # paths of millions of waypoints before the first frame is planned
 MAX_SPEED_MPS = 100.0
 MAX_DURATION_S = 600.0
+# turns tighter than this are no road geometry, and a radius near zero
+# makes the swept angle s / r overflow to inf
+MIN_RADIUS_M = 1.0
 
 SCENARIO_KINDS = ("straight", "arc_turn", "s_curve")
 PLANNER_KINDS = ("oneshot", "momentum")
@@ -125,8 +128,8 @@ class ScenarioSpec:
             raise ConfigError(
                 f"radius and turn angle must be finite, got {self.radius_m} and {self.angle_rad}"
             )
-        if self.kind in ("arc_turn", "s_curve") and not self.radius_m > 0.0:
-            raise ConfigError(f"radius must be positive, got {self.radius_m}")
+        if self.kind in ("arc_turn", "s_curve") and not self.radius_m >= MIN_RADIUS_M:
+            raise ConfigError(f"radius must be at least {MIN_RADIUS_M} m, got {self.radius_m}")
         if self.kind == "arc_turn" and not self.angle_rad > 0.0:
             raise ConfigError(f"turn angle must be positive, got {self.angle_rad}")
         object.__setattr__(self, "seed", _integral("seed", self.seed))
@@ -246,7 +249,8 @@ class RunSettings:
         if not horizons:
             raise ConfigError("at least one evaluation horizon is required")
         for h in horizons:
-            steps = round(h / SIM_DT)
+            # h / SIM_DT overflows to inf for huge h, which round() refuses
+            steps = round(h / SIM_DT) if math.isfinite(h / SIM_DT) else 0
             if steps < 1 or abs(steps * SIM_DT - h) > 1e-9 or steps > self.horizon_steps:
                 raise ConfigError(
                     f"horizon {h} s must be a positive multiple of {SIM_DT} s within "
@@ -313,14 +317,31 @@ class RunSettings:
 
 @dataclass(frozen=True)
 class FrameRecord:
-    """One planning step: what was proposed, chosen and where the ego was."""
+    """One planning step: what was proposed, chosen and where the ego was.
+
+    The proposal stack is the only copy of the plans; the chosen plan is
+    its row ``chosen_index``.
+    """
 
     time_s: float
     ego_pose: Pose2
     proposals: TrajectorySet
     chosen_index: int
-    chosen_trajectory: Trajectory
     refined_scores: np.ndarray | None = None
+
+    def __post_init__(self):
+        k, idx = len(self.proposals), self.chosen_index
+        if type(idx) is not int or not 0 <= idx < k:
+            raise AlignmentError(f"chosen_index must be an integer in [0, {k}), got {idx!r}")
+        if self.refined_scores is not None:
+            refined = np.asarray(self.refined_scores, dtype=np.float64)
+            if refined.shape != (k,) or not np.isfinite(refined).all():
+                raise ShapeError(f"refined_scores must be {k} finite numbers")
+            object.__setattr__(self, "refined_scores", refined)
+
+    @property
+    def chosen_trajectory(self) -> Trajectory:
+        return Trajectory(self.proposals.points[self.chosen_index], dt=self.proposals.dt)
 
 
 @dataclass(frozen=True)
@@ -573,19 +594,9 @@ def run_closed_loop(
             idx, refined_scores = step_momentum(
                 proposals, history, delta, weights, settings.distance
             )
-        chosen = Trajectory(proposals.points[idx], dt=proposals.dt)
-        frames.append(
-            FrameRecord(
-                time_s=j * SIM_DT,
-                ego_pose=pose,
-                proposals=proposals,
-                chosen_index=idx,
-                chosen_trajectory=chosen,
-                refined_scores=refined_scores,
-            )
-        )
+        frames.append(FrameRecord(j * SIM_DT, pose, proposals, idx, refined_scores))
 
-        step_world = pose.rotation @ chosen.points[0] + pose.translation
+        step_world = pose.rotation @ proposals.points[idx, 0] + pose.translation
         disp = step_world - pose.translation
         heading = math.atan2(disp[1], disp[0]) if (disp[0], disp[1]) != (0.0, 0.0) else pose.heading()
         pose = Pose2.from_heading(heading, step_world)
@@ -594,26 +605,33 @@ def run_closed_loop(
     return log, report_from_log(log)
 
 
+def _check_frame(frame: FrameRecord, j: int, settings: RunSettings) -> None:
+    """Frame j of a log fits it: planned at j * SIM_DT, and its arrays have
+    the shapes the settings give."""
+    k, h = settings.k, settings.horizon_steps
+    props = frame.proposals
+    if frame.time_s != j * SIM_DT:
+        raise AlignmentError(f"frame {j}: time {frame.time_s!r} s, its position says {j * SIM_DT} s")
+    if props.dt != SIM_DT:
+        raise AlignmentError(f"frame {j}: plan dt {props.dt!r}, the log's is {SIM_DT}")
+    if props.points.shape != (k, h, 2) or props.queries.shape != (k, settings.d_q):
+        raise AlignmentError(
+            f"frame {j}: points {props.points.shape} and queries {props.queries.shape}, "
+            f"settings say {(k, h, 2)} and {(k, settings.d_q)}"
+        )
+
+
 def _stack_log(log: ScenarioLog):
     """Ego rotations (F, 2, 2) and positions (F, 2), chosen plans (F, h, 2)
     and proposals (F, K, h, 2) of a log whose frames all fit its settings."""
     h, k = log.settings.horizon_steps, log.settings.k
     for j, frame in enumerate(log.frames):
-        chosen = frame.chosen_trajectory
-        if chosen.dt != SIM_DT:
-            raise AlignmentError(f"frame {j}: chosen plan dt {chosen.dt} != {SIM_DT}")
-        if len(frame.proposals) != k:
-            raise AlignmentError(f"frame {j}: {len(frame.proposals)} proposals, settings say k={k}")
-        lengths = {len(chosen), frame.proposals.points.shape[1]}
-        if lengths != {h}:
-            raise AlignmentError(
-                f"frame {j}: plans of {sorted(lengths)} waypoints, settings say {h}"
-            )
+        _check_frame(frame, j, log.settings)
     f = len(log.frames)
     rot = np.array([fr.ego_pose.rotation for fr in log.frames]).reshape(f, 2, 2)
     xy = np.array([fr.ego_pose.translation for fr in log.frames]).reshape(f, 2)
-    chosen = np.array([fr.chosen_trajectory.points for fr in log.frames]).reshape(f, h, 2)
     proposals = np.array([fr.proposals.points for fr in log.frames]).reshape(f, k, h, 2)
+    chosen = proposals[np.arange(f), [fr.chosen_index for fr in log.frames]]
     return rot, xy, chosen, proposals
 
 
@@ -711,27 +729,12 @@ def _decode(text: str, shape: tuple[int, ...], name: str) -> np.ndarray:
     return np.frombuffer(raw, dtype="<f8").reshape(shape)
 
 
-def _frame_to_dict(frame: FrameRecord, settings: RunSettings) -> dict:
-    props, idx, k = frame.proposals, frame.chosen_index, settings.k
-    refined = frame.refined_scores
-    chosen = frame.chosen_trajectory
-    # a frame v2 cannot hold would load as a different frame, or not at all
-    if (
-        props.points.shape != (k, settings.horizon_steps, 2)
-        or props.queries.shape != (k, settings.d_q)
-        or (refined is not None and np.shape(refined) != (k,))
-        or not 0 <= idx < k
-        or chosen.dt != props.dt
-        or chosen.points.tobytes() != props.points[idx].tobytes()
-    ):
-        raise AlignmentError(
-            f"frame at {frame.time_s} s does not fit the log's settings, "
-            f"or its chosen plan is not proposal {idx}"
-        )
+def _frame_to_dict(frame: FrameRecord) -> dict:
+    props = frame.proposals
     rec = {
         "kind": "frame",
         "time_s": float(frame.time_s),
-        "chosen_index": int(idx),
+        "chosen_index": frame.chosen_index,
         "dt": float(props.dt),
         "rotation": _encode(frame.ego_pose.rotation),
         "xy": _encode(frame.ego_pose.translation),
@@ -739,8 +742,8 @@ def _frame_to_dict(frame: FrameRecord, settings: RunSettings) -> dict:
         "scores": _encode(props.scores),
         "queries": _encode(props.queries),
     }
-    if refined is not None:
-        rec["refined_scores"] = _encode(refined)
+    if frame.refined_scores is not None:
+        rec["refined_scores"] = _encode(frame.refined_scores)
     return rec
 
 
@@ -749,24 +752,6 @@ def _finite_number(obj: dict, key: str) -> float:
     if type(value) not in (int, float) or not math.isfinite(value):
         raise ValueError(f"{key} must be a finite number, got {value!r}")
     return float(value)
-
-
-def _frame_record(obj: dict, pose: Pose2, proposals: TrajectorySet, refined) -> FrameRecord:
-    """The checks both versions share; the chosen plan is rebuilt from its index."""
-    k = len(proposals)
-    idx = obj["chosen_index"]
-    if type(idx) is not int or not 0 <= idx < k:
-        raise ValueError(f"chosen_index must be an integer in [0, {k}), got {idx!r}")
-    if refined is not None and (refined.shape != (k,) or not np.isfinite(refined).all()):
-        raise ValueError(f"refined_scores must be {k} finite numbers")
-    return FrameRecord(
-        time_s=_finite_number(obj, "time_s"),
-        ego_pose=pose,
-        proposals=proposals,
-        chosen_index=idx,
-        chosen_trajectory=Trajectory(proposals.points[idx], dt=proposals.dt),
-        refined_scores=refined,
-    )
 
 
 def _frame_from_v2(obj: dict, settings: RunSettings) -> FrameRecord:
@@ -781,7 +766,7 @@ def _frame_from_v2(obj: dict, settings: RunSettings) -> FrameRecord:
     refined = obj.get("refined_scores")
     if refined is not None:
         refined = _decode(refined, (k,), "refined_scores")
-    return _frame_record(obj, pose, proposals, refined)
+    return FrameRecord(_finite_number(obj, "time_s"), pose, proposals, obj["chosen_index"], refined)
 
 
 def _frame_from_v1(obj: dict, settings: RunSettings) -> FrameRecord:
@@ -795,14 +780,14 @@ def _frame_from_v1(obj: dict, settings: RunSettings) -> FrameRecord:
         np.asarray(obj["ego_pose"]["rotation"], dtype=np.float64),
         np.asarray(obj["ego_pose"]["xy"], dtype=np.float64),
     )
-    refined = obj.get("refined_scores")
-    if refined is not None:
-        refined = np.asarray(refined, dtype=np.float64)
-    frame = _frame_record(obj, pose, proposals, refined)
+    idx = obj["chosen_index"]
+    frame = FrameRecord(
+        _finite_number(obj, "time_s"), pose, proposals, idx, obj.get("refined_scores")
+    )
+    # the one place a chosen plan arrives stored: it must be the proposal
     stored = trajectory_from_dict(obj["chosen_trajectory"])
-    derived = frame.chosen_trajectory
-    if stored.dt != derived.dt or stored.points.tobytes() != derived.points.tobytes():
-        raise ValueError(f"chosen_trajectory is not proposal {frame.chosen_index}")
+    if stored.dt != proposals.dt or stored.points.tobytes() != proposals.points[idx].tobytes():
+        raise ValueError(f"chosen_trajectory is not proposal {idx}")
     return frame
 
 
@@ -814,13 +799,16 @@ def log_to_jsonl(log: ScenarioLog) -> str:
         "settings": log.settings.to_dict(),
     }
     lines = [json.dumps(header)]
-    lines.extend(json.dumps(_frame_to_dict(frame, log.settings)) for frame in log.frames)
+    for j, frame in enumerate(log.frames):
+        _check_frame(frame, j, log.settings)
+        lines.append(json.dumps(_frame_to_dict(frame)))
     return "\n".join(lines) + "\n"
 
 
 def save_log(log: ScenarioLog, path) -> None:
+    text = log_to_jsonl(log)  # a log that does not fit leaves no file behind
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(log_to_jsonl(log))
+        fh.write(text)
 
 
 def load_log(path) -> ScenarioLog:
@@ -859,7 +847,9 @@ def load_log(path) -> ScenarioLog:
         if obj.get("kind") != "frame":
             raise LogCorruptionError(f"unexpected record kind {obj.get('kind')!r}", line_number=line_no)
         try:
-            frames.append(read_frame(obj, settings))
+            frame = read_frame(obj, settings)
+            _check_frame(frame, len(frames), settings)
         except (KeyError, TypeError, ValueError) as exc:
             raise LogCorruptionError(f"bad frame record: {exc}", line_number=line_no) from exc
+        frames.append(frame)
     return ScenarioLog(spec, settings, tuple(frames))

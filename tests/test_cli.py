@@ -89,15 +89,17 @@ FAST_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": 4.0, "width": 2.0,
         ("scenario", "speed_mps", 1e200),
         ("scenario", "seed", -1),
         ("scenario", "obstacles", [FAST_BOX]),
+        ("settings", "horizons_s", [1e308]),
+        ("scenario", None, {"kind": "s_curve", "radius_m": 1e-320}),
     ],
     ids=["history_depth", "obstacle_length", "radius_inf", "short_duration",
          "negative_weight_seed", "fractional_k", "speed_over_bound", "negative_seed",
-         "obstacle_speed_over_bound"],
+         "obstacle_speed_over_bound", "horizon_overflows", "radius_subnormal"],
 )
 def test_bad_config_values_exit_2_without_outputs(tmp_path, section, key, value):
     cfg = write_config(tmp_path / "cfg.json")
     obj = json.loads(cfg.read_text())
-    obj[section][key] = value
+    obj[section].update(value if key is None else {key: value})
     cfg.write_text(json.dumps(obj))
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
@@ -237,6 +239,32 @@ def test_eval_rejects_bad_chosen_plan_or_time(tmp_path, capsys, version, edit):
     log_path.write_text("\n".join(lines) + "\n")
     assert main(["eval", "--log", str(log_path)]) == 4
     assert "line 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, line", [("k", 5, 2), ("horizons_s", [1e308], 1)],
+                         ids=["k_disagrees_with_frames", "horizon_overflows"])
+def test_eval_v1_header_that_does_not_fit_exits_4_with_line(tmp_path, capsys, key, value, line):
+    log_path = tmp_path / "run.jsonl"
+    lines = (DATA / "v1_arc_momentum_depth2.jsonl").read_text().splitlines()
+    header = json.loads(lines[0])
+    header["settings"][key] = value
+    lines[0] = json.dumps(header)
+    log_path.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--log", str(log_path)]) == 4
+    assert f"line {line}:" in capsys.readouterr().err
+
+
+def test_eval_log_missing_a_middle_frame_exits_4_with_line(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", scenario={
+        "kind": "arc_turn", "duration_s": 4.0, "speed_mps": 5.0, "radius_m": 20.0, "seed": 0})
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    log_path = out / "run_seed0.jsonl"
+    lines = log_path.read_text().splitlines()
+    del lines[4]  # frame 3
+    log_path.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--log", str(log_path)]) == 4
+    assert "line 5:" in capsys.readouterr().err
 
 
 def test_eval_missing_log_exits_3(tmp_path):

@@ -422,12 +422,6 @@ def test_report_csv_layout():
     assert len(lines) == 1 + 6 + 2
 
 
-def test_report_json_round_trip():
-    rep = _report(1.3)
-    again = MetricReport.from_json_text(rep.to_json_text())
-    assert again == rep
-
-
 def test_mean_reports_averages_each_cell():
     mean = mean_reports([_report(1.0), _report(2.0)])
     assert mean.l2[1.0] == pytest.approx(0.15, abs=1e-15)

@@ -18,12 +18,13 @@ from helpers import (
     reference_report_from_log,
 )
 
-from momentum_planning.errors import AlignmentError, ConfigError, LogCorruptionError
+from momentum_planning.errors import AlignmentError, ConfigError, LogCorruptionError, ShapeError
 from momentum_planning.interactor import WeightBundle
 from momentum_planning.matching import DistanceKind, TrajectorySet
 from momentum_planning.simulator import (
     MAX_DURATION_S,
     MAX_SPEED_MPS,
+    MIN_RADIUS_M,
     PLANNER_KINDS,
     SCENARIO_KINDS,
     SIM_DT,
@@ -46,7 +47,7 @@ from momentum_planning.simulator import (
     step_oneshot,
 )
 from momentum_planning.metrics import L2Protocol, ObstacleBox
-from momentum_planning.trajectory import Pose2, Trajectory
+from momentum_planning.trajectory import Pose2, Trajectory, trajectory_to_dict
 
 DATA = Path(__file__).parent / "data"
 
@@ -144,6 +145,8 @@ def test_obstacle_tracks_follow_scripted_velocity():
         dict(kind="straight", duration_s=MAX_DURATION_S + 0.5, speed_mps=1.0),
         dict(kind="straight", duration_s=1.0, speed_mps=1.0, seed=-1),
         dict(kind="straight", duration_s=1.0, speed_mps=1.0, seed=True),
+        dict(kind="s_curve", duration_s=1.0, speed_mps=1.0, radius_m=1e-320),
+        dict(kind="arc_turn", duration_s=1.0, speed_mps=1.0, radius_m=MIN_RADIUS_M / 2),
     ],
 )
 def test_bad_scenario_spec_rejected(kwargs):
@@ -162,6 +165,8 @@ def test_scenario_bounds_are_inclusive():
     path, _ = gen_scenario(spec)
     assert len(path) == int(MAX_DURATION_S / SIM_DT)
     assert np.isfinite(path.points).all()
+    tight, _ = gen_scenario(ScenarioSpec("s_curve", 10.0, MAX_SPEED_MPS, radius_m=MIN_RADIUS_M))
+    assert np.isfinite(tight.points).all()
 
 
 def test_scenario_spec_dict_round_trip():
@@ -211,6 +216,8 @@ def test_settings_round_trip_and_defaults():
         {"occlusion_start": 1.5},
         {"occlusion_len": True},
         {"ego_width_m": math.inf},
+        {"horizons_s": (1e308,)},
+        {"horizons_s": (math.nan,)},
     ],
 )
 def test_bad_settings_rejected(patch):
@@ -389,10 +396,7 @@ def test_momentum_without_history_is_oneshot():
 
 
 def frame_for(ts, chosen):
-    return FrameRecord(
-        time_s=0.0, ego_pose=Pose2.identity(), proposals=ts,
-        chosen_index=chosen, chosen_trajectory=ts.trajectories[chosen],
-    )
+    return FrameRecord(time_s=0.0, ego_pose=Pose2.identity(), proposals=ts, chosen_index=chosen)
 
 
 def test_momentum_zero_weights_score_tie_picks_first():
@@ -621,17 +625,46 @@ def test_batched_report_matches_per_frame_loop(log):
 
 def test_frame_with_wrong_plan_length_is_rejected():
     log, _ = run_closed_loop(arc_spec(), RunSettings(horizon_steps=6))
-    frames = list(log.frames)
-    short = Trajectory(frames[3].chosen_trajectory.points[:5])
-    frames[3] = dataclasses.replace(frames[3], chosen_trajectory=short)
-    with pytest.raises(AlignmentError, match="frame 3"):
-        report_from_log(ScenarioLog(log.spec, log.settings, tuple(frames)))
-    props = frames[2].proposals
+    # the chosen plan is a row of the proposals, so it cannot have its own
+    # length; an index past the rows is what a frame can get wrong
+    with pytest.raises(AlignmentError, match="chosen_index"):
+        dataclasses.replace(log.frames[3], chosen_index=6)
+    props = log.frames[2].proposals
     frames = list(log.frames)
     frames[2] = dataclasses.replace(frames[2], proposals=TrajectorySet(
         tuple(Trajectory(t.points[:5]) for t in props.trajectories), props.scores, props.queries))
     with pytest.raises(AlignmentError, match="frame 2"):
         report_from_log(ScenarioLog(log.spec, log.settings, tuple(frames)))
+
+
+@pytest.mark.parametrize("index", [-1, 6, True, 2.0])
+def test_frame_record_rejects_an_index_outside_its_proposals(index):
+    log, _ = run_closed_loop(arc_spec(), RunSettings())
+    with pytest.raises(AlignmentError, match="chosen_index"):
+        dataclasses.replace(log.frames[1], chosen_index=index)
+
+
+@pytest.mark.parametrize("refined", [[math.nan] + [0.0] * 5, [0.0, math.inf] + [0.0] * 4,
+                                     [0.0] * 5, [0.0] * 7, [[0.0] * 6]])
+def test_frame_record_rejects_refined_scores_that_are_not_k_finite_numbers(refined):
+    log, _ = run_closed_loop(arc_spec(), RunSettings())
+    with pytest.raises(ShapeError, match="refined_scores"):
+        dataclasses.replace(log.frames[1], refined_scores=np.array(refined))
+
+
+def test_frames_out_of_place_are_rejected(tmp_path):
+    log, _ = run_closed_loop(arc_spec(), RunSettings())
+    dropped = ScenarioLog(log.spec, log.settings, log.frames[:2] + log.frames[3:])
+    half_step = dataclasses.replace(log.frames[1], proposals=TrajectorySet.from_points(
+        log.frames[1].proposals.points, log.frames[1].proposals.scores,
+        log.frames[1].proposals.queries, dt=0.25))
+    retimed = ScenarioLog(log.spec, log.settings, (log.frames[0], half_step))
+    for bad, where in ((dropped, "frame 2: time"), (retimed, "frame 1: plan dt")):
+        with pytest.raises(AlignmentError, match=where):
+            report_from_log(bad)
+        with pytest.raises(AlignmentError, match=where):
+            save_log(bad, tmp_path / "bad.jsonl")
+    assert not (tmp_path / "bad.jsonl").exists()
 
 
 def test_log_longer_than_its_path_is_rejected():
@@ -828,7 +861,6 @@ def raw_frame_logs(draw):
             ego_pose=Pose2.from_heading(draw(st.floats(-math.pi, math.pi)), block(2)),
             proposals=proposals,
             chosen_index=idx,
-            chosen_trajectory=Trajectory(proposals.points[idx]),
             refined_scores=block(k) if draw(st.booleans()) else None,
         ))
     settings_ = RunSettings(k=k, horizon_steps=h, d_q=d_q, horizons_s=(1.0,))
@@ -840,7 +872,7 @@ def test_v2_round_trip_keeps_signed_zeros_and_subnormals(tmp_path):
     points = np.array(odd * 3).reshape(1, 6, 2)
     proposals = TrajectorySet.from_points(points, [-0.0], [odd])
     frame = FrameRecord(-0.0, Pose2(np.eye(2) * -1.0, [-0.0, 5e-324]), proposals, 0,
-                        Trajectory(points[0]), np.array([5e-324]))
+                        np.array([5e-324]))
     log = ScenarioLog(arc_spec(), RunSettings(k=1, d_q=4), (frame,))
     assert_logs_bit_equal(round_trip(log, tmp_path), log)
 
@@ -862,11 +894,9 @@ def test_v2_frame_carries_no_chosen_plan_and_one_dt():
 
 def test_save_refuses_a_frame_v2_cannot_hold(tmp_path):
     log, _ = run_closed_loop(arc_spec(), RunSettings())
-    frames = list(log.frames)
-    other = frames[2].proposals.points[(frames[2].chosen_index + 1) % 6]
-    frames[2] = dataclasses.replace(frames[2], chosen_trajectory=Trajectory(other))
-    with pytest.raises(AlignmentError, match="proposal"):
-        save_log(ScenarioLog(log.spec, log.settings, tuple(frames)), tmp_path / "x.jsonl")
+    # a frame whose refined scores v2 could not hold cannot be built at all
+    with pytest.raises(ShapeError, match="refined_scores"):
+        dataclasses.replace(log.frames[2], refined_scores=np.zeros(5))
     with pytest.raises(AlignmentError):
         save_log(ScenarioLog(log.spec, RunSettings(d_q=8), log.frames), tmp_path / "y.jsonl")
 
@@ -924,6 +954,47 @@ def test_load_rejects_other_format_versions(tmp_path, version):
     with pytest.raises(LogCorruptionError, match="format_version") as err:
         load_log(path)
     assert err.value.line_number == 1
+
+
+def v1_jsonl(log):
+    """The log as format v1 wrote it: decimal lists, the chosen plan in full."""
+    header = json.loads(log_to_jsonl(log).splitlines()[0]) | {"format_version": 1}
+    lines = [json.dumps(header)]
+    for f in log.frames:
+        rec = {
+            "kind": "frame",
+            "time_s": f.time_s,
+            "ego_pose": {"rotation": f.ego_pose.rotation.tolist(),
+                         "xy": f.ego_pose.translation.tolist()},
+            "chosen_index": f.chosen_index,
+            "chosen_trajectory": trajectory_to_dict(f.chosen_trajectory),
+            "proposals": {"trajectories": [trajectory_to_dict(t) for t in f.proposals.trajectories],
+                          "scores": f.proposals.scores.tolist(),
+                          "queries": f.proposals.queries.tolist()},
+        }
+        if f.refined_scores is not None:
+            rec["refined_scores"] = f.refined_scores.tolist()
+        lines.append(json.dumps(rec))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+@pytest.mark.parametrize("planner", PLANNER_KINDS)
+def test_chosen_plan_is_the_read_only_proposal_row(tmp_path, planner, depth):
+    assert "chosen_trajectory" not in {f.name for f in dataclasses.fields(FrameRecord)}
+    log, _ = run_closed_loop(arc_spec(seed=3), RunSettings(planner=planner, history_depth=depth))
+    v1_path = tmp_path / "v1.jsonl"
+    v1_path.write_text(v1_jsonl(log))
+    v1, v2 = load_log(v1_path), round_trip(log, tmp_path)
+    assert_logs_bit_equal(v1, log)
+    for loaded in (log, v1, v2):
+        for frame in loaded.frames:
+            chosen = frame.chosen_trajectory
+            assert chosen.points.tobytes() == frame.proposals.points[frame.chosen_index].tobytes()
+            assert chosen.dt == frame.proposals.dt == SIM_DT
+            assert not chosen.points.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                frame.chosen_trajectory = chosen
 
 
 @pytest.mark.parametrize("name", ["v1_arc_momentum_depth2", "v1_obstacles_oneshot"])
