@@ -23,6 +23,7 @@ Shape conventions (D = query width, K = candidates, N = waypoints):
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -57,12 +58,15 @@ def sigmoid(x):
 
 
 def softmax(logits) -> np.ndarray:
-    """Overflow-safe softmax over a 1-D logit vector."""
+    """Overflow-safe softmax over the last axis of the logits, so a stack
+    of vectors gets one softmax per row."""
     z = np.asarray(logits, dtype=np.float64)
-    if z.ndim != 1 or z.size == 0:
-        raise ShapeError(f"softmax expects a non-empty 1-D vector, got shape {z.shape}")
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    if z.ndim == 0 or z.shape[-1] == 0:
+        raise ShapeError(f"softmax expects non-empty vectors, got shape {z.shape}")
+    # C order, whatever order broadcasting picks, so that each row is summed
+    # the way a lone vector is
+    e = np.exp(np.subtract(z, z.max(axis=-1, keepdims=True), order="C"))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _apply_activation(pre, activation):
@@ -184,8 +188,13 @@ class WeightBundle:
         return all(np.array_equal(self._tensors[n], other._tensors[n]) for n in WEIGHT_NAMES)
 
     @staticmethod
+    @functools.lru_cache(maxsize=4)
     def seeded(d_q: int, k: int, n_t: int, seed: int) -> "WeightBundle":
-        """Uniform(-1/sqrt(D), +1/sqrt(D)) init over every entry."""
+        """Uniform(-1/sqrt(D), +1/sqrt(D)) init over every entry.
+
+        A bundle is read-only, so calls with equal arguments share one; the
+        last few bundles built are kept.
+        """
         if d_q < 1 or k < 1 or n_t < 1:
             raise ShapeError(f"dimensions must be positive, got {(d_q, k, n_t)}")
         rng = np.random.default_rng(seed)

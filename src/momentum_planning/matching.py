@@ -54,48 +54,57 @@ class TrajectorySet:
         dts = {t.dt for t in trajs}
         if len(dts) != 1:
             raise AlignmentError(f"candidates must share one dt, got {sorted(dts)}")
-        points = np.stack([t.points for t in trajs])
-        points.setflags(write=False)
-        self._fill(points, trajs[0].dt, scores, queries)
+        built = TrajectorySet.from_points(np.stack([t.points for t in trajs]), scores, queries, trajs[0].dt)
+        for name in ("points", "dt", "scores", "queries"):
+            object.__setattr__(self, name, getattr(built, name))
 
     @classmethod
     def from_points(cls, points, scores, queries, dt: float = DEFAULT_DT) -> "TrajectorySet":
-        """A set over a (K, N, 2) stack of waypoints sampled every ``dt``."""
+        """A set over a (K, N, 2) stack of waypoints sampled every ``dt``;
+        the points are copied."""
         pts = np.array(points, dtype=np.float64)
-        if pts.ndim != 3 or pts.shape[2] != 2:
+        if pts.ndim != 3:
             raise ShapeError(f"expected (K, N, 2) points, got shape {pts.shape}")
-        if len(pts) < 1:
+        scores = np.asarray(scores, dtype=np.float64).reshape(1, -1)
+        queries = np.asarray(queries, dtype=np.float64)[None]
+        return cls.per_frame(pts[None], scores, queries, dt)[0]
+
+    @classmethod
+    def per_frame(cls, points, scores, queries, dt: float = DEFAULT_DT) -> tuple["TrajectorySet", ...]:
+        """One set per frame of an (F, K, N, 2) waypoint stack sampled every
+        ``dt``, with (F, K) scores and (F, K, D) queries.
+
+        The stacks are checked once, as a whole, with the checks each set
+        would make, then made read-only; they are not copied, and every set
+        holds views of their rows.
+        """
+        pts = np.asarray(points, dtype=np.float64)
+        scores = np.asarray(scores, dtype=np.float64)
+        queries = np.asarray(queries, dtype=np.float64)
+        if pts.ndim != 4 or pts.shape[3] != 2:
+            raise ShapeError(f"expected (K, N, 2) points per frame, got shape {pts.shape}")
+        f, k = pts.shape[:2]
+        if k < 1:
             raise EmptyInputError("candidate set needs at least one trajectory")
+        if scores.shape != (f, k):
+            raise ShapeError(f"{k} candidates per frame but scores of shape {scores.shape}")
+        if queries.ndim != 3 or queries.shape[:2] != (f, k):
+            raise ShapeError(f"queries must be (K, D) per frame, got {queries.shape} for K={k}")
         # the checks each candidate's Trajectory would make, in one pass
         Trajectory(pts.reshape(-1, 2), dt)
-        pts.setflags(write=False)
-        out = cls.__new__(cls)
-        out._fill(pts, dt, scores, queries)
-        return out
-
-    def with_features(self, scores, queries) -> "TrajectorySet":
-        """The same candidates under new scores and queries; the point stack
-        is shared, not copied or checked again."""
-        out = TrajectorySet.__new__(TrajectorySet)
-        out._fill(self.points, self.dt, scores, queries)
-        return out
-
-    def _fill(self, points, dt, scores, queries):
-        k = len(points)
-        scores = np.asarray(scores, dtype=np.float64).reshape(-1)
-        queries = np.asarray(queries, dtype=np.float64)
-        if len(scores) != k:
-            raise ShapeError(f"{k} candidates but {len(scores)} scores")
-        if queries.ndim != 2 or queries.shape[0] != k:
-            raise ShapeError(f"queries must be (K, D), got {queries.shape} for K={k}")
         if not (np.isfinite(scores).all() and np.isfinite(queries).all()):
             raise ShapeError("scores and queries must be finite")
-        scores.setflags(write=False)
-        queries.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "dt", dt)
-        object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "queries", queries)
+        for array in (pts, scores, queries):
+            array.setflags(write=False)
+        sets = []
+        for p, s, q in zip(pts, scores, queries):
+            out = cls.__new__(cls)
+            object.__setattr__(out, "points", p)
+            object.__setattr__(out, "dt", dt)
+            object.__setattr__(out, "scores", s)
+            object.__setattr__(out, "queries", q)
+            sets.append(out)
+        return tuple(sets)
 
     @cached_property
     def trajectories(self) -> tuple[Trajectory, ...]:

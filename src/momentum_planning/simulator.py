@@ -12,11 +12,18 @@ over the horizon, and the one shared first-step perturbation is drawn once
 per frame), so the pose sequence the ego traces does not depend on which
 candidate a planner picks.  Differences between planners show up where
 they should for consistency studies: in the predicted tails.
+
+A rollout therefore runs in two passes.  The stream pass draws every
+frame's noise at once, chains the ego poses in a short loop and builds all
+frames' proposals as stacked arrays; the selection pass then lets the
+planner choose frame by frame.  An execution that followed the chosen plan
+instead would have to choose inside the pose loop.
 """
 
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -29,17 +36,13 @@ from .interactor import QueryBatch, WeightBundle, mpi_forward, softmax
 from .matching import DistanceKind, TrajectorySet, ttm_select
 from .metrics import L2Protocol, MetricReport, ObstacleBox, ego_headings, overlap_flags
 from .metrics import collision_flags, l2_error, min_ade_fde, tpc  # noqa: F401
-from .trajectory import (
-    Pose2,
-    Trajectory,
-    relative_pose,
-    transform_to_frame,
-    trajectory_from_dict,
-)
+from .trajectory import Pose2, Trajectory, relative_pose, trajectory_from_dict
+from .trajectory import transform_to_frame  # noqa: F401
 
 # The per-trajectory metrics above score one frame each and report_from_log
-# does not call them; they stay importable here because bench/tracing.py
-# wraps them on this module.
+# does not call them, and the rollout moves its futures into the ego frame
+# without transform_to_frame; they stay importable here because
+# bench/tracing.py wraps them on this module.
 
 SIM_DT = 0.5
 LOG_FORMAT_VERSION = 2
@@ -51,6 +54,11 @@ MAX_DURATION_S = 600.0
 # turns tighter than this are no road geometry, and a radius near zero
 # makes the swept angle s / r overflow to inf
 MIN_RADIUS_M = 1.0
+# size bounds: a rollout holds every frame's noise, candidates and queries
+# at once, so these and MAX_DURATION_S bound its memory
+MAX_K = 16
+MAX_HORIZON_STEPS = 20
+MAX_D_Q = 128
 
 SCENARIO_KINDS = ("straight", "arc_turn", "s_curve")
 PLANNER_KINDS = ("oneshot", "momentum")
@@ -58,7 +66,6 @@ PLANNER_KINDS = ("oneshot", "momentum")
 # queries must be comparable across frames, so their projection is fixed
 # once per (width, horizon) and never depends on the scenario seed
 _QUERY_PROJECTION_SEED = 1_400_305
-_query_projections: dict[tuple[int, int], np.ndarray] = {}
 
 
 def _integral(name: str, value) -> int:
@@ -227,12 +234,12 @@ class RunSettings:
             raise ConfigError(f"history depth must be 0, 1 or 2, got {self.history_depth}")
         object.__setattr__(self, "distance", DistanceKind(self.distance))
         object.__setattr__(self, "protocol", L2Protocol(self.protocol))
-        if self.k < 1:
-            raise ConfigError(f"candidate count must be >= 1, got {self.k}")
-        if self.horizon_steps < 2:
-            raise ConfigError(f"horizon needs at least 2 steps, got {self.horizon_steps}")
-        if self.d_q < 1:
-            raise ConfigError(f"query width must be >= 1, got {self.d_q}")
+        if not 1 <= self.k <= MAX_K:
+            raise ConfigError(f"candidate count must be in [1, {MAX_K}], got {self.k}")
+        if not 2 <= self.horizon_steps <= MAX_HORIZON_STEPS:
+            raise ConfigError(f"horizon steps must be in [2, {MAX_HORIZON_STEPS}], got {self.horizon_steps}")
+        if not 1 <= self.d_q <= MAX_D_Q:
+            raise ConfigError(f"query width must be in [1, {MAX_D_Q}], got {self.d_q}")
         for name in ("mode_noise_m", "jitter_m", "ns"):
             value = getattr(self, name)
             if value < 0.0 or not math.isfinite(value):
@@ -412,12 +419,12 @@ def gen_scenario(spec: ScenarioSpec, extra_steps: int = 0):
 # proposals
 
 
+@functools.lru_cache(maxsize=16)
 def _query_projection(d_q: int, flat_len: int) -> np.ndarray:
-    key = (d_q, flat_len)
-    if key not in _query_projections:
-        rng = np.random.default_rng(_QUERY_PROJECTION_SEED)
-        _query_projections[key] = rng.standard_normal((d_q, flat_len)) / math.sqrt(flat_len)
-    return _query_projections[key]
+    rng = np.random.default_rng(_QUERY_PROJECTION_SEED)
+    projection = rng.standard_normal((d_q, flat_len)) / math.sqrt(flat_len)
+    projection.setflags(write=False)
+    return projection
 
 
 def candidate_queries(points: np.ndarray, d_q: int) -> np.ndarray:
@@ -431,21 +438,62 @@ def candidate_queries(points: np.ndarray, d_q: int) -> np.ndarray:
 
 
 def _lateral_normals(points: np.ndarray) -> np.ndarray:
-    """Unit left normal at each waypoint: that of the segment leaving it, or
-    of the last segment for the final waypoint.  A zero-length segment
-    carries the normal of the last segment before it that has one, (0, 1)
-    if none has; a single waypoint takes the normal of a unit step along x."""
-    n = len(points)
-    seg = np.diff(points, axis=0) if n > 1 else np.array([[1.0, 0.0]])
+    """Unit left normal at each waypoint of an (..., N, 2) stack: that of the
+    segment leaving it, or of the last segment for the final waypoint.  A
+    zero-length segment carries the normal of the last segment before it
+    that has one, (0, 1) if none has; a single waypoint takes the normal of
+    a unit step along x."""
+    n = points.shape[-2]
+    if n > 1:
+        seg = np.diff(points, axis=-2)
+    else:
+        seg = np.zeros(points.shape[:-2] + (1, 2)) + (1.0, 0.0)
     # math.hypot, not np.hypot: the two can differ in the last bit
-    norms = np.array([math.hypot(dx, dy) for dx, dy in seg.tolist()])
+    norms = np.array([math.hypot(dx, dy) for dx, dy in seg.reshape(-1, 2).tolist()])
+    norms = norms.reshape(seg.shape[:-1])
     keep = norms > 0.0
-    unit = seg[:, ::-1] * (-1.0, 1.0)
-    np.divide(unit, norms[:, None], out=unit, where=keep[:, None])
+    unit = seg[..., ::-1] * (-1.0, 1.0)
+    np.divide(unit, norms[..., None], out=unit, where=keep[..., None])
     if not keep.all():
-        carried = np.maximum.accumulate(np.where(keep, np.arange(len(seg)), -1))
-        unit = np.where((carried < 0)[:, None], (0.0, 1.0), unit[carried])
-    return unit[np.minimum(np.arange(n), len(seg) - 1)]
+        carried = np.maximum.accumulate(np.where(keep, np.arange(seg.shape[-2]), -1), axis=-1)
+        unit = np.where(
+            (carried < 0)[..., None], (0.0, 1.0), np.take_along_axis(unit, carried[..., None], axis=-2)
+        )
+    return unit[..., np.minimum(np.arange(n), seg.shape[-2] - 1), :]
+
+
+def _fan_width(k: int, n: int) -> int:
+    """Standard normals one frame's fan draws: the shared first step (2),
+    every candidate's jitter (K, N-1, 2) and the observation (N, 2)."""
+    return 2 + 2 * k * (n - 1) + 2 * n
+
+
+def _fan(gt: np.ndarray, draws: np.ndarray, k: int, mode_noise: float, jitter: float, d_q: int):
+    """The proposal model over F frames at once.
+
+    ``gt`` is the (F, N, 2) stack of ego-frame ground-truth futures and
+    ``draws`` the (F, ``_fan_width``) standard normals of each frame, in
+    draw order.  ``0.0 + sigma * z`` is what ``rng.normal(0.0, sigma)``
+    computes, +0.0 for sigma = 0 included.  Returns the (F, K, N, 2)
+    candidates, the (F, K) scores and the (F, K, d_q) queries; every value
+    is the one a single frame's computation gives, bit for bit.
+    """
+    f, n = gt.shape[:2]
+    shared_first = 0.0 + jitter * draws[:, :2]
+    cand_jitter = 0.0 + jitter * draws[:, 2 : 2 + 2 * k * (n - 1)].reshape(f, k, n - 1, 2)
+    observed = gt + (0.0 + mode_noise * draws[:, 2 + 2 * k * (n - 1) :].reshape(f, n, 2))
+
+    normals = _lateral_normals(gt)
+    ramp = np.arange(n) / (n - 1) if n > 1 else np.zeros(n)
+    coeffs = np.linspace(-1.0, 1.0, k) if k > 1 else np.zeros(1)
+    cands = gt[:, None] + (mode_noise * coeffs)[:, None, None] * ramp[:, None] * normals[:, None]
+    cands[:, :, 0] += shared_first[:, None]
+    cands[:, :, 1:] += cand_jitter
+
+    ades = np.linalg.norm(cands - observed[:, None], axis=-1).mean(axis=-1)
+    scores = softmax(-ades)
+    queries = candidate_queries(cands.reshape(f * k, n, 2), d_q).reshape(f, k, d_q)
+    return cands, scores, queries
 
 
 def propose(
@@ -465,30 +513,18 @@ def propose(
     of the future, so the score leader wobbles frame to frame the way a
     perception stack's would.
 
-    The K candidates are built as one (K, N, 2) stack.  Draw order: the
-    shared first-step jitter (2), then every candidate's jitter in one
-    (K, N-1, 2) draw, candidate by candidate, then the observation (N, 2).
+    This is the one-frame call of the rollout's batched proposal model.
+    Draw order: the shared first-step jitter (2), then every candidate's
+    jitter (K, N-1, 2), candidate by candidate, then the observation (N, 2).
     """
     if k < 1:
         raise EmptyInputError("need at least one candidate")
+    if not (mode_noise >= 0.0 and jitter >= 0.0):
+        raise ValueError(f"noise scales must be non-negative, got {mode_noise} and {jitter}")
     rng = np.random.default_rng(seed)
-    pts = gt_future.points
-    n = len(pts)
-    normals = _lateral_normals(pts)
-    ramp = np.arange(n) / (n - 1) if n > 1 else np.zeros(n)
-    coeffs = np.linspace(-1.0, 1.0, k) if k > 1 else np.zeros(1)
-
-    shared_first = rng.normal(0.0, jitter, 2)
-    cands = pts + (mode_noise * coeffs)[:, None, None] * ramp[:, None] * normals
-    cands[:, 0] += shared_first
-    if n > 1:
-        cands[:, 1:] += rng.normal(0.0, jitter, (k, n - 1, 2))
-
-    observed = pts + rng.normal(0.0, mode_noise, (n, 2))
-    ades = np.linalg.norm(cands - observed, axis=-1).mean(axis=-1)
-    scores = softmax(-ades)
-    queries = candidate_queries(cands, d_q)
-    return TrajectorySet.from_points(cands, scores, queries, dt=gt_future.dt)
+    draws = rng.standard_normal((1, _fan_width(k, len(gt_future))))
+    cands, scores, queries = _fan(gt_future.points[None], draws, k, mode_noise, jitter, d_q)
+    return TrajectorySet.from_points(cands[0], scores[0], queries[0], dt=gt_future.dt)
 
 
 def perturb_features(features: np.ndarray, ns: float, seed) -> np.ndarray:
@@ -540,6 +576,41 @@ def step_momentum(
 # closed loop
 
 
+def _stream(spec: ScenarioSpec, settings: RunSettings):
+    """The stream pass of a rollout: the ego pose of every frame, and every
+    frame's proposals over one checked (F, K, N, 2) stack, with the (F, K)
+    score stack the proposals are views of."""
+    k, h, d_q = settings.k, settings.horizon_steps, settings.d_q
+    path = _gen_path(spec, extra_steps=h)
+    n_frames = int(round(spec.duration_s / SIM_DT))
+    world = np.vstack([[0.0, 0.0], path.points])
+    first_dir = world[1] - world[0]
+    pose = Pose2.from_heading(math.atan2(first_dir[1], first_dir[0]), (0.0, 0.0))
+
+    width = _fan_width(k, h)
+    draws = np.random.default_rng(spec.seed).standard_normal((n_frames, width + k * d_q))
+    shared_first = 0.0 + settings.jitter_m * draws[:, :2]
+    gt = np.empty((n_frames, h, 2))
+    poses = []
+    for j in range(n_frames):
+        if j:
+            # step to the previous frame's first waypoint, which every
+            # candidate shares: the fan's lateral offset there is +-0.0 and
+            # the shared step nonzero or +0.0, so this sum equals it bit for bit
+            step_world = pose.rotation @ (gt[j - 1, 0] + shared_first[j - 1]) + pose.translation
+            disp = step_world - pose.translation
+            heading = math.atan2(disp[1], disp[0]) if (disp[0], disp[1]) != (0.0, 0.0) else pose.heading()
+            pose = Pose2.from_heading(heading, step_world)
+        poses.append(pose)
+        gt[j] = (world[j + 1 : j + 1 + h] - pose.translation) @ pose.rotation
+
+    cands, scores, queries = _fan(gt, draws[:, :width], k, settings.mode_noise_m, settings.jitter_m, d_q)
+    queries += (settings.ns * draws[:, width:]).reshape(n_frames, k, d_q)
+    if settings.occlusion_start is not None:
+        scores[settings.occlusion_start : settings.occlusion_start + settings.occlusion_len] = 1.0 / k
+    return poses, TrajectorySet.per_frame(cands, scores, queries, dt=SIM_DT), scores
+
+
 def run_closed_loop(
     spec: ScenarioSpec,
     settings: RunSettings,
@@ -547,10 +618,29 @@ def run_closed_loop(
 ):
     """Receding-horizon rollout; returns ``(log, report)``.
 
-    Each 0.5 s frame: take the remaining ground-truth future in the ego
-    frame, propose K candidates, perturb their query embeddings, let the
-    configured planner choose, record the frame, then advance the ego by
-    the first step of the chosen trajectory.
+    Each 0.5 s frame takes the remaining ground-truth future in the ego
+    frame, proposes K candidates, perturbs their query embeddings, lets the
+    configured planner choose, records the frame, then advances the ego by
+    the candidates' shared first step.
+
+    The rollout runs in two passes.  The stream pass builds all that does
+    not depend on the planner:
+      * every frame's noise in one draw from the scenario's generator, one
+        row per frame, each row in the order a frame reads it: the shared
+        first step, the candidates' jitter, the observation, the query
+        noise;
+      * the ego poses, in a short loop, since each pose follows from the
+        previous frame's first step;
+      * every frame's candidates, scores, perturbed queries and occlusion,
+        as stacked arrays checked once.
+    The selection pass then lets the planner choose, frame by frame, over
+    views of those stacks: the row argmax for one-shot, ``step_momentum``
+    on the frames chosen so far for momentum.
+
+    The poses can come first only because every candidate shares its first
+    waypoint, so the executed path never depends on the planner.  An
+    execution that follows the chosen plan would have to choose inside the
+    pose loop.
     """
     if weights is not None and (
         weights.d_q != settings.d_q or weights.k != settings.k or weights.n_t != settings.horizon_steps
@@ -563,43 +653,21 @@ def run_closed_loop(
     uses_weights = settings.planner == "momentum" and settings.history_depth > 0
     if weights is None and uses_weights:
         weights = WeightBundle.seeded(settings.d_q, settings.k, settings.horizon_steps, settings.weight_seed)
-    h = settings.horizon_steps
-    path = _gen_path(spec, extra_steps=h)
-    n_frames = int(round(spec.duration_s / SIM_DT))
-    world = np.vstack([[0.0, 0.0], path.points])
-    first_dir = world[1] - world[0]
-    pose = Pose2.from_heading(math.atan2(first_dir[1], first_dir[0]), (0.0, 0.0))
-    rng = np.random.default_rng(spec.seed)
-    frames: list[FrameRecord] = []
+    poses, proposals, scores = _stream(spec, settings)
 
-    for j in range(n_frames):
-        future_world = Trajectory(world[j + 1 : j + 1 + h], dt=SIM_DT)
-        gt_future = transform_to_frame(future_world, pose)
-        proposals = propose(
-            gt_future, settings.k, settings.mode_noise_m, settings.jitter_m, rng, settings.d_q
-        )
-        queries = perturb_features(proposals.queries, settings.ns, rng)
-        occluded = (
-            settings.occlusion_start is not None
-            and settings.occlusion_start <= j < settings.occlusion_start + settings.occlusion_len
-        )
-        scores = np.full(settings.k, 1.0 / settings.k) if occluded else proposals.scores
-        proposals = proposals.with_features(scores, queries)
-
-        if not uses_weights:
-            idx, refined_scores = step_oneshot(proposals), None
-        else:
+    if not uses_weights:
+        chosen = np.argmax(scores, axis=1).tolist()
+        frames = [
+            FrameRecord(j * SIM_DT, pose, props, idx)
+            for j, (pose, props, idx) in enumerate(zip(poses, proposals, chosen))
+        ]
+    else:
+        frames = []
+        for j, (pose, props) in enumerate(zip(poses, proposals)):
             history = frames[-settings.history_depth :]
             delta = relative_pose(history[-1].ego_pose, pose) if history else Pose2.identity()
-            idx, refined_scores = step_momentum(
-                proposals, history, delta, weights, settings.distance
-            )
-        frames.append(FrameRecord(j * SIM_DT, pose, proposals, idx, refined_scores))
-
-        step_world = pose.rotation @ proposals.points[idx, 0] + pose.translation
-        disp = step_world - pose.translation
-        heading = math.atan2(disp[1], disp[0]) if (disp[0], disp[1]) != (0.0, 0.0) else pose.heading()
-        pose = Pose2.from_heading(heading, step_world)
+            idx, refined_scores = step_momentum(props, history, delta, weights, settings.distance)
+            frames.append(FrameRecord(j * SIM_DT, pose, props, idx, refined_scores))
 
     log = ScenarioLog(spec, settings, tuple(frames))
     return log, report_from_log(log)
@@ -674,18 +742,22 @@ def report_from_log(log: ScenarioLog) -> MetricReport:
     sq = gap[..., 0] ** 2 + gap[..., 1] ** 2
 
     # collisions: ego boxes swept along the plans against every obstacle at
-    # the same absolute step, one kernel call over (obstacle, frame, waypoint)
-    pred_world = chosen @ np.swapaxes(rot, -1, -2) + xy[:, None, :]
-    ego = (pred_world, ego_headings(pred_world), settings.ego_length_m, settings.ego_width_m)
+    # the same absolute step, one kernel call over (obstacle, frame, waypoint);
+    # a scene without obstacles has nothing to hit
     obstacles = log.spec.obstacles
     n_obs = len(obstacles)
-    boxes = (
-        np.array([o.centers_at(steps) for o in obstacles]).reshape(n_obs, n_frames, h, 2),
-        np.array([o.box.heading for o in obstacles]).reshape(n_obs, 1, 1),
-        np.array([o.box.length for o in obstacles]).reshape(n_obs, 1, 1),
-        np.array([o.box.width for o in obstacles]).reshape(n_obs, 1, 1),
-    )
-    hits = overlap_flags(ego, boxes).any(axis=0)
+    if n_obs:
+        pred_world = chosen @ np.swapaxes(rot, -1, -2) + xy[:, None, :]
+        ego = (pred_world, ego_headings(pred_world), settings.ego_length_m, settings.ego_width_m)
+        boxes = (
+            np.array([o.centers_at(steps) for o in obstacles]).reshape(n_obs, n_frames, h, 2),
+            np.array([o.box.heading for o in obstacles]).reshape(n_obs, 1, 1),
+            np.array([o.box.length for o in obstacles]).reshape(n_obs, 1, 1),
+            np.array([o.box.width for o in obstacles]).reshape(n_obs, 1, 1),
+        )
+        hits = overlap_flags(ego, boxes).any(axis=0)
+    else:
+        hits = np.zeros((n_frames, h), dtype=bool)
 
     def mean_of(values):
         return math.fsum(values.tolist()) / len(values) if len(values) else 0.0

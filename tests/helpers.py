@@ -1,18 +1,30 @@
 """Shared test harnesses: finite differences for gradient verification, and
-the per-candidate proposal and matching loops and the per-frame scoring loop
-that the batched ``propose``, ``ttm_select`` and ``report_from_log`` must
-reproduce."""
+the per-candidate proposal and matching loops and the per-frame rollout and
+scoring loops that the batched ``propose``, ``ttm_select``,
+``run_closed_loop`` and ``report_from_log`` must reproduce."""
 
 import math
 
 import numpy as np
 
-from momentum_planning.interactor import softmax
+from momentum_planning.interactor import WeightBundle, softmax
 from momentum_planning.matching import TrajectorySet, trajectory_distance
 from momentum_planning.metrics import MetricReport, ObstacleBox, l2_error, min_ade_fde, tpc
-from momentum_planning.simulator import SIM_DT, _query_projection, gen_scenario
+from momentum_planning.simulator import (
+    SIM_DT,
+    FrameRecord,
+    ScenarioLog,
+    _gen_path,
+    _query_projection,
+    gen_scenario,
+    perturb_features,
+    report_from_log,
+    step_momentum,
+    step_oneshot,
+)
 from momentum_planning.trajectory import (
     OverlapMask,
+    Pose2,
     Trajectory,
     overlap_mask,
     relative_pose,
@@ -226,3 +238,51 @@ def reference_ttm_select(candidates, history, frame_delta, kind):
             best_dist = d
             best_idx = i
     return best_idx
+
+
+# ---------------------------------------------------------------------------
+# per-frame rollout: the loop that the stream and selection passes of
+# ``run_closed_loop`` replaced, kept as the reference they must reproduce
+# byte for byte
+
+
+def reference_run_closed_loop(spec, settings):
+    """The rollout one frame at a time: transform the future, propose,
+    perturb the queries, occlude, choose, then step the ego by the chosen
+    plan's first waypoint, each frame drawing its own noise in turn."""
+    uses_weights = settings.planner == "momentum" and settings.history_depth > 0
+    weights = None
+    if uses_weights:
+        weights = WeightBundle.seeded(settings.d_q, settings.k, settings.horizon_steps, settings.weight_seed)
+    h, k = settings.horizon_steps, settings.k
+    world = np.vstack([[0.0, 0.0], _gen_path(spec, extra_steps=h).points])
+    first_dir = world[1] - world[0]
+    pose = Pose2.from_heading(math.atan2(first_dir[1], first_dir[0]), (0.0, 0.0))
+    rng = np.random.default_rng(spec.seed)
+    frames = []
+    for j in range(int(round(spec.duration_s / SIM_DT))):
+        gt_future = transform_to_frame(Trajectory(world[j + 1 : j + 1 + h], dt=SIM_DT), pose)
+        proposals = reference_propose(
+            gt_future, k, settings.mode_noise_m, settings.jitter_m, rng, settings.d_q
+        )
+        queries = perturb_features(proposals.queries, settings.ns, rng)
+        occluded = (
+            settings.occlusion_start is not None
+            and settings.occlusion_start <= j < settings.occlusion_start + settings.occlusion_len
+        )
+        scores = np.full(k, 1.0 / k) if occluded else proposals.scores
+        proposals = TrajectorySet(proposals.trajectories, scores, queries)
+        if not uses_weights:
+            idx, refined_scores = step_oneshot(proposals), None
+        else:
+            history = frames[-settings.history_depth :]
+            delta = relative_pose(history[-1].ego_pose, pose) if history else Pose2.identity()
+            idx, refined_scores = step_momentum(proposals, history, delta, weights, settings.distance)
+        frames.append(FrameRecord(j * SIM_DT, pose, proposals, idx, refined_scores))
+
+        step_world = pose.rotation @ proposals.points[idx, 0] + pose.translation
+        disp = step_world - pose.translation
+        heading = math.atan2(disp[1], disp[0]) if (disp[0], disp[1]) != (0.0, 0.0) else pose.heading()
+        pose = Pose2.from_heading(heading, step_world)
+    log = ScenarioLog(spec, settings, tuple(frames))
+    return log, report_from_log(log)

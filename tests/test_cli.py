@@ -8,6 +8,9 @@ import pytest
 from momentum_planning.cli import main
 from momentum_planning.curation import SampleRecord, save_samples_jsonl
 from momentum_planning.simulator import (
+    MAX_D_Q,
+    MAX_HORIZON_STEPS,
+    MAX_K,
     RunSettings,
     ScenarioSpec,
     load_log,
@@ -91,10 +94,15 @@ FAST_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": 4.0, "width": 2.0,
         ("scenario", "obstacles", [FAST_BOX]),
         ("settings", "horizons_s", [1e308]),
         ("scenario", None, {"kind": "s_curve", "radius_m": 1e-320}),
+        ("settings", "k", MAX_K + 1),
+        ("settings", "horizon_steps", MAX_HORIZON_STEPS + 1),
+        ("settings", "d_q", MAX_D_Q + 1),
+        ("settings", "k", 1e12),
     ],
     ids=["history_depth", "obstacle_length", "radius_inf", "short_duration",
          "negative_weight_seed", "fractional_k", "speed_over_bound", "negative_seed",
-         "obstacle_speed_over_bound", "horizon_overflows", "radius_subnormal"],
+         "obstacle_speed_over_bound", "horizon_overflows", "radius_subnormal",
+         "k_over_bound", "horizon_steps_over_bound", "d_q_over_bound", "huge_k"],
 )
 def test_bad_config_values_exit_2_without_outputs(tmp_path, section, key, value):
     cfg = write_config(tmp_path / "cfg.json")

@@ -16,13 +16,18 @@ from helpers import (
     reference_lateral_normals,
     reference_propose,
     reference_report_from_log,
+    reference_run_closed_loop,
 )
 
 from momentum_planning.errors import AlignmentError, ConfigError, LogCorruptionError, ShapeError
 from momentum_planning.interactor import WeightBundle
 from momentum_planning.matching import DistanceKind, TrajectorySet
+from momentum_planning import simulator
 from momentum_planning.simulator import (
+    MAX_D_Q,
     MAX_DURATION_S,
+    MAX_HORIZON_STEPS,
+    MAX_K,
     MAX_SPEED_MPS,
     MIN_RADIUS_M,
     PLANNER_KINDS,
@@ -167,6 +172,13 @@ def test_scenario_bounds_are_inclusive():
     assert np.isfinite(path.points).all()
     tight, _ = gen_scenario(ScenarioSpec("s_curve", 10.0, MAX_SPEED_MPS, radius_m=MIN_RADIUS_M))
     assert np.isfinite(tight.points).all()
+
+
+def test_size_bounds_are_inclusive():
+    # validated only: a rollout this size would hold every frame's stream
+    st = RunSettings(k=MAX_K, horizon_steps=MAX_HORIZON_STEPS, d_q=MAX_D_Q)
+    assert (st.k, st.horizon_steps, st.d_q) == (MAX_K, MAX_HORIZON_STEPS, MAX_D_Q)
+    assert RunSettings.from_dict(st.to_dict()) == st
 
 
 def test_scenario_spec_dict_round_trip():
@@ -331,6 +343,14 @@ def futures(draw, min_len=2, max_len=10):
 @given(futures(min_len=1))
 def test_lateral_normals_match_per_waypoint_reference(gt):
     assert _lateral_normals(gt.points).tobytes() == reference_lateral_normals(gt.points).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(futures(min_len=5, max_len=5), min_size=1, max_size=6))
+def test_stacked_lateral_normals_match_per_waypoint_reference(futures_):
+    stack = np.stack([gt.points for gt in futures_])
+    expected = np.stack([reference_lateral_normals(gt.points) for gt in futures_])
+    assert _lateral_normals(stack).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -538,6 +558,77 @@ def test_momentum_beats_oneshot_on_turn_consistency():
         _, ro = run_closed_loop(spec, RunSettings(planner="oneshot", history_depth=0))
         wins += rm.tpc[3.0] < ro.tpc[3.0]
     assert wins >= 9
+
+
+def _reference_cases(kind):
+    """Settings for the rollout oracle: the smallest sizes with every noise
+    at 0, occlusion windows at the start, middle and past the end, and
+    drawn sizes, noises and distances; each under one-shot and momentum at
+    depths 0-2."""
+    rng = np.random.default_rng([SCENARIO_KINDS.index(kind), 9])
+    bases = [
+        dict(k=1, horizon_steps=2, jitter_m=0.0, mode_noise_m=0.0, ns=0.0, horizons_s=(0.5, 1.0)),
+        dict(k=2, horizon_steps=2, jitter_m=0.0, horizons_s=(1.0,), occlusion_start=0, occlusion_len=2),
+        dict(mode_noise_m=0.0, ns=0.0, occlusion_start=3, occlusion_len=2),
+        dict(occlusion_start=7, occlusion_len=9),
+    ]
+    for _ in range(3):
+        h = int(rng.integers(2, MAX_HORIZON_STEPS + 1))
+        bases.append(dict(
+            k=int(rng.integers(1, MAX_K + 1)), horizon_steps=h, d_q=int(rng.integers(1, 40)),
+            jitter_m=float(rng.uniform(0.0, 0.6)), mode_noise_m=float(rng.uniform(0.0, 2.0)),
+            ns=float(rng.uniform(0.0, 0.3)), horizons_s=(0.5 * h,), weight_seed=int(rng.integers(0, 5)),
+            distance=str(rng.choice(["hausdorff", "euclidean"])),
+        ))
+    runs = [("oneshot", 0)] + [("momentum", depth) for depth in (0, 1, 2)]
+    return [RunSettings(planner=p, history_depth=d, **base) for base in bases for p, d in runs]
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_rollout_matches_per_frame_reference(kind):
+    obstacle = ScriptedObstacle(ObstacleBox((12.0, 1.0), 0.4, 4.0, 2.0), (-1.0, 0.5))
+    spec = ScenarioSpec(kind, 4.0, 6.0, radius_m=15.0, obstacles=(obstacle,), seed=11)
+    for st_ in _reference_cases(kind):
+        log, report = run_closed_loop(spec, st_)
+        ref_log, ref_report = reference_run_closed_loop(spec, st_)
+        assert log_to_jsonl(log) == log_to_jsonl(ref_log), st_
+        assert [f.chosen_index for f in log.frames] == [f.chosen_index for f in ref_log.frames]
+        assert report.to_csv_text() == ref_report.to_csv_text()
+
+
+def test_rollouts_with_equal_settings_share_one_weight_bundle(monkeypatch):
+    seen = []
+
+    def record(proposals, history, frame_delta, weights, kind):
+        seen.append(weights)
+        return step_momentum(proposals, history, frame_delta, weights, kind)
+
+    monkeypatch.setattr(simulator, "step_momentum", record)
+    st_ = RunSettings(planner="momentum", history_depth=2, weight_seed=3)
+    run_closed_loop(arc_spec(seed=1), st_)
+    run_closed_loop(arc_spec(seed=2), st_)
+    assert len(seen) == 16
+    assert all(w is seen[0] for w in seen)
+    run_closed_loop(arc_spec(seed=1), dataclasses.replace(st_, weight_seed=4))
+    assert seen[-1] is not seen[0]
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_obstacle_free_log_scores_without_the_collision_kernel(monkeypatch, kind):
+    spec = ScenarioSpec(kind, 4.0, 6.0, seed=3)
+    log, _ = run_closed_loop(spec, RunSettings(planner="oneshot", history_depth=0))
+    blocked = ScenarioSpec(kind, 4.0, 6.0, obstacles=(ScriptedObstacle(ObstacleBox((8.0, 0.0), 0.0, 2.0, 2.0)),),
+                           seed=3)
+    blocked_log = ScenarioLog(blocked, log.settings, log.frames)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("collision kernel run for a scene without obstacles")
+
+    monkeypatch.setattr(simulator, "overlap_flags", refuse)
+    monkeypatch.setattr(simulator, "ego_headings", refuse)
+    assert report_from_log(log).to_csv_text() == reference_report_from_log(log).to_csv_text()
+    with pytest.raises(AssertionError):
+        report_from_log(blocked_log)
 
 
 @pytest.mark.parametrize("planner,depth", [("oneshot", 0), ("momentum", 0)])
