@@ -310,6 +310,12 @@ def test_propose_jitter_matches_requested_std():
     assert abs(first_std - sigma) < 0.1 * sigma
 
 
+@pytest.mark.parametrize("mode_noise, jitter", [(-0.1, 0.3), (1.0, -0.3), (math.nan, 0.3)])
+def test_propose_rejects_negative_noise_scales(mode_noise, jitter):
+    with pytest.raises(ValueError):
+        propose(gt_line(), 6, mode_noise, jitter, seed=0)
+
+
 def test_perturb_features_zero_scale_is_identity():
     x = np.random.default_rng(0).normal(size=(5, 7))
     out = perturb_features(x, 0.0, seed=3)
