@@ -6,13 +6,20 @@ composition of small, separately testable stages:
     score_gate -> lstm mixing (all K rows at once) -> cross attention -> plan head
 
 Every stage works on whole (K, D) arrays; the only loop is the one over
-the 1-2 history steps.  The weight container is a named map of dense
-matrices, serialized to JSON with exact float round-trip.
-``trajectory_sq_loss_and_grads`` runs the same stage code as
-``mpi_forward``, keeps its intermediates, and feeds them to a hand-derived
-reverse pass for the squared-norm loss over the produced trajectories,
-returning a gradient for every weight entry; it exists so the forward math
-can be verified against finite differences.
+the 1-2 history steps.  The private stages also take leading batch axes
+((..., K, D) rows, (..., D) queries), so the rollout can run them over
+frames and over every candidate a frame's query could come from in one
+call each.  Each matrix product keeps its per-slice form: ``(..., K, D) @
+W.T`` for the row products, ``W @ x[..., None]`` and ``a[..., None, :] @
+B`` for the vector ones, which numpy's matmul computes slice by slice with
+the gemm or gemv call the unbatched product makes, so a batched stage
+equals the unbatched one on each slice bit for bit.  The weight container
+is a named map of dense matrices, serialized to JSON with exact float
+round-trip.  ``trajectory_sq_loss_and_grads`` runs the same stage code as
+``mpi_forward``, keeps its intermediates, and feeds them to a
+hand-derived reverse pass for the squared-norm loss over the produced
+trajectories, returning a gradient for every weight entry; it exists so
+the forward math can be verified against finite differences.
 
 Shape conventions (D = query width, K = candidates, N = waypoints):
     query row        (D,)
@@ -249,13 +256,14 @@ class WeightBundle:
 # inference and the gradient run the same forward code.
 
 
-def _score_gate(batch: QueryBatch, weights: WeightBundle, activation: str):
-    # returns (pre-activation, activation, sigmoid(score) column, gated rows)
-    if batch.width != weights.d_q:
-        raise ShapeError(f"row width {batch.width} != weight width {weights.d_q}")
-    pre = batch.rows @ weights.get("mlp.W").T + weights.get("mlp.b")
+def _score_gate(rows, scores, weights: WeightBundle, activation: str):
+    # (..., K, D) rows and (..., K) scores; returns (pre-activation,
+    # activation, sigmoid(score) column, gated rows)
+    if rows.shape[-1] != weights.d_q:
+        raise ShapeError(f"row width {rows.shape[-1]} != weight width {weights.d_q}")
+    pre = rows @ weights.get("mlp.W").T + weights.get("mlp.b")
     act = _apply_activation(pre, activation)
-    gate = sigmoid(batch.scores)[:, None]
+    gate = sigmoid(scores)[..., None]
     return pre, act, gate, gate * act
 
 
@@ -264,18 +272,18 @@ def score_gate(batch: QueryBatch, weights: WeightBundle, activation: str = "iden
 
     Returns (K, D): sigmoid(score_k) * act(W row_k + b).
     """
-    return _score_gate(batch, weights, activation)[-1]
+    return _score_gate(batch.rows, batch.scores, weights, activation)[-1]
 
 
 def _lstm_gates(x, h, c, w_ih, w_hh, b):
-    # one cell update for all K rows of x, h, c (each (K, D)); returns every
-    # intermediate, gate order along the 4D axis is i, f, g, o
+    # one cell update for all rows of x, h, c (each (..., K, D)); returns
+    # every intermediate, gate order along the 4D axis is i, f, g, o
     a = x @ w_ih.T + h @ w_hh.T + b
     d = len(b) // 4
-    i = sigmoid(a[:, :d])
-    f = sigmoid(a[:, d : 2 * d])
-    g = np.tanh(a[:, 2 * d : 3 * d])
-    o = sigmoid(a[:, 3 * d :])
+    i = sigmoid(a[..., :d])
+    f = sigmoid(a[..., d : 2 * d])
+    g = np.tanh(a[..., 2 * d : 3 * d])
+    o = sigmoid(a[..., 3 * d :])
     c_new = f * c + i * g
     tanh_c = np.tanh(c_new)
     return i, f, g, o, c_new, tanh_c, o * tanh_c
@@ -294,7 +302,7 @@ def _mix_history(history, weights: WeightBundle, activation: str):
     h = c = np.zeros((k, d))
     tape = []
     for step in steps:
-        gate = _score_gate(step, weights, activation)
+        gate = _score_gate(step.rows, step.scores, weights, activation)
         cell = _lstm_gates(gate[-1], h, c, w_ih, w_hh, b)
         tape.append((step, gate, h, c, cell))
         _, _, _, _, c, _, h = cell
@@ -315,27 +323,34 @@ def mix_history(
     return _mix_history(history, weights, activation)[0]
 
 
+def _row(query) -> np.ndarray:
+    # the public stages take one query, of any shape holding D values
+    return np.asarray(query, dtype=np.float64).reshape(-1)
+
+
 def _attention_logits(query, keys, weights: WeightBundle):
-    # returns (query, projected query, projected keys, scaled logits)
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
+    # (..., D) queries over (..., K, D) keys; returns (query, projected
+    # query, projected keys, scaled logits (..., K))
+    q = np.asarray(query, dtype=np.float64)
     kk = np.asarray(keys, dtype=np.float64)
-    if kk.ndim != 2 or kk.shape[1] != len(q):
-        raise ShapeError(f"keys must be (K, {len(q)}), got {kk.shape}")
-    if kk.shape[0] == 0:
+    if kk.ndim < 2 or kk.shape[-1] != q.shape[-1]:
+        raise ShapeError(f"keys must be (K, {q.shape[-1]}), got {kk.shape}")
+    if kk.shape[-2] == 0:
         raise EmptyInputError("attention needs at least one key row")
-    qp = weights.get("attn.W_q") @ q
+    qp = (weights.get("attn.W_q") @ q[..., None])[..., 0]
     kp = kk @ weights.get("attn.W_k").T
-    return q, qp, kp, kp @ qp / math.sqrt(len(q))
+    return q, qp, kp, (kp @ qp[..., None])[..., 0] / math.sqrt(q.shape[-1])
 
 
 def attention_weights(query, keys, weights: WeightBundle) -> np.ndarray:
     """Normalized attention distribution of one query over K key rows."""
-    return softmax(_attention_logits(query, keys, weights)[-1])
+    return softmax(_attention_logits(_row(query), keys, weights)[-1])
 
 
 def _cross_attention(query, keys, values, weights: WeightBundle):
-    # returns (refined query, (query, projected query, projected keys,
-    # projected values, attention weights, context))
+    # (..., D) queries over (..., K, D) keys and values; returns (refined
+    # queries, (query, projected query, projected keys, projected values,
+    # attention weights, context))
     vv = np.asarray(values, dtype=np.float64)
     kk = np.asarray(keys, dtype=np.float64)
     if vv.shape != kk.shape:
@@ -343,27 +358,42 @@ def _cross_attention(query, keys, values, weights: WeightBundle):
     q, qp, kp, logits = _attention_logits(query, kk, weights)
     w = softmax(logits)
     vp = vv @ weights.get("attn.W_v").T
-    ctx = w @ vp
-    return weights.get("attn.W_o") @ ctx, (q, qp, kp, vp, w, ctx)
+    ctx = (w[..., None, :] @ vp)[..., 0, :]
+    return (weights.get("attn.W_o") @ ctx[..., None])[..., 0], (q, qp, kp, vp, w, ctx)
 
 
 def cross_attention(query, keys, values, weights: WeightBundle) -> np.ndarray:
     """Single-head scaled dot-product attention; returns the refined query."""
-    return _cross_attention(query, keys, values, weights)[0]
+    return _cross_attention(_row(query), keys, values, weights)[0]
+
+
+def _head_input(query, instance_features):
+    # (..., D) queries beside the mean of their (..., M, D) feature rows:
+    # the pooled head input z (..., 2D)
+    q = np.asarray(query, dtype=np.float64)
+    feats = np.asarray(instance_features, dtype=np.float64)
+    if feats.ndim < 2 or feats.shape[-1] != q.shape[-1]:
+        raise ShapeError(f"features must be (M, {q.shape[-1]}), got {feats.shape}")
+    if feats.shape[-2] == 0:
+        raise EmptyInputError("plan head needs at least one instance feature row")
+    pooled = feats.mean(axis=-2)
+    if pooled.shape != q.shape:
+        # one pool for many queries; broadcast_to would cost the one-query
+        # reverse pass more than the rest of this stage
+        pooled = np.broadcast_to(pooled, q.shape)
+    return np.concatenate([q, pooled], axis=-1)
+
+
+def _score_head(z, weights: WeightBundle):
+    # score logits (..., K) of head inputs z (..., 2D)
+    return (weights.get("head.W_score") @ z[..., None])[..., 0] + weights.get("head.b_score")
 
 
 def _plan_head(query, instance_features, weights: WeightBundle):
-    # returns ((trajectories, score logits), pooled head input z)
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    feats = np.asarray(instance_features, dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[1] != len(q):
-        raise ShapeError(f"features must be (M, {len(q)}), got {feats.shape}")
-    if feats.shape[0] == 0:
-        raise EmptyInputError("plan head needs at least one instance feature row")
-    z = np.concatenate([q, feats.mean(axis=0)])
+    # one query; returns ((trajectories, score logits), pooled head input z)
+    z = _head_input(query, instance_features)
     flat = weights.get("head.W_traj") @ z + weights.get("head.b_traj")
-    scores = weights.get("head.W_score") @ z + weights.get("head.b_score")
-    return (flat.reshape(weights.k, weights.n_t, 2), scores), z
+    return (flat.reshape(weights.k, weights.n_t, 2), _score_head(z, weights)), z
 
 
 def plan_head(query, instance_features, weights: WeightBundle):
@@ -371,7 +401,15 @@ def plan_head(query, instance_features, weights: WeightBundle):
 
     Returns (trajectories (K, N, 2), score_logits (K,)).
     """
-    return _plan_head(query, instance_features, weights)[0]
+    return _plan_head(_row(query), instance_features, weights)[0]
+
+
+def _refined_scores(query, mixed, instance_features, weights: WeightBundle):
+    # the score logits mpi_forward gives for (..., D) queries once the
+    # history is mixed into (..., K, D) rows; the trajectory half of the
+    # head, which selection never reads, is not computed
+    refined, _ = _cross_attention(query, mixed, mixed, weights)
+    return _score_head(_head_input(refined, instance_features), weights)
 
 
 def mpi_forward(
@@ -408,7 +446,7 @@ def trajectory_sq_loss_and_grads(
     """
     mixed, mix_tape = _mix_history(history, weights, activation)
     refined, (q_sel, qp, kp, vp, w_att, ctx) = _cross_attention(
-        selected_query, mixed, mixed, weights
+        _row(selected_query), mixed, mixed, weights
     )
     (trajs, _), z = _plan_head(refined, instance_features, weights)
     y = trajs.reshape(-1)

@@ -15,8 +15,11 @@ they should for consistency studies: in the predicted tails.
 
 A rollout therefore runs in two passes.  The stream pass draws every
 frame's noise at once, chains the ego poses in a short loop and builds all
-frames' proposals as stacked arrays; the selection pass then lets the
-planner choose frame by frame.  An execution that followed the chosen plan
+frames' proposals as stacked arrays; the selection pass then chooses over
+those stacks.  Within it only the previous choice depends on the planner,
+so the momentum planner's TTM distances and MPI scores are computed for
+every previous choice at once, stacked over frame blocks, and the choices
+are chased through them.  An execution that followed the chosen plan
 instead would have to choose inside the pose loop.
 """
 
@@ -31,17 +34,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, EmptyInputError, LogCorruptionError, ShapeError
-from .interactor import QueryBatch, WeightBundle, mpi_forward, softmax
-from .matching import DistanceKind, TrajectorySet, ttm_select
+from .errors import AlignmentError, ConfigError, EmptyInputError, GeometryError, LogCorruptionError
+from .errors import ShapeError
+from .interactor import QueryBatch, WeightBundle, mix_history, softmax
+from .interactor import _lstm_gates, _refined_scores, _score_gate
+from .interactor import mpi_forward  # noqa: F401
+from .matching import DistanceKind, TrajectorySet
+from .matching import ttm_select  # noqa: F401
 from .metrics import L2Protocol, MetricReport, ObstacleBox, ego_headings, overlap_flags
 from .metrics import collision_flags, l2_error, min_ade_fde, tpc  # noqa: F401
-from .trajectory import Pose2, Trajectory, relative_pose, trajectory_from_dict
+from .trajectory import Pose2, Trajectory, resample, trajectory_from_dict
 from .trajectory import transform_to_frame  # noqa: F401
 
 # The per-trajectory metrics above score one frame each and report_from_log
-# does not call them, and the rollout moves its futures into the ego frame
-# without transform_to_frame; they stay importable here because
+# does not call them, the rollout moves its futures into the ego frame
+# without transform_to_frame, and momentum selection calls neither
+# ttm_select nor mpi_forward; they stay importable here because
 # bench/tracing.py wraps them on this module.
 
 SIM_DT = 0.5
@@ -59,6 +67,12 @@ MIN_RADIUS_M = 1.0
 MAX_K = 16
 MAX_HORIZON_STEPS = 20
 MAX_D_Q = 128
+
+# the most float64 values one frame block of the momentum selection pass
+# holds in one array: its (frames, K, K', N, N) pointwise distances or its
+# (frames, K, 4 d_q) cell pre-activations.  A rollout's whole stack of
+# either would outgrow its stream; at the size bounds a block is one frame.
+_SELECT_BLOCK_ELEMENTS = 1 << 17
 
 SCENARIO_KINDS = ("straight", "arc_turn", "s_curve")
 PLANNER_KINDS = ("oneshot", "momentum")
@@ -559,31 +573,143 @@ def step_momentum(
     (after moving into that frame) supplies the query; the refinement stack
     re-scores the candidate set and the argmax of the refined scores wins.
     Returns ``(chosen_index, refined_scores | None)``.
+
+    This is the one-frame call of the rollout's stacked selection: the same
+    candidate move, TTM distances and refined scores, for the one previous
+    plan and the one pick, with the history mixed by ``mix_history``.
     """
     history = list(history)
     if not history:
         return step_oneshot(proposals), None
-    anchor = history[-1]
-    k_star = ttm_select(proposals, anchor.chosen_trajectory, frame_delta, kind)
-    batches = [QueryBatch(f.proposals.queries, f.proposals.scores) for f in history]
-    _, refined_scores = mpi_forward(
-        proposals.queries[k_star], batches, proposals.queries, weights
-    )
+    kind = DistanceKind(kind)
+    moved = _moved(proposals.points[None], frame_delta.rotation[None], frame_delta.translation[None])
+    plan = history[-1].chosen_trajectory
+    if kind is DistanceKind.MEAN_EUCLIDEAN and len(plan) != len(proposals.points[0]):
+        # the pointwise mean compares plans of one length: both are
+        # resampled to the longer, as ttm_select does
+        n = max(len(plan), len(proposals.points[0]))
+        plan = resample(plan, n)
+        moved = np.stack([resample(Trajectory(m, dt=proposals.dt), n).points for m in moved[0]])[None]
+    k_star = int(np.argmin(_pair_distances(moved, plan.points[None, None], kind)))
+    mixed = mix_history([QueryBatch(f.proposals.queries, f.proposals.scores) for f in history], weights)
+    refined_scores = _refined_scores(proposals.queries[k_star], mixed, proposals.queries, weights)
     return int(np.argmax(refined_scores)), refined_scores
+
+
+def _moved(points, rotation, translation) -> np.ndarray:
+    """Candidates (F, K, N, 2) moved by each frame's delta, a (F, 2, 2)
+    rotation and (F, 2) translation: one product per frame, the one
+    ``ttm_select`` makes."""
+    moved = (points - translation[:, None, None, :]) @ rotation[:, None]
+    if not np.isfinite(moved).all():
+        raise GeometryError("candidate moved into the history frame is not finite")
+    return moved
+
+
+def _pair_distances(moved, plans, kind: DistanceKind) -> np.ndarray:
+    """TTM distance (F, K, K') of each moved candidate (F, K, N, 2) to each
+    of the previous frame's plans (F, K', M, 2); each value is the one
+    ``ttm_select`` computes for that candidate with that plan as the
+    history.  The pointwise mean needs M = N."""
+    if kind is DistanceKind.HAUSDORFF:
+        a = moved[:, :, None, :, None, :]
+        b = plans[:, None, :, None, :, :]
+        # squared (F, K, K', N, M) distances, built in place to hold two
+        # such arrays at most; sqrt is monotone, so taking it after the
+        # minima and maxima gives the same values
+        sq = a[..., 0] - b[..., 0]
+        sq *= sq
+        dy = a[..., 1] - b[..., 1]
+        dy *= dy
+        sq += dy
+        del dy
+        return np.sqrt(np.maximum(sq.min(axis=-1).max(axis=-1), sq.min(axis=-2).max(axis=-1)))
+    diff = moved[:, :, None] - plans[:, None]
+    # C order, so that each waypoint row is summed the way ttm_select sums it
+    return np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2, order="C").mean(axis=-1)
+
+
+def _choose_momentum(poses, points, scores, queries, settings: RunSettings, weights: WeightBundle):
+    """The momentum planner's chosen index and refined scores (None on the
+    first frame) for every frame of a stream, over its (F, K, N, 2) points,
+    (F, K) scores and (F, K, D) queries.
+
+    Frames go in blocks of at most ``_SELECT_BLOCK_ELEMENTS`` values per
+    array.  Each block score-gates its history frames once and runs the
+    cell over them from the zero state; at depth 2 a second step takes
+    each frame j from frame j-2's state, which for the block's first frame
+    the previous block carries.  Each frame's refined scores are then
+    computed for every candidate TTM could pick.  The previous frame's
+    choice is one of its refined scores' argmaxes (the choice made before
+    the block, for the block's first frame), so TTM distances are computed
+    to those plans only.  The choices are chased through the argmin and
+    argmax tables over Python ints; ties go to the lowest index.
+    """
+    n_frames, k, n = points.shape[:3]
+    d_q = queries.shape[-1]
+    chosen, refined_rows = [int(np.argmax(scores[0]))], [None]
+    rot = np.array([p.rotation for p in poses])
+    xy = np.array([p.translation for p in poses])
+    delta_rot, delta_xy = _frame_deltas(rot, xy)
+    cell = (weights.get("lstm.W_ih"), weights.get("lstm.W_hh"), weights.get("lstm.b"))
+    block = max(1, _SELECT_BLOCK_ELEMENTS // (k * max(k * n * n, 4 * d_q)))
+    carry_h = carry_c = np.zeros((1, k, d_q))
+    for s in range(1, n_frames, block):
+        e = min(s + block, n_frames)
+        hist = slice(s - 1, e - 1)
+        gated = _score_gate(queries[hist], scores[hist], weights, "identity")[-1]
+        zero = np.zeros_like(gated)
+        _, _, _, _, c1, _, mixed = _lstm_gates(gated, zero, zero, *cell)
+        if settings.history_depth == 2:
+            h1 = mixed
+            h0 = np.concatenate([carry_h, h1[:-1]])
+            c0 = np.concatenate([carry_c, c1[:-1]])
+            mixed = _lstm_gates(gated, h0, c0, *cell)[-1]
+            carry_h, carry_c = h1[-1:], c1[-1:]
+        # (frames, TTM pick, K)
+        refined = _refined_scores(queries[s:e], mixed[:, None], queries[s:e][:, None], weights)
+        best = refined.argmax(axis=-1).tolist()
+        reach = [[chosen[-1]]] + [sorted(set(row)) for row in best[:-1]]
+        width = max(map(len, reach))
+        cols = np.array([r + r[:1] * (width - len(r)) for r in reach])
+        plans = points[hist][np.arange(e - s)[:, None], cols]
+        moved = _moved(points[s:e], delta_rot[hist], delta_xy[hist])
+        ttm = _pair_distances(moved, plans, settings.distance).argmin(axis=1).tolist()
+        picks = []
+        for t in range(e - s):
+            picks.append(ttm[t][reach[t].index(chosen[-1])])
+            chosen.append(best[t][picks[-1]])
+        refined_rows.extend(refined[np.arange(e - s), picks])
+    return chosen, refined_rows
 
 
 # ---------------------------------------------------------------------------
 # closed loop
 
 
+def _world(spec: ScenarioSpec, horizon_steps: int) -> np.ndarray:
+    """The scenario's path in world coordinates, the ego's start at the
+    origin first, long enough for the last frame's horizon."""
+    return np.vstack([[0.0, 0.0], _gen_path(spec, extra_steps=horizon_steps).points])
+
+
+def _frame_deltas(rot, xy):
+    """For each frame j >= 1 of (F, 2, 2) ego rotations and (F, 2)
+    positions, the pose that moves frame j's points into frame j-1:
+    rotations (F-1, 2, 2) and translations (F-1, 2), each the product
+    ``relative_pose`` computes."""
+    rot_t = np.swapaxes(rot[1:], -1, -2)
+    return rot_t @ rot[:-1], (rot_t @ (xy[:-1] - xy[1:])[..., None])[..., 0]
+
+
 def _stream(spec: ScenarioSpec, settings: RunSettings):
-    """The stream pass of a rollout: the ego pose of every frame, and every
-    frame's proposals over one checked (F, K, N, 2) stack, with the (F, K)
-    score stack the proposals are views of."""
+    """The stream pass of a rollout: the scenario's world path (``_world``),
+    the ego pose of every frame, and every frame's proposals over one
+    checked (F, K, N, 2) stack, with the (F, K, N, 2) points, (F, K) scores
+    and (F, K, D) queries the proposals are views of."""
     k, h, d_q = settings.k, settings.horizon_steps, settings.d_q
-    path = _gen_path(spec, extra_steps=h)
+    world = _world(spec, h)
     n_frames = int(round(spec.duration_s / SIM_DT))
-    world = np.vstack([[0.0, 0.0], path.points])
     first_dir = world[1] - world[0]
     pose = Pose2.from_heading(math.atan2(first_dir[1], first_dir[0]), (0.0, 0.0))
 
@@ -608,7 +734,8 @@ def _stream(spec: ScenarioSpec, settings: RunSettings):
     queries += (settings.ns * draws[:, width:]).reshape(n_frames, k, d_q)
     if settings.occlusion_start is not None:
         scores[settings.occlusion_start : settings.occlusion_start + settings.occlusion_len] = 1.0 / k
-    return poses, TrajectorySet.per_frame(cands, scores, queries, dt=SIM_DT), scores
+    proposals = TrajectorySet.per_frame(cands, scores, queries, dt=SIM_DT)
+    return world, poses, proposals, (cands, scores, queries)
 
 
 def run_closed_loop(
@@ -633,9 +760,14 @@ def run_closed_loop(
         previous frame's first step;
       * every frame's candidates, scores, perturbed queries and occlusion,
         as stacked arrays checked once.
-    The selection pass then lets the planner choose, frame by frame, over
-    views of those stacks: the row argmax for one-shot, ``step_momentum``
-    on the frames chosen so far for momentum.
+    The selection pass then chooses over those stacks: the row argmax for
+    one-shot.  For momentum, only the previous choice depends on the
+    planner, so each frame's TTM distances to every candidate of the frame
+    before and its refined scores for every candidate TTM could pick are
+    computed stacked over frames, in blocks of bounded size, and the
+    choices are chased through them frame by frame; ``step_momentum`` is
+    the one-frame call of the same code.  The report is scored on the
+    stream's world path.
 
     The poses can come first only because every candidate shares its first
     waypoint, so the executed path never depends on the planner.  An
@@ -653,24 +785,18 @@ def run_closed_loop(
     uses_weights = settings.planner == "momentum" and settings.history_depth > 0
     if weights is None and uses_weights:
         weights = WeightBundle.seeded(settings.d_q, settings.k, settings.horizon_steps, settings.weight_seed)
-    poses, proposals, scores = _stream(spec, settings)
+    world, poses, proposals, (points, scores, queries) = _stream(spec, settings)
 
-    if not uses_weights:
-        chosen = np.argmax(scores, axis=1).tolist()
-        frames = [
-            FrameRecord(j * SIM_DT, pose, props, idx)
-            for j, (pose, props, idx) in enumerate(zip(poses, proposals, chosen))
-        ]
+    if uses_weights:
+        chosen, refined = _choose_momentum(poses, points, scores, queries, settings, weights)
     else:
-        frames = []
-        for j, (pose, props) in enumerate(zip(poses, proposals)):
-            history = frames[-settings.history_depth :]
-            delta = relative_pose(history[-1].ego_pose, pose) if history else Pose2.identity()
-            idx, refined_scores = step_momentum(props, history, delta, weights, settings.distance)
-            frames.append(FrameRecord(j * SIM_DT, pose, props, idx, refined_scores))
-
-    log = ScenarioLog(spec, settings, tuple(frames))
-    return log, report_from_log(log)
+        chosen, refined = np.argmax(scores, axis=1).tolist(), [None] * len(poses)
+    frames = tuple(
+        FrameRecord(j * SIM_DT, pose, props, idx, refined_scores)
+        for j, (pose, props, idx, refined_scores) in enumerate(zip(poses, proposals, chosen, refined))
+    )
+    log = ScenarioLog(spec, settings, frames)
+    return log, _score_log(log, world)
 
 
 def _check_frame(frame: FrameRecord, j: int, settings: RunSettings) -> None:
@@ -704,8 +830,9 @@ def _stack_log(log: ScenarioLog):
 
 
 def report_from_log(log: ScenarioLog) -> MetricReport:
-    """Recompute every metric from a log alone (the run uses this too, so
-    replaying a persisted log reproduces the original report exactly).
+    """Recompute every metric from a log alone (the run scores the same
+    way, so replaying a persisted log reproduces the original report
+    exactly).
 
     The whole log is scored at once on stacked (frame, waypoint) arrays;
     every matrix product is the one a single frame would compute, so the
@@ -713,12 +840,16 @@ def report_from_log(log: ScenarioLog) -> MetricReport:
     functions bit for bit.  Per-frame values are then summed with
     ``math.fsum`` in frame order.
     """
+    return _score_log(log, _world(log.spec, log.settings.horizon_steps))
+
+
+def _score_log(log: ScenarioLog, world: np.ndarray) -> MetricReport:
+    """``report_from_log`` on the scenario's ``_world`` path, which the
+    rollout has already built."""
     settings = log.settings
     h = settings.horizon_steps
     rot, xy, chosen, proposals = _stack_log(log)
     n_frames = len(chosen)
-    path = _gen_path(log.spec, extra_steps=h)
-    world = np.vstack([[0.0, 0.0], path.points])
     if n_frames + h > len(world):
         raise AlignmentError(
             f"log has {n_frames} frames, the scenario's path covers {len(world) - h}"
@@ -734,9 +865,7 @@ def report_from_log(log: ScenarioLog) -> MetricReport:
 
     # consistency: frame j's plan moved into frame j-1, waypoint i against
     # the previous plan's waypoint i+1
-    rot_t = np.swapaxes(rot[1:], -1, -2)
-    delta_rot = rot_t @ rot[:-1]
-    delta_xy = (rot_t @ (xy[:-1] - xy[1:])[..., None])[..., 0]
+    delta_rot, delta_xy = _frame_deltas(rot, xy)
     moved = (chosen[1:] - delta_xy[:, None, :]) @ delta_rot
     gap = moved[:, : h - 1] - chosen[:-1, 1:]
     sq = gap[..., 0] ** 2 + gap[..., 1] ** 2

@@ -1,14 +1,15 @@
 """Shared test harnesses: finite differences for gradient verification, and
-the per-candidate proposal and matching loops and the per-frame rollout and
-scoring loops that the batched ``propose``, ``ttm_select``,
-``run_closed_loop`` and ``report_from_log`` must reproduce."""
+the per-candidate proposal and matching loops, the per-frame momentum step
+and the per-frame rollout and scoring loops that the batched ``propose``,
+``ttm_select``, ``step_momentum``, ``run_closed_loop`` and
+``report_from_log`` must reproduce."""
 
 import math
 
 import numpy as np
 
-from momentum_planning.interactor import WeightBundle, softmax
-from momentum_planning.matching import TrajectorySet, trajectory_distance
+from momentum_planning.interactor import QueryBatch, WeightBundle, mpi_forward, softmax
+from momentum_planning.matching import TrajectorySet, trajectory_distance, ttm_select
 from momentum_planning.metrics import MetricReport, ObstacleBox, l2_error, min_ade_fde, tpc
 from momentum_planning.simulator import (
     SIM_DT,
@@ -19,7 +20,6 @@ from momentum_planning.simulator import (
     gen_scenario,
     perturb_features,
     report_from_log,
-    step_momentum,
     step_oneshot,
 )
 from momentum_planning.trajectory import (
@@ -242,17 +242,29 @@ def reference_ttm_select(candidates, history, frame_delta, kind):
 
 # ---------------------------------------------------------------------------
 # per-frame rollout: the loop that the stream and selection passes of
-# ``run_closed_loop`` replaced, kept as the reference they must reproduce
-# byte for byte
+# ``run_closed_loop`` replaced, and the momentum step it took per frame,
+# kept as the references they must reproduce byte for byte
 
 
-def reference_run_closed_loop(spec, settings):
+def reference_step_momentum(proposals, history, frame_delta, weights, kind):
+    """One frame of momentum selection: ``ttm_select`` against the most
+    recent chosen plan, then the full ``mpi_forward`` on that candidate's
+    query, trajectories included."""
+    history = list(history)
+    if not history:
+        return step_oneshot(proposals), None
+    k_star = ttm_select(proposals, history[-1].chosen_trajectory, frame_delta, kind)
+    batches = [QueryBatch(f.proposals.queries, f.proposals.scores) for f in history]
+    _, refined_scores = mpi_forward(proposals.queries[k_star], batches, proposals.queries, weights)
+    return int(np.argmax(refined_scores)), refined_scores
+
+
+def reference_run_closed_loop(spec, settings, weights=None):
     """The rollout one frame at a time: transform the future, propose,
     perturb the queries, occlude, choose, then step the ego by the chosen
     plan's first waypoint, each frame drawing its own noise in turn."""
     uses_weights = settings.planner == "momentum" and settings.history_depth > 0
-    weights = None
-    if uses_weights:
+    if weights is None and uses_weights:
         weights = WeightBundle.seeded(settings.d_q, settings.k, settings.horizon_steps, settings.weight_seed)
     h, k = settings.horizon_steps, settings.k
     world = np.vstack([[0.0, 0.0], _gen_path(spec, extra_steps=h).points])
@@ -277,7 +289,7 @@ def reference_run_closed_loop(spec, settings):
         else:
             history = frames[-settings.history_depth :]
             delta = relative_pose(history[-1].ego_pose, pose) if history else Pose2.identity()
-            idx, refined_scores = step_momentum(proposals, history, delta, weights, settings.distance)
+            idx, refined_scores = reference_step_momentum(proposals, history, delta, weights, settings.distance)
         frames.append(FrameRecord(j * SIM_DT, pose, proposals, idx, refined_scores))
 
         step_world = pose.rotation @ proposals.points[idx, 0] + pose.translation

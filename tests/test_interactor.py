@@ -9,6 +9,13 @@ from momentum_planning.errors import EmptyInputError, ShapeError
 from momentum_planning.interactor import (
     QueryBatch,
     WeightBundle,
+    _attention_logits,
+    _cross_attention,
+    _head_input,
+    _lstm_gates,
+    _refined_scores,
+    _score_gate,
+    _score_head,
     attention_weights,
     cross_attention,
     mix_history,
@@ -249,6 +256,68 @@ def test_mpi_forward_equals_staged_composition(wb):
     exp_trajs, exp_scores = plan_head(refined, feats, wb)
     np.testing.assert_array_equal(trajs, exp_trajs)
     np.testing.assert_array_equal(scores, exp_scores)
+
+
+# --- leading batch axes ------------------------------------------------------------
+
+
+def same_bits(batched, single):
+    single = np.asarray(single)
+    return batched.shape == single.shape and np.ascontiguousarray(batched).tobytes() == single.tobytes()
+
+
+@st.composite
+def stacked_stage_inputs(draw):
+    """Leading batch axes of 0-2 dims, K 1-16 and D 1-128, and rows, scores,
+    cell states and queries over them; keys share all but the last leading
+    axis with the queries, which they may broadcast along as the rollout's
+    history rows do against every candidate's query."""
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    k, d = draw(st.integers(1, 16)), draw(st.integers(1, 128))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    key_lead = lead[:-1] + (1,) if lead and draw(st.booleans()) else lead
+    return dict(
+        weights=WeightBundle.seeded(d, k, 2, seed=draw(st.integers(0, 3))),
+        rows=rng.standard_normal(lead + (k, d)),
+        scores=rng.standard_normal(lead + (k,)),
+        h=rng.uniform(-1.0, 1.0, lead + (k, d)),
+        c=rng.standard_normal(lead + (k, d)),
+        query=rng.standard_normal(lead + (d,)),
+        keys=rng.standard_normal(key_lead + (k, d)),
+        activation=draw(st.sampled_from(["identity", "relu", "tanh"])),
+    )
+
+
+@given(stacked_stage_inputs())
+@settings(max_examples=60, deadline=None)
+def test_batched_stages_equal_the_unbatched_stage_on_every_slice(inp):
+    wb, query, keys = inp["weights"], inp["query"], inp["keys"]
+    cell = (wb.get("lstm.W_ih"), wb.get("lstm.W_hh"), wb.get("lstm.b"))
+    gate = _score_gate(inp["rows"], inp["scores"], wb, inp["activation"])
+    lstm = _lstm_gates(inp["rows"], inp["h"], inp["c"], *cell)
+    _, qp, kp, logits = _attention_logits(query, keys, wb)
+    refined, (_, _, _, vp, w, ctx) = _cross_attention(query, keys, keys, wb)
+    z = _head_input(refined, keys)
+    scores = _score_head(z, wb)
+    refined_scores = _refined_scores(query, keys, keys, wb)
+    for idx in np.ndindex(*query.shape[:-1]):
+        key_idx = tuple(i if n > 1 else 0 for i, n in zip(idx, keys.shape))
+        one_keys = keys[key_idx]
+        one_gate = _score_gate(inp["rows"][idx], inp["scores"][idx], wb, inp["activation"])
+        one_lstm = _lstm_gates(inp["rows"][idx], inp["h"][idx], inp["c"][idx], *cell)
+        _, one_qp, one_kp, one_logits = _attention_logits(query[idx], one_keys, wb)
+        one_refined, (_, _, _, one_vp, one_w, one_ctx) = _cross_attention(query[idx], one_keys, one_keys, wb)
+        one_z = _head_input(one_refined, one_keys)
+        for batched, single in zip(gate + lstm, one_gate + one_lstm):
+            assert same_bits(batched[idx], single)
+        for batched, single in ((qp, one_qp), (logits, one_logits), (w, one_w), (ctx, one_ctx),
+                                (refined, one_refined), (z, one_z)):
+            assert same_bits(batched[idx], single)
+        assert same_bits(kp[key_idx], one_kp) and same_bits(vp[key_idx], one_vp)
+        assert same_bits(scores[idx], _score_head(one_z, wb))
+        # the public one-query stages that mpi_forward composes give the same
+        public = plan_head(cross_attention(query[idx], one_keys, one_keys, wb), one_keys, wb)[1]
+        assert same_bits(refined_scores[idx], public)
 
 
 # --- weights -----------------------------------------------------------------------

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,12 @@ from helpers import (
     reference_propose,
     reference_report_from_log,
     reference_run_closed_loop,
+    reference_step_momentum,
 )
 
-from momentum_planning.errors import AlignmentError, ConfigError, LogCorruptionError, ShapeError
-from momentum_planning.interactor import WeightBundle
-from momentum_planning.matching import DistanceKind, TrajectorySet
+from momentum_planning.errors import AlignmentError, ConfigError, GeometryError, LogCorruptionError, ShapeError
+from momentum_planning.interactor import WeightBundle, softmax
+from momentum_planning.matching import DistanceKind, TrajectorySet, trajectory_distance, ttm_select
 from momentum_planning import simulator
 from momentum_planning.simulator import (
     MAX_D_Q,
@@ -473,6 +475,94 @@ def test_momentum_holds_mode_through_score_flip():
     )
 
 
+@st.composite
+def momentum_steps(draw):
+    """One momentum step: K 1-8 candidates of 2-10 waypoints, 1-3 history
+    frames whose plans may have another length, either distance, and a
+    drawn frame delta."""
+    k, n, d = draw(st.integers(1, 8)), draw(st.integers(2, 10)), draw(st.integers(1, 16))
+    m = draw(st.integers(2, 10)) if draw(st.booleans()) else n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def proposals(length):
+        pts = np.cumsum(rng.normal(1.0, 0.5, (k, length, 2)), axis=1)
+        # exact duplicates make distance ties
+        pts[rng.integers(0, k)] = pts[rng.integers(0, k)]
+        return TrajectorySet.from_points(pts, softmax(rng.normal(size=k)), rng.normal(size=(k, d)), dt=SIM_DT)
+
+    history = [
+        FrameRecord(0.0, Pose2.identity(), proposals(m), int(rng.integers(0, k)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    delta = Pose2.from_heading(float(rng.uniform(-math.pi, math.pi)), rng.normal(0.0, 2.0, 2))
+    weights = WeightBundle.seeded(d, k, n, seed=draw(st.integers(0, 3)))
+    return proposals(n), history, delta, weights, draw(st.sampled_from(list(DistanceKind)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(momentum_steps())
+def test_momentum_step_matches_per_frame_reference(step):
+    idx, refined = step_momentum(*step)
+    ref_idx, ref_refined = reference_step_momentum(*step)
+    assert idx == ref_idx
+    assert refined.tobytes() == ref_refined.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(DistanceKind)), st.integers(1, 3), st.integers(1, 16), st.integers(1, 16),
+       st.integers(2, 20), st.integers(2, 20), st.integers(0, 2**32 - 1))
+def test_pair_distances_equal_trajectory_distance(kind, f, k, k_prev, n, m, seed):
+    rng = np.random.default_rng(seed)
+    m = n if kind is DistanceKind.MEAN_EUCLIDEAN else m
+    moved = np.cumsum(rng.normal(1.0, 0.5, (f, k, n, 2)), axis=2)
+    plans = np.cumsum(rng.normal(1.0, 0.5, (f, k_prev, m, 2)), axis=2)
+    plans[:, 0, : min(n, m)] = moved[:, -1, : min(n, m)]
+    dist = simulator._pair_distances(moved, plans, kind)
+    assert dist.shape == (f, k, k_prev)
+    for j, a, b in np.ndindex(*dist.shape):
+        assert dist[j, a, b] == trajectory_distance(Trajectory(moved[j, a]), Trajectory(plans[j, b]), kind)
+
+
+def _ttm_table(points, plans, kind):
+    # the TTM picks of the stacked selection for one frame, no frame delta
+    moved = simulator._moved(points[None], np.eye(2)[None], np.zeros((1, 2)))
+    return simulator._pair_distances(moved, plans[None], kind).argmin(axis=1)[0].tolist()
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_ttm_pick_ties_go_to_the_lowest_index(kind):
+    line = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
+    # candidates 1 and 2 are one plan, the nearest to previous plan 0
+    cands = make_set([line + (0.0, 3.0), line + (0.0, 0.5), line + (0.0, 0.5), line], [0.25] * 4)
+    plans = np.stack([line + (0.0, 0.4), line - (0.0, 0.2)])
+    assert _ttm_table(cands.points, plans, kind) == [1, 3]
+    assert ttm_select(cands, Trajectory(plans[0]), Pose2.identity(), kind) == 1
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_ttm_pick_is_index_0_when_every_distance_overflows(kind):
+    line = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
+    cands = TrajectorySet.from_points(np.stack([line + (1e200, 0.0), line + (2e200, 0.0)]), [0.5, 0.5],
+                                      np.zeros((2, 8)))
+    plans = (line - (1e200, 0.0))[None]
+    moved = simulator._moved(cands.points[None], np.eye(2)[None], np.zeros((1, 2)))
+    with np.errstate(over="ignore"):
+        assert np.isinf(simulator._pair_distances(moved, plans[None], kind)).all()
+        assert _ttm_table(cands.points, plans, kind) == [0]
+        assert ttm_select(cands, Trajectory(plans[0]), Pose2.identity(), kind) == 0
+
+
+def test_candidate_moved_out_of_range_raises_geometry_error():
+    line = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
+    cands = TrajectorySet.from_points(np.stack([line + (1e308, 0.0), line]), [0.5, 0.5], np.zeros((2, 8)))
+    history = [frame_for(make_set([line, line + 1.0], [0.5, 0.5]), 0)]
+    delta = Pose2(np.eye(2), np.array([-1e308, 0.0]))
+    w = WeightBundle.seeded(8, 2, 6, seed=0)
+    for step in (step_momentum, reference_step_momentum):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(GeometryError):
+            step(cands, history, delta, w, DistanceKind.HAUSDORFF)
+
+
 # ---------------------------------------------------------------------------
 # closed loop
 
@@ -594,29 +684,94 @@ def _reference_cases(kind):
 def test_rollout_matches_per_frame_reference(kind):
     obstacle = ScriptedObstacle(ObstacleBox((12.0, 1.0), 0.4, 4.0, 2.0), (-1.0, 0.5))
     spec = ScenarioSpec(kind, 4.0, 6.0, radius_m=15.0, obstacles=(obstacle,), seed=11)
-    for st_ in _reference_cases(kind):
-        log, report = run_closed_loop(spec, st_)
-        ref_log, ref_report = reference_run_closed_loop(spec, st_)
-        assert log_to_jsonl(log) == log_to_jsonl(ref_log), st_
-        assert [f.chosen_index for f in log.frames] == [f.chosen_index for f in ref_log.frames]
-        assert report.to_csv_text() == ref_report.to_csv_text()
+    one_frame = dataclasses.replace(spec, duration_s=SIM_DT)
+    for scene in (spec, one_frame):
+        logs = {}
+        for st_ in _reference_cases(kind):
+            log, report = run_closed_loop(scene, st_)
+            ref_log, ref_report = reference_run_closed_loop(scene, st_)
+            assert log_to_jsonl(log) == log_to_jsonl(ref_log), st_
+            assert [f.chosen_index for f in log.frames] == [f.chosen_index for f in ref_log.frames]
+            assert report.to_csv_text() == ref_report.to_csv_text()
+            logs[st_] = log_to_jsonl(log).split("\n", 1)[1]
+        # depth 2 mixes a frame that depth 1 does not once a frame has two
+        # before it, so their frames differ on the long scene only
+        for st_ in logs:
+            if st_.planner == "momentum" and st_.history_depth == 1:
+                deeper = logs[dataclasses.replace(st_, history_depth=2)]
+                assert (logs[st_] != deeper) == (scene is spec)
+
+
+def test_rollout_matches_per_frame_reference_where_ttm_decides(monkeypatch):
+    # peaky attention over 2-wide queries and a score head that reads only
+    # the refined query make the refined argmax depend on TTM's pick, so a
+    # previous frame's choice has more than one possible value
+    w = WeightBundle.seeded(2, 6, 6, seed=1)
+    w = w.with_tensor("attn.W_q", 30.0 * w.get("attn.W_q")).with_tensor("attn.W_k", 30.0 * w.get("attn.W_k"))
+    head = w.get("head.W_score").copy()
+    head[:, 2:] = 0.0
+    w = w.with_tensor("head.W_score", head).with_tensor("head.b_score", np.zeros(6))
+    widths = []
+    pair_distances = simulator._pair_distances
+
+    def record(moved, plans, kind):
+        widths.append(plans.shape[1])
+        return pair_distances(moved, plans, kind)
+
+    monkeypatch.setattr(simulator, "_pair_distances", record)
+    for kind in SCENARIO_KINDS:
+        spec = ScenarioSpec(kind, 4.0, 6.0, radius_m=15.0, seed=0)
+        for depth in (1, 2):
+            for distance in DistanceKind:
+                st_ = RunSettings(planner="momentum", history_depth=depth, distance=distance, d_q=2,
+                                  mode_noise_m=4.0, ns=1.0)
+                log, report = run_closed_loop(spec, st_, weights=w)
+                ref_log, ref_report = reference_run_closed_loop(spec, st_, weights=w)
+                assert log_to_jsonl(log) == log_to_jsonl(ref_log), st_
+                assert report.to_csv_text() == ref_report.to_csv_text()
+    assert max(widths) > 1
 
 
 def test_rollouts_with_equal_settings_share_one_weight_bundle(monkeypatch):
+    # the selection pass receives the bundle once per momentum rollout
     seen = []
+    choose = simulator._choose_momentum
 
-    def record(proposals, history, frame_delta, weights, kind):
+    def record(poses, points, scores, queries, settings_, weights):
         seen.append(weights)
-        return step_momentum(proposals, history, frame_delta, weights, kind)
+        return choose(poses, points, scores, queries, settings_, weights)
 
-    monkeypatch.setattr(simulator, "step_momentum", record)
+    monkeypatch.setattr(simulator, "_choose_momentum", record)
     st_ = RunSettings(planner="momentum", history_depth=2, weight_seed=3)
     run_closed_loop(arc_spec(seed=1), st_)
     run_closed_loop(arc_spec(seed=2), st_)
-    assert len(seen) == 16
+    assert len(seen) == 2
     assert all(w is seen[0] for w in seen)
     run_closed_loop(arc_spec(seed=1), dataclasses.replace(st_, weight_seed=4))
     assert seen[-1] is not seen[0]
+
+
+def test_momentum_selection_holds_one_block_at_the_size_bounds():
+    # at the size bounds a block is one frame, and the selection pass holds
+    # no more than one budget's worth beyond the stream that one-shot holds
+    # too; without blocks it would hold every frame's cell pre-activations
+    # and distances at once, 4.8 MB over these twenty frames
+    spec = arc_spec(duration=10.0)
+    bounds = dict(k=MAX_K, horizon_steps=MAX_HORIZON_STEPS, d_q=MAX_D_Q, horizons_s=(1.0,))
+
+    def peak(st_):
+        run_closed_loop(spec, st_)  # weights and query projection are cached from here on
+        tracemalloc.start()
+        try:
+            run_closed_loop(spec, st_)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    oneshot = peak(RunSettings(planner="oneshot", history_depth=0, **bounds))
+    for distance in DistanceKind:
+        momentum = peak(RunSettings(planner="momentum", history_depth=2, distance=distance, **bounds))
+        assert momentum - oneshot <= 8 * simulator._SELECT_BLOCK_ELEMENTS
 
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
