@@ -158,6 +158,37 @@ def trajectory_distance(a: Trajectory, b: Trajectory, kind: DistanceKind) -> flo
     return mean_euclidean(resample(a, n), resample(b, n))
 
 
+def _moved(points, rotation, translation) -> np.ndarray:
+    """Candidates (F, K, N, 2) moved by each frame's delta, a (F, 2, 2)
+    rotation and (F, 2) translation: one product per frame."""
+    moved = (points - translation[:, None, None, :]) @ rotation[:, None]
+    if not np.isfinite(moved).all():
+        raise GeometryError("candidate moved into the history frame is not finite")
+    return moved
+
+
+def _pair_distances(moved, plans, kind: DistanceKind) -> np.ndarray:
+    """TTM distance (F, K, K') of each moved candidate (F, K, N, 2) to each
+    of the frame's historical plans (F, K', M, 2); each value equals
+    ``trajectory_distance`` on that pair.  The pointwise mean needs M = N."""
+    if kind is DistanceKind.HAUSDORFF:
+        a = moved[:, :, None, :, None, :]
+        b = plans[:, None, :, None, :, :]
+        # squared (F, K, K', N, M) distances, built in place to hold two
+        # such arrays at most; sqrt is monotone, so taking it after the
+        # minima and maxima gives the same values
+        sq = a[..., 0] - b[..., 0]
+        sq *= sq
+        dy = a[..., 1] - b[..., 1]
+        dy *= dy
+        sq += dy
+        del dy
+        return np.sqrt(np.maximum(sq.min(axis=-1).max(axis=-1), sq.min(axis=-2).max(axis=-1)))
+    diff = moved[:, :, None] - plans[:, None]
+    # C order, so that each waypoint row is summed as it is summed alone
+    return np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2, order="C").mean(axis=-1)
+
+
 def ttm_select(
     candidates: TrajectorySet,
     history: Trajectory,
@@ -167,28 +198,19 @@ def ttm_select(
     """Pick the candidate closest to the historical trajectory.
 
     All K candidates are moved into the historical frame via ``frame_delta``
-    in one product, then scored at once: the symmetric Hausdorff distance
-    from the (K, N, M) pointwise distances' minima and maxima along both
-    point axes, or the pointwise mean, which first resamples the candidates
-    and the history to the longer of N and M when they differ.  Each value
-    equals ``trajectory_distance`` on that candidate.  Ties resolve to the
-    lowest index.
+    in one product, then scored at once by ``_pair_distances``, the kernel
+    a rollout's stacked selection uses, with one frame and one plan: the
+    symmetric Hausdorff distance, or the pointwise mean, which first
+    resamples the candidates and the history to the longer of N and M when
+    they differ.  Each value equals ``trajectory_distance`` on that
+    candidate.  Ties resolve to the lowest index.
     """
     kind = DistanceKind(kind)
-    moved = (candidates.points - frame_delta.translation) @ frame_delta.rotation
-    if not np.isfinite(moved).all():
-        raise GeometryError("candidate moved into the history frame is not finite")
+    moved = _moved(candidates.points[None], frame_delta.rotation[None], frame_delta.translation[None])
     hist = history.points
-    if kind is DistanceKind.HAUSDORFF:
-        dx = moved[..., 0, None] - hist[:, 0]
-        dy = moved[..., 1, None] - hist[:, 1]
-        d = np.sqrt(dx * dx + dy * dy)
-        dist = np.maximum(d.min(axis=2).max(axis=1), d.min(axis=1).max(axis=1))
-    else:
-        n = max(moved.shape[1], len(hist))
+    if kind is DistanceKind.MEAN_EUCLIDEAN:
+        n = max(moved.shape[2], len(hist))
         hist = resample(history, n).points
-        if moved.shape[1] != n:
-            moved = np.stack([resample(Trajectory(m, dt=candidates.dt), n).points for m in moved])
-        diff = moved - hist
-        dist = np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2).mean(axis=-1)
-    return int(np.argmin(dist))
+        if moved.shape[2] != n:
+            moved = np.stack([resample(Trajectory(m, dt=candidates.dt), n).points for m in moved[0]])[None]
+    return int(np.argmin(_pair_distances(moved, hist[None, None], kind)))

@@ -34,23 +34,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, EmptyInputError, GeometryError, LogCorruptionError
-from .errors import ShapeError
+from .errors import AlignmentError, ConfigError, EmptyInputError, LogCorruptionError, ShapeError
 from .interactor import QueryBatch, WeightBundle, mix_history, softmax
 from .interactor import _lstm_gates, _refined_scores, _score_gate
 from .interactor import mpi_forward  # noqa: F401
-from .matching import DistanceKind, TrajectorySet
-from .matching import ttm_select  # noqa: F401
+from .matching import DistanceKind, TrajectorySet, _moved, _pair_distances, ttm_select
 from .metrics import L2Protocol, MetricReport, ObstacleBox, ego_headings, overlap_flags
 from .metrics import collision_flags, l2_error, min_ade_fde, tpc  # noqa: F401
-from .trajectory import Pose2, Trajectory, resample, trajectory_from_dict
+from .trajectory import Pose2, Trajectory, trajectory_from_dict
 from .trajectory import transform_to_frame  # noqa: F401
 
 # The per-trajectory metrics above score one frame each and report_from_log
 # does not call them, the rollout moves its futures into the ego frame
-# without transform_to_frame, and momentum selection calls neither
-# ttm_select nor mpi_forward; they stay importable here because
-# bench/tracing.py wraps them on this module.
+# without transform_to_frame, and nothing here calls mpi_forward; they stay
+# importable here because bench/tracing.py wraps them on this module.
 
 SIM_DT = 0.5
 LOG_FORMAT_VERSION = 2
@@ -574,59 +571,19 @@ def step_momentum(
     re-scores the candidate set and the argmax of the refined scores wins.
     Returns ``(chosen_index, refined_scores | None)``.
 
-    This is the one-frame call of the rollout's stacked selection: the same
-    candidate move, TTM distances and refined scores, for the one previous
-    plan and the one pick, with the history mixed by ``mix_history``.
+    It runs, for one frame, the stages a rollout's stacked selection runs
+    over frame blocks: ``ttm_select`` through the same ``_pair_distances``
+    kernel, ``mix_history`` through the same score gate and cell, and
+    ``_refined_scores``, the score half of the refinement stack; the
+    trajectory head, whose output would be discarded, is not run.
     """
     history = list(history)
     if not history:
         return step_oneshot(proposals), None
-    kind = DistanceKind(kind)
-    moved = _moved(proposals.points[None], frame_delta.rotation[None], frame_delta.translation[None])
-    plan = history[-1].chosen_trajectory
-    if kind is DistanceKind.MEAN_EUCLIDEAN and len(plan) != len(proposals.points[0]):
-        # the pointwise mean compares plans of one length: both are
-        # resampled to the longer, as ttm_select does
-        n = max(len(plan), len(proposals.points[0]))
-        plan = resample(plan, n)
-        moved = np.stack([resample(Trajectory(m, dt=proposals.dt), n).points for m in moved[0]])[None]
-    k_star = int(np.argmin(_pair_distances(moved, plan.points[None, None], kind)))
+    k_star = ttm_select(proposals, history[-1].chosen_trajectory, frame_delta, kind)
     mixed = mix_history([QueryBatch(f.proposals.queries, f.proposals.scores) for f in history], weights)
     refined_scores = _refined_scores(proposals.queries[k_star], mixed, proposals.queries, weights)
     return int(np.argmax(refined_scores)), refined_scores
-
-
-def _moved(points, rotation, translation) -> np.ndarray:
-    """Candidates (F, K, N, 2) moved by each frame's delta, a (F, 2, 2)
-    rotation and (F, 2) translation: one product per frame, the one
-    ``ttm_select`` makes."""
-    moved = (points - translation[:, None, None, :]) @ rotation[:, None]
-    if not np.isfinite(moved).all():
-        raise GeometryError("candidate moved into the history frame is not finite")
-    return moved
-
-
-def _pair_distances(moved, plans, kind: DistanceKind) -> np.ndarray:
-    """TTM distance (F, K, K') of each moved candidate (F, K, N, 2) to each
-    of the previous frame's plans (F, K', M, 2); each value is the one
-    ``ttm_select`` computes for that candidate with that plan as the
-    history.  The pointwise mean needs M = N."""
-    if kind is DistanceKind.HAUSDORFF:
-        a = moved[:, :, None, :, None, :]
-        b = plans[:, None, :, None, :, :]
-        # squared (F, K, K', N, M) distances, built in place to hold two
-        # such arrays at most; sqrt is monotone, so taking it after the
-        # minima and maxima gives the same values
-        sq = a[..., 0] - b[..., 0]
-        sq *= sq
-        dy = a[..., 1] - b[..., 1]
-        dy *= dy
-        sq += dy
-        del dy
-        return np.sqrt(np.maximum(sq.min(axis=-1).max(axis=-1), sq.min(axis=-2).max(axis=-1)))
-    diff = moved[:, :, None] - plans[:, None]
-    # C order, so that each waypoint row is summed the way ttm_select sums it
-    return np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2, order="C").mean(axis=-1)
 
 
 def _choose_momentum(poses, points, scores, queries, settings: RunSettings, weights: WeightBundle):
@@ -765,8 +722,8 @@ def run_closed_loop(
     planner, so each frame's TTM distances to every candidate of the frame
     before and its refined scores for every candidate TTM could pick are
     computed stacked over frames, in blocks of bounded size, and the
-    choices are chased through them frame by frame; ``step_momentum`` is
-    the one-frame call of the same code.  The report is scored on the
+    choices are chased through them frame by frame; ``step_momentum`` runs
+    the same stages for one frame.  The report is scored on the
     stream's world path.
 
     The poses can come first only because every candidate shares its first

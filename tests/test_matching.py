@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from helpers import reference_ttm_select
 
-from momentum_planning.errors import AlignmentError, EmptyInputError
+from momentum_planning.errors import AlignmentError, EmptyInputError, GeometryError
 from momentum_planning.matching import (
+    _moved,
+    _pair_distances,
     DistanceKind,
     TrajectorySet,
     directed_hausdorff,
@@ -231,3 +233,62 @@ def test_overflowing_distances_tie_to_first_index():
     with np.errstate(over="ignore"):
         for kind in DistanceKind:
             assert ttm_select(cands, history, Pose2.identity(), kind) == 0
+
+
+# ---------------------------------------------------------------------------
+# the stacked TTM kernel: ttm_select is its one-frame call, a rollout's
+# momentum selection calls it over frame blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(list(DistanceKind)), st.integers(1, 3), st.integers(1, 16), st.integers(1, 16),
+       st.integers(2, 20), st.integers(2, 20), st.integers(0, 2**32 - 1))
+def test_pair_distances_equal_trajectory_distance(kind, f, k, k_prev, n, m, seed):
+    rng = np.random.default_rng(seed)
+    m = n if kind is DistanceKind.MEAN_EUCLIDEAN else m
+    moved = np.cumsum(rng.normal(1.0, 0.5, (f, k, n, 2)), axis=2)
+    plans = np.cumsum(rng.normal(1.0, 0.5, (f, k_prev, m, 2)), axis=2)
+    plans[:, 0, : min(n, m)] = moved[:, -1, : min(n, m)]
+    dist = _pair_distances(moved, plans, kind)
+    assert dist.shape == (f, k, k_prev)
+    for j, a, b in np.ndindex(*dist.shape):
+        assert dist[j, a, b] == trajectory_distance(Trajectory(moved[j, a]), Trajectory(plans[j, b]), kind)
+
+
+def _ttm_table(points, plans, kind):
+    # the TTM picks of the stacked selection for one frame, no frame delta
+    moved = _moved(points[None], np.eye(2)[None], np.zeros((1, 2)))
+    return _pair_distances(moved, plans[None], kind).argmin(axis=1)[0].tolist()
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_ttm_pick_ties_go_to_the_lowest_index(kind):
+    line = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
+    # candidates 1 and 2 are one plan, the nearest to previous plan 0
+    cands = make_set([Trajectory(p) for p in (line + (0.0, 3.0), line + (0.0, 0.5), line + (0.0, 0.5), line)])
+    plans = np.stack([line + (0.0, 0.4), line - (0.0, 0.2)])
+    assert _ttm_table(cands.points, plans, kind) == [1, 3]
+    assert ttm_select(cands, Trajectory(plans[0]), Pose2.identity(), kind) == 1
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_ttm_pick_is_index_0_when_every_distance_overflows(kind):
+    line = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
+    cands = make_set([Trajectory(line + (1e200, 0.0)), Trajectory(line + (2e200, 0.0))])
+    plans = (line - (1e200, 0.0))[None]
+    moved = _moved(cands.points[None], np.eye(2)[None], np.zeros((1, 2)))
+    with np.errstate(over="ignore"):
+        assert np.isinf(_pair_distances(moved, plans[None], kind)).all()
+        assert _ttm_table(cands.points, plans, kind) == [0]
+        assert ttm_select(cands, Trajectory(plans[0]), Pose2.identity(), kind) == 0
+
+
+def test_candidate_moved_out_of_range_raises_geometry_error():
+    line = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
+    cands = make_set([Trajectory(line + (1e308, 0.0)), Trajectory(line)])
+    rotation, translation = np.eye(2)[None], np.array([[-1e308, 0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(GeometryError):
+            _moved(cands.points[None], rotation, translation)
+        with pytest.raises(GeometryError):
+            ttm_select(cands, Trajectory(line), Pose2(rotation[0], translation[0]), DistanceKind.HAUSDORFF)

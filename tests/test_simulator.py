@@ -23,7 +23,7 @@ from helpers import (
 
 from momentum_planning.errors import AlignmentError, ConfigError, GeometryError, LogCorruptionError, ShapeError
 from momentum_planning.interactor import WeightBundle, softmax
-from momentum_planning.matching import DistanceKind, TrajectorySet, trajectory_distance, ttm_select
+from momentum_planning.matching import DistanceKind, TrajectorySet
 from momentum_planning import simulator
 from momentum_planning.simulator import (
     MAX_D_Q,
@@ -506,50 +506,6 @@ def test_momentum_step_matches_per_frame_reference(step):
     ref_idx, ref_refined = reference_step_momentum(*step)
     assert idx == ref_idx
     assert refined.tobytes() == ref_refined.tobytes()
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(list(DistanceKind)), st.integers(1, 3), st.integers(1, 16), st.integers(1, 16),
-       st.integers(2, 20), st.integers(2, 20), st.integers(0, 2**32 - 1))
-def test_pair_distances_equal_trajectory_distance(kind, f, k, k_prev, n, m, seed):
-    rng = np.random.default_rng(seed)
-    m = n if kind is DistanceKind.MEAN_EUCLIDEAN else m
-    moved = np.cumsum(rng.normal(1.0, 0.5, (f, k, n, 2)), axis=2)
-    plans = np.cumsum(rng.normal(1.0, 0.5, (f, k_prev, m, 2)), axis=2)
-    plans[:, 0, : min(n, m)] = moved[:, -1, : min(n, m)]
-    dist = simulator._pair_distances(moved, plans, kind)
-    assert dist.shape == (f, k, k_prev)
-    for j, a, b in np.ndindex(*dist.shape):
-        assert dist[j, a, b] == trajectory_distance(Trajectory(moved[j, a]), Trajectory(plans[j, b]), kind)
-
-
-def _ttm_table(points, plans, kind):
-    # the TTM picks of the stacked selection for one frame, no frame delta
-    moved = simulator._moved(points[None], np.eye(2)[None], np.zeros((1, 2)))
-    return simulator._pair_distances(moved, plans[None], kind).argmin(axis=1)[0].tolist()
-
-
-@pytest.mark.parametrize("kind", list(DistanceKind))
-def test_ttm_pick_ties_go_to_the_lowest_index(kind):
-    line = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
-    # candidates 1 and 2 are one plan, the nearest to previous plan 0
-    cands = make_set([line + (0.0, 3.0), line + (0.0, 0.5), line + (0.0, 0.5), line], [0.25] * 4)
-    plans = np.stack([line + (0.0, 0.4), line - (0.0, 0.2)])
-    assert _ttm_table(cands.points, plans, kind) == [1, 3]
-    assert ttm_select(cands, Trajectory(plans[0]), Pose2.identity(), kind) == 1
-
-
-@pytest.mark.parametrize("kind", list(DistanceKind))
-def test_ttm_pick_is_index_0_when_every_distance_overflows(kind):
-    line = np.column_stack([np.arange(1.0, 7.0), np.zeros(6)])
-    cands = TrajectorySet.from_points(np.stack([line + (1e200, 0.0), line + (2e200, 0.0)]), [0.5, 0.5],
-                                      np.zeros((2, 8)))
-    plans = (line - (1e200, 0.0))[None]
-    moved = simulator._moved(cands.points[None], np.eye(2)[None], np.zeros((1, 2)))
-    with np.errstate(over="ignore"):
-        assert np.isinf(simulator._pair_distances(moved, plans[None], kind)).all()
-        assert _ttm_table(cands.points, plans, kind) == [0]
-        assert ttm_select(cands, Trajectory(plans[0]), Pose2.identity(), kind) == 0
 
 
 def test_candidate_moved_out_of_range_raises_geometry_error():
