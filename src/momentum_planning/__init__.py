@@ -3,7 +3,7 @@ query refinement over planning history, consistency metrics and a seeded
 closed-loop harness for comparing the momentum planner against a one-shot
 baseline."""
 
-from .curation import SampleRecord, curate, is_turning
+from .curation import SampleRecord, curate, is_turning, samples_from_log
 from .errors import (
     AlignmentError,
     ConfigError,
@@ -95,6 +95,7 @@ __all__ = [
     "report_from_log",
     "resample",
     "run_closed_loop",
+    "samples_from_log",
     "save_log",
     "tpc",
     "transform_from_frame",

@@ -3,9 +3,11 @@
 Benchmarks dominated by straight driving hide consistency regressions, so
 evaluation pools are filtered to scenes that contain at least one turning
 sample.  The turning test is deliberately crude and fast: how far the
-x coordinate drifts across the first six future waypoints.  Filtering is
-by scene, not by sample, to keep each kept scene's frame sequence intact
-for cross-frame metrics.
+x coordinate drifts across the first six future waypoints, in an ego frame
+whose y axis points forward, so x drift is lateral.  Filtering is by
+scene, not by sample, to keep each kept scene's frame sequence intact for
+cross-frame metrics.  The simulator's ego frame points x forward;
+``samples_from_log`` turns its futures into this frame.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConfigError, HorizonError, LogCorruptionError
+from .simulator import SIM_DT, ScenarioLog, ground_truth_futures
 from .trajectory import Trajectory, trajectory_from_dict, trajectory_to_dict
 
 DEFAULT_TURN_EPSILON_M = 25.0
@@ -49,6 +54,19 @@ def is_turning(sample: SampleRecord, epsilon_m: float = DEFAULT_TURN_EPSILON_M) 
             f"needs {_TURN_WINDOW}"
         )
     return bool(abs(pts[_TURN_WINDOW - 1, 0] - pts[0, 0]) >= epsilon_m)
+
+
+def samples_from_log(log: ScenarioLog, scene_id: str) -> list[SampleRecord]:
+    """One sample per frame of a simulator log, ``<scene_id>/<frame>``: the
+    frame's ground-truth future, turned from the simulator's ego frame
+    (x forward, y left) into the one ``is_turning`` reads (x right,
+    y forward)."""
+    futures = ground_truth_futures(log)
+    turned = np.stack((-futures[..., 1], futures[..., 0]), axis=-1)
+    return [
+        SampleRecord(f"{scene_id}/{j}", scene_id, Trajectory(future, dt=SIM_DT))
+        for j, future in enumerate(turned)
+    ]
 
 
 def turning_scene_ids(

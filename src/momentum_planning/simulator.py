@@ -13,14 +13,16 @@ per frame), so the pose sequence the ego traces does not depend on which
 candidate a planner picks.  Differences between planners show up where
 they should for consistency studies: in the predicted tails.
 
-A rollout therefore runs in two passes.  The stream pass draws every
-frame's noise at once, chains the ego poses in a short loop and builds all
-frames' proposals as stacked arrays; the selection pass then chooses over
-those stacks.  Within it only the previous choice depends on the planner,
-so the momentum planner's TTM distances and MPI scores are computed for
-every previous choice at once, stacked over frame blocks, and the choices
-are chased through them.  An execution that followed the chosen plan
-instead would have to choose inside the pose loop.
+A rollout therefore runs in three passes.  The stream pass draws every
+frame's noise at once, chains the ego poses in a short loop, builds all
+frames' proposals as stacked arrays and the scene quantities no choice
+changes; the most recent stream is kept for the next rollout on the same
+scene.  The selection pass then chooses over those stacks.  Within it only
+the previous choice depends on the planner, so the momentum planner's TTM
+distances and MPI scores are computed for every previous choice at once,
+stacked over frame blocks, and the choices are chased through them.  The
+score pass scores what the choice changes.  An execution that followed
+the chosen plan instead would have to choose inside the pose loop.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from __future__ import annotations
 import base64
 import functools
 import json
+import logging
 import math
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 from typing import Sequence
 
 import numpy as np
@@ -48,6 +52,8 @@ from .trajectory import transform_to_frame  # noqa: F401
 # does not call them, the rollout moves its futures into the ego frame
 # without transform_to_frame, and nothing here calls mpi_forward; they stay
 # importable here because bench/tracing.py wraps them on this module.
+
+_logger = logging.getLogger(__name__)
 
 SIM_DT = 0.5
 LOG_FORMAT_VERSION = 2
@@ -586,10 +592,10 @@ def step_momentum(
     return int(np.argmax(refined_scores)), refined_scores
 
 
-def _choose_momentum(poses, points, scores, queries, settings: RunSettings, weights: WeightBundle):
+def _choose_momentum(stream: _Stream, settings: RunSettings, weights: WeightBundle):
     """The momentum planner's chosen index and refined scores (None on the
     first frame) for every frame of a stream, over its (F, K, N, 2) points,
-    (F, K) scores and (F, K, D) queries.
+    (F, K) scores, (F, K, D) queries and frame deltas.
 
     Frames go in blocks of at most ``_SELECT_BLOCK_ELEMENTS`` values per
     array.  Each block score-gates its history frames once and runs the
@@ -602,12 +608,11 @@ def _choose_momentum(poses, points, scores, queries, settings: RunSettings, weig
     to those plans only.  The choices are chased through the argmin and
     argmax tables over Python ints; ties go to the lowest index.
     """
+    points, scores, queries = stream.scene.points, stream.scores, stream.queries
+    delta_rot, delta_xy = stream.scene.delta_rot, stream.scene.delta_xy
     n_frames, k, n = points.shape[:3]
     d_q = queries.shape[-1]
     chosen, refined_rows = [int(np.argmax(scores[0]))], [None]
-    rot = np.array([p.rotation for p in poses])
-    xy = np.array([p.translation for p in poses])
-    delta_rot, delta_xy = _frame_deltas(rot, xy)
     cell = (weights.get("lstm.W_ih"), weights.get("lstm.W_hh"), weights.get("lstm.b"))
     block = max(1, _SELECT_BLOCK_ELEMENTS // (k * max(k * n * n, 4 * d_q)))
     carry_h = carry_c = np.zeros((1, k, d_q))
@@ -659,11 +664,72 @@ def _frame_deltas(rot, xy):
     return rot_t @ rot[:-1], (rot_t @ (xy[:-1] - xy[1:])[..., None])[..., 0]
 
 
-def _stream(spec: ScenarioSpec, settings: RunSettings):
-    """The stream pass of a rollout: the scenario's world path (``_world``),
-    the ego pose of every frame, and every frame's proposals over one
-    checked (F, K, N, 2) stack, with the (F, K, N, 2) points, (F, K) scores
-    and (F, K, D) queries the proposals are views of."""
+def _mean_of(values: np.ndarray) -> float:
+    """The mean of per-frame values, summed with ``math.fsum`` in frame
+    order; 0.0 for no frames."""
+    return math.fsum(values.tolist()) / len(values) if len(values) else 0.0
+
+
+@dataclass(frozen=True, eq=False)
+class _Scene:
+    """All that scoring reads of F planned frames and no choice changes, as
+    read-only arrays: the ``_world`` path, the ego rotations (F, 2, 2) and
+    positions (F, 2) with their ``_frame_deltas``, the proposals
+    (F, K, h, 2), the absolute step of each planned waypoint (F, h), the
+    ego-frame ground-truth futures (F, h, 2), and min ADE/FDE."""
+
+    world: np.ndarray
+    rot: np.ndarray
+    xy: np.ndarray
+    delta_rot: np.ndarray
+    delta_xy: np.ndarray
+    points: np.ndarray
+    steps: np.ndarray
+    gt: np.ndarray
+    min_ade: float
+    min_fde: float
+
+
+def _scene(world: np.ndarray, rot: np.ndarray, xy: np.ndarray, points: np.ndarray) -> _Scene:
+    """The ``_Scene`` of frames planned along ``world`` from the ego poses
+    ``rot``/``xy`` with the proposals ``points``.  The rollout builds it
+    from its stream and ``report_from_log`` from a log, both here."""
+    n_frames, h = points.shape[0], points.shape[2]
+    if n_frames + h > len(world):
+        raise AlignmentError(
+            f"log has {n_frames} frames, the scenario's path covers {len(world) - h}"
+        )
+    # absolute step of waypoint i planned at frame j; always within the path
+    steps = np.arange(n_frames)[:, None] + 1 + np.arange(h)
+    gt = (world[steps] - xy[:, None, :]) @ rot
+    dist = np.linalg.norm(points - gt[:, None], axis=-1)
+    delta_rot, delta_xy = _frame_deltas(rot, xy)
+    for array in (world, rot, xy, delta_rot, delta_xy, points, steps, gt):
+        array.setflags(write=False)
+    return _Scene(
+        world, rot, xy, delta_rot, delta_xy, points, steps, gt,
+        min_ade=_mean_of(dist.mean(axis=-1).min(axis=-1)),
+        min_fde=_mean_of(dist[..., -1].min(axis=-1)),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _Stream:
+    """A rollout's stream pass, all that no planner changes: its scene, each
+    frame's ego pose and proposal set (views of the scene's points), and
+    the read-only (F, K) scores and (F, K, D) perturbed queries."""
+
+    scene: _Scene
+    poses: tuple[Pose2, ...]
+    proposals: tuple[TrajectorySet, ...]
+    scores: np.ndarray
+    queries: np.ndarray
+
+
+def _stream(spec: ScenarioSpec, settings: RunSettings) -> _Stream:
+    """The stream pass of a rollout: the ego pose of every frame, every
+    frame's proposals over one checked (F, K, N, 2) stack, and the scene
+    they are scored on."""
     k, h, d_q = settings.k, settings.horizon_steps, settings.d_q
     world = _world(spec, h)
     n_frames = int(round(spec.duration_s / SIM_DT))
@@ -692,7 +758,60 @@ def _stream(spec: ScenarioSpec, settings: RunSettings):
     if settings.occlusion_start is not None:
         scores[settings.occlusion_start : settings.occlusion_start + settings.occlusion_len] = 1.0 / k
     proposals = TrajectorySet.per_frame(cands, scores, queries, dt=SIM_DT)
-    return world, poses, proposals, (cands, scores, queries)
+    rot = np.array([p.rotation for p in poses])
+    xy = np.array([p.translation for p in poses])
+    return _Stream(_scene(world, rot, xy, cands), tuple(poses), proposals, scores, queries)
+
+
+def _stream_key(spec: ScenarioSpec, settings: RunSettings) -> tuple:
+    """The exact bits of every input the stream pass reads; floats by their
+    hex form, so 0.0 and -0.0 never share a stream."""
+    floats = (
+        spec.duration_s, spec.speed_mps, spec.radius_m, spec.angle_rad,
+        settings.mode_noise_m, settings.jitter_m, settings.ns,
+    )
+    return (
+        spec.kind, spec.seed, settings.k, settings.horizon_steps, settings.d_q,
+        settings.occlusion_start, settings.occlusion_len, *(float(x).hex() for x in floats),
+    )
+
+
+# (key, stream) of the most recent rollout, one tuple so that no reader
+# sees one stream's key with another's stream.  One entry serves paired
+# runs, every planner on one scene back to back, and holds one stream.  It
+# is module state because callers pair planners through separate
+# run_closed_loop calls; the key covers every input the stream reads and
+# the stream is read-only, so a reused stream is the one a cold rollout
+# would build.
+_last_stream: tuple | None = None
+
+
+def _shared_stream(spec: ScenarioSpec, settings: RunSettings) -> tuple[_Stream, bool]:
+    """The stream of ``spec`` under ``settings``, and whether it is the
+    previous rollout's, reused."""
+    global _last_stream
+    key = _stream_key(spec, settings)
+    entry = _last_stream
+    if entry is not None and entry[0] == key:
+        return entry[1], True
+    # let the old stream go before the new one is built
+    entry = _last_stream = None
+    stream = _stream(spec, settings)
+    _last_stream = (key, stream)
+    return stream, False
+
+
+def _refines(settings: RunSettings) -> bool:
+    """Only the momentum planner with history refines, and reads weights."""
+    return settings.planner == "momentum" and settings.history_depth > 0
+
+
+def _choose(settings: RunSettings, stream: _Stream, weights: WeightBundle | None):
+    """The planner's chosen index and refined scores (None where it did not
+    refine) for every frame of a stream."""
+    if _refines(settings):
+        return _choose_momentum(stream, settings, weights)
+    return np.argmax(stream.scores, axis=1).tolist(), [None] * len(stream.poses)
 
 
 def run_closed_loop(
@@ -707,7 +826,7 @@ def run_closed_loop(
     configured planner choose, records the frame, then advances the ego by
     the candidates' shared first step.
 
-    The rollout runs in two passes.  The stream pass builds all that does
+    The rollout runs in three passes.  The stream pass builds all that does
     not depend on the planner:
       * every frame's noise in one draw from the scenario's generator, one
         row per frame, each row in the order a frame reads it: the shared
@@ -716,15 +835,19 @@ def run_closed_loop(
       * the ego poses, in a short loop, since each pose follows from the
         previous frame's first step;
       * every frame's candidates, scores, perturbed queries and occlusion,
-        as stacked arrays checked once.
-    The selection pass then chooses over those stacks: the row argmax for
-    one-shot.  For momentum, only the previous choice depends on the
-    planner, so each frame's TTM distances to every candidate of the frame
-    before and its refined scores for every candidate TTM could pick are
-    computed stacked over frames, in blocks of bounded size, and the
+        as stacked arrays checked once;
+      * the scene the plans are scored on (``_scene``): pose stacks, frame
+        deltas, ego-frame ground truth, min ADE/FDE.
+    The most recent stream is kept, so the next rollout on the same scene
+    and stream settings (another planner, say) reuses it.
+    The selection pass (``_choose``) then chooses over those stacks: the row
+    argmax for one-shot.  For momentum, only the previous choice depends on
+    the planner, so each frame's TTM distances to every candidate of the
+    frame before and its refined scores for every candidate TTM could pick
+    are computed stacked over frames, in blocks of bounded size, and the
     choices are chased through them frame by frame; ``step_momentum`` runs
-    the same stages for one frame.  The report is scored on the
-    stream's world path.
+    the same stages for one frame.  The score pass (``_score_choice``)
+    scores only what the choice changes: L2, TPC and collisions.
 
     The poses can come first only because every candidate shares its first
     waypoint, so the executed path never depends on the planner.  An
@@ -738,22 +861,30 @@ def run_closed_loop(
             f"weights sized ({weights.d_q}, {weights.k}, {weights.n_t}) do not fit "
             f"settings ({settings.d_q}, {settings.k}, {settings.horizon_steps})"
         )
-    # only the momentum planner with history reads weights
-    uses_weights = settings.planner == "momentum" and settings.history_depth > 0
-    if weights is None and uses_weights:
+    if weights is None and _refines(settings):
         weights = WeightBundle.seeded(settings.d_q, settings.k, settings.horizon_steps, settings.weight_seed)
-    world, poses, proposals, (points, scores, queries) = _stream(spec, settings)
+    timed = _logger.isEnabledFor(logging.DEBUG)
+    clock = perf_counter_ns if timed else int  # below debug level int() stands in: 0, no timing
 
-    if uses_weights:
-        chosen, refined = _choose_momentum(poses, points, scores, queries, settings, weights)
-    else:
-        chosen, refined = np.argmax(scores, axis=1).tolist(), [None] * len(poses)
+    t0 = clock()
+    stream, reused = _shared_stream(spec, settings)
+    t1 = clock()
+    chosen, refined = _choose(settings, stream, weights)
     frames = tuple(
         FrameRecord(j * SIM_DT, pose, props, idx, refined_scores)
-        for j, (pose, props, idx, refined_scores) in enumerate(zip(poses, proposals, chosen, refined))
+        for j, (pose, props, idx, refined_scores) in enumerate(
+            zip(stream.poses, stream.proposals, chosen, refined)
+        )
     )
-    log = ScenarioLog(spec, settings, frames)
-    return log, _score_log(log, world)
+    t2 = clock()
+    report = _score_choice(stream.scene, chosen, settings, spec.obstacles)
+    if timed:
+        t3 = clock()
+        _logger.debug(
+            "stream %s: stream %d us, choose %d us, score %d us",
+            "reused" if reused else "built", (t1 - t0) // 1000, (t2 - t1) // 1000, (t3 - t2) // 1000,
+        )
+    return ScenarioLog(spec, settings, frames), report
 
 
 def _check_frame(frame: FrameRecord, j: int, settings: RunSettings) -> None:
@@ -772,65 +903,68 @@ def _check_frame(frame: FrameRecord, j: int, settings: RunSettings) -> None:
         )
 
 
-def _stack_log(log: ScenarioLog):
-    """Ego rotations (F, 2, 2) and positions (F, 2), chosen plans (F, h, 2)
-    and proposals (F, K, h, 2) of a log whose frames all fit its settings."""
+def _log_scene(log: ScenarioLog) -> _Scene:
+    """The ``_Scene`` of a log whose frames all fit its settings, stacked
+    from the log alone."""
     h, k = log.settings.horizon_steps, log.settings.k
     for j, frame in enumerate(log.frames):
         _check_frame(frame, j, log.settings)
     f = len(log.frames)
     rot = np.array([fr.ego_pose.rotation for fr in log.frames]).reshape(f, 2, 2)
     xy = np.array([fr.ego_pose.translation for fr in log.frames]).reshape(f, 2)
-    proposals = np.array([fr.proposals.points for fr in log.frames]).reshape(f, k, h, 2)
-    chosen = proposals[np.arange(f), [fr.chosen_index for fr in log.frames]]
-    return rot, xy, chosen, proposals
+    points = np.array([fr.proposals.points for fr in log.frames]).reshape(f, k, h, 2)
+    return _scene(_world(log.spec, h), rot, xy, points)
+
+
+def ground_truth_futures(log: ScenarioLog) -> np.ndarray:
+    """Every frame's ground-truth future in its ego frame (x forward), the
+    (F, horizon_steps, 2) stack the metrics score against."""
+    return _log_scene(log).gt
 
 
 def report_from_log(log: ScenarioLog) -> MetricReport:
-    """Recompute every metric from a log alone (the run scores the same
-    way, so replaying a persisted log reproduces the original report
-    exactly).
+    """Recompute every metric from a log alone.
 
-    The whole log is scored at once on stacked (frame, waypoint) arrays;
-    every matrix product is the one a single frame would compute, so the
-    report matches scoring frame by frame with the per-trajectory metric
-    functions bit for bit.  Per-frame values are then summed with
-    ``math.fsum`` in frame order.
+    The log's scene is stacked from its frames and built through the same
+    ``_scene`` the rollout uses, and its choices are scored through the
+    same ``_score_choice``, so replaying a persisted log reproduces the
+    run's report exactly.  It reads nothing a rollout kept, so a replay is
+    an independent recomputation.
     """
-    return _score_log(log, _world(log.spec, log.settings.horizon_steps))
+    return _score_choice(
+        _log_scene(log), [f.chosen_index for f in log.frames], log.settings, log.spec.obstacles
+    )
 
 
-def _score_log(log: ScenarioLog, world: np.ndarray) -> MetricReport:
-    """``report_from_log`` on the scenario's ``_world`` path, which the
-    rollout has already built."""
-    settings = log.settings
+def _score_choice(scene: _Scene, chosen_index, settings: RunSettings, obstacles) -> MetricReport:
+    """Score the plans chosen on a scene, one index per frame: L2 under the
+    settings' protocol, TPC and collisions with ``obstacles`` at every
+    horizon; min ADE/FDE are the scene's.
+
+    Every value is computed at once on stacked (frame, waypoint) arrays,
+    each matrix product the one a single frame would compute, so the report
+    matches scoring frame by frame with the per-trajectory metric functions
+    bit for bit.  Per-frame values are then summed with ``math.fsum`` in
+    frame order.
+    """
     h = settings.horizon_steps
-    rot, xy, chosen, proposals = _stack_log(log)
-    n_frames = len(chosen)
-    if n_frames + h > len(world):
-        raise AlignmentError(
-            f"log has {n_frames} frames, the scenario's path covers {len(world) - h}"
-        )
-    # absolute step of waypoint i planned at frame j; always within the path
-    steps = np.arange(n_frames)[:, None] + 1 + np.arange(h)
-    gt = (world[steps] - xy[:, None, :]) @ rot
+    rot, xy, steps = scene.rot, scene.xy, scene.steps
+    n_frames = len(scene.points)
+    chosen = scene.points[np.arange(n_frames), chosen_index]
 
     # displacement, both protocols
-    d = np.linalg.norm(chosen - gt, axis=-1)
-    dist = np.linalg.norm(proposals - gt[:, None], axis=-1)
+    d = np.linalg.norm(chosen - scene.gt, axis=-1)
     averaged = settings.protocol is L2Protocol.AVERAGED_UP_TO
 
     # consistency: frame j's plan moved into frame j-1, waypoint i against
     # the previous plan's waypoint i+1
-    delta_rot, delta_xy = _frame_deltas(rot, xy)
-    moved = (chosen[1:] - delta_xy[:, None, :]) @ delta_rot
+    moved = (chosen[1:] - scene.delta_xy[:, None, :]) @ scene.delta_rot
     gap = moved[:, : h - 1] - chosen[:-1, 1:]
     sq = gap[..., 0] ** 2 + gap[..., 1] ** 2
 
     # collisions: ego boxes swept along the plans against every obstacle at
     # the same absolute step, one kernel call over (obstacle, frame, waypoint);
     # a scene without obstacles has nothing to hit
-    obstacles = log.spec.obstacles
     n_obs = len(obstacles)
     if n_obs:
         pred_world = chosen @ np.swapaxes(rot, -1, -2) + xy[:, None, :]
@@ -845,21 +979,14 @@ def _score_log(log: ScenarioLog, world: np.ndarray) -> MetricReport:
     else:
         hits = np.zeros((n_frames, h), dtype=bool)
 
-    def mean_of(values):
-        return math.fsum(values.tolist()) / len(values) if len(values) else 0.0
-
     l2, collision, consistency = {}, {}, {}
     for hh in settings.horizons_s:
         s = int(round(hh / SIM_DT))
-        l2[hh] = mean_of(d[:, :s].mean(axis=-1) if averaged else d[:, s - 1])
-        collision[hh] = mean_of(np.where(hits[:, :s].any(axis=-1), 100.0, 0.0))
-        consistency[hh] = mean_of(np.sqrt(sq[:, : min(s, h - 1)].mean(axis=-1)))
+        l2[hh] = _mean_of(d[:, :s].mean(axis=-1) if averaged else d[:, s - 1])
+        collision[hh] = _mean_of(np.where(hits[:, :s].any(axis=-1), 100.0, 0.0))
+        consistency[hh] = _mean_of(np.sqrt(sq[:, : min(s, h - 1)].mean(axis=-1)))
     return MetricReport(
-        l2=l2,
-        collision_rate=collision,
-        tpc=consistency,
-        min_ade=mean_of(dist.mean(axis=-1).min(axis=-1)),
-        min_fde=mean_of(dist[..., -1].min(axis=-1)),
+        l2=l2, collision_rate=collision, tpc=consistency, min_ade=scene.min_ade, min_fde=scene.min_fde
     )
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,22 @@ from momentum_planning.curation import (
     curate,
     is_turning,
     load_samples_jsonl,
+    samples_from_log,
     save_manifest_json,
     save_samples_jsonl,
     scene_manifest,
+    turning_scene_ids,
 )
 from momentum_planning.errors import ConfigError, HorizonError, LogCorruptionError
-from momentum_planning.trajectory import Trajectory
+from momentum_planning.simulator import (
+    SIM_DT,
+    RunSettings,
+    ScenarioSpec,
+    gen_scenario,
+    ground_truth_futures,
+    run_closed_loop,
+)
+from momentum_planning.trajectory import Trajectory, transform_to_frame
 
 
 def sample(sample_id, scene_id, x_drift, n=6):
@@ -161,3 +173,46 @@ def test_scene_manifest_orders_by_first_appearance(tmp_path):
     import json
 
     assert json.loads(out.read_text()) == manifest
+
+
+# ---------------------------------------------------------------------------
+# samples from simulator logs, whose ego frame points x forward
+
+ONESHOT = RunSettings(planner="oneshot", history_depth=0)
+
+
+def test_log_samples_are_each_frames_future_turned_to_y_forward():
+    spec = ScenarioSpec("s_curve", 4.0, 8.0, radius_m=25.0, seed=3)
+    log, _ = run_closed_loop(spec, ONESHOT)
+    samples = samples_from_log(log, "scene7")
+    assert [s.sample_id for s in samples] == [f"scene7/{j}" for j in range(len(log.frames))]
+    assert {s.scene_id for s in samples} == {"scene7"}
+    path, _ = gen_scenario(spec, extra_steps=ONESHOT.horizon_steps)
+    world = np.vstack([[0.0, 0.0], path.points])
+    for j, (s, frame) in enumerate(zip(samples, log.frames)):
+        future = transform_to_frame(Trajectory(world[j + 1 : j + 1 + ONESHOT.horizon_steps], dt=SIM_DT),
+                                    frame.ego_pose).points
+        # forward becomes +y and left becomes -x
+        np.testing.assert_allclose(s.gt_future.points, np.column_stack([-future[:, 1], future[:, 0]]),
+                                   rtol=0.0, atol=1e-12)
+        assert s.gt_future.dt == SIM_DT
+
+
+def test_straight_road_log_has_no_turning_sample():
+    log, _ = run_closed_loop(ScenarioSpec("straight", 4.0, 12.0, seed=0), ONESHOT)
+    samples = samples_from_log(log, "straight")
+    assert len(samples) == 8
+    assert sum(map(is_turning, samples)) == 0
+    # the x-forward futures drift 30 m along x over six waypoints, which the
+    # turning test would flag in every frame
+    assert all(abs(f[5, 0] - f[0, 0]) >= DEFAULT_TURN_EPSILON_M for f in ground_truth_futures(log))
+
+
+def test_sharp_turn_log_is_flagged():
+    # a 20 m quarter turn at 20 m/s: the first frames' futures swing more
+    # than 25 m sideways before the road runs straight again
+    spec = ScenarioSpec("arc_turn", 4.0, 20.0, radius_m=20.0, angle_rad=math.pi / 2.0, seed=0)
+    log, _ = run_closed_loop(spec, ONESHOT)
+    flags = [is_turning(s) for s in samples_from_log(log, "turn")]
+    assert flags[0] and not flags[-1]
+    assert turning_scene_ids(samples_from_log(log, "turn")) == {"turn"}

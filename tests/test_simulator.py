@@ -3,7 +3,9 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import logging
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -693,9 +695,9 @@ def test_rollouts_with_equal_settings_share_one_weight_bundle(monkeypatch):
     seen = []
     choose = simulator._choose_momentum
 
-    def record(poses, points, scores, queries, settings_, weights):
+    def record(stream, settings_, weights):
         seen.append(weights)
-        return choose(poses, points, scores, queries, settings_, weights)
+        return choose(stream, settings_, weights)
 
     monkeypatch.setattr(simulator, "_choose_momentum", record)
     st_ = RunSettings(planner="momentum", history_depth=2, weight_seed=3)
@@ -717,6 +719,7 @@ def test_momentum_selection_holds_one_block_at_the_size_bounds():
 
     def peak(st_):
         run_closed_loop(spec, st_)  # weights and query projection are cached from here on
+        simulator._last_stream = None  # the stream is not: the rollout builds it again
         tracemalloc.start()
         try:
             run_closed_loop(spec, st_)
@@ -775,6 +778,189 @@ def test_mismatched_weights_rejected():
     w = WeightBundle.seeded(8, 6, 6, seed=0)
     with pytest.raises(ConfigError):
         run_closed_loop(arc_spec(), RunSettings(), weights=w)
+
+
+# ---------------------------------------------------------------------------
+# one stream, many planners
+
+
+def _cold(spec, st_):
+    """A rollout that builds its stream, none being kept."""
+    simulator._last_stream = None
+    return run_closed_loop(spec, st_)
+
+
+def _same_run(a, b) -> bool:
+    (log_a, rep_a), (log_b, rep_b) = a, b
+    return log_to_jsonl(log_a) == log_to_jsonl(log_b) and rep_a.to_csv_text() == rep_b.to_csv_text()
+
+
+STREAM_SPEC = ScenarioSpec(
+    "s_curve", 3.0, 6.0, radius_m=18.0, angle_rad=1.0,
+    obstacles=(ScriptedObstacle(ObstacleBox((9.0, 1.5), 0.2, 4.0, 2.0), (-0.5, 0.0)),), seed=4,
+)
+STREAM_SETTINGS = RunSettings(planner="momentum", history_depth=2, occlusion_start=1, occlusion_len=2)
+
+# one changed value for every input the stream pass reads ...
+STREAM_INPUTS = [
+    ("spec", "kind", "arc_turn"),
+    ("spec", "duration_s", 3.5),
+    ("spec", "speed_mps", 6.5),
+    ("spec", "radius_m", 19.0),
+    ("spec", "angle_rad", 1.2),
+    ("spec", "seed", 5),
+    ("settings", "k", 5),
+    ("settings", "horizon_steps", 7),
+    ("settings", "d_q", 16),
+    ("settings", "mode_noise_m", 0.9),
+    ("settings", "jitter_m", 0.2),
+    ("settings", "ns", 0.2),
+    ("settings", "occlusion_start", 2),
+    ("settings", "occlusion_len", 1),
+]
+# ... and for every input only the planner or the scoring reads
+CHOICE_INPUTS = [
+    ("spec", "obstacles", ()),
+    ("settings", "planner", "oneshot"),
+    ("settings", "history_depth", 1),
+    ("settings", "distance", DistanceKind.MEAN_EUCLIDEAN),
+    ("settings", "weight_seed", 3),
+    ("settings", "protocol", L2Protocol.AVERAGED_UP_TO),
+    ("settings", "horizons_s", (1.0, 2.5)),
+    ("settings", "ego_length_m", 4.5),
+    ("settings", "ego_width_m", 1.8),
+]
+
+
+def _changed(part, name, value):
+    if part == "spec":
+        return dataclasses.replace(STREAM_SPEC, **{name: value}), STREAM_SETTINGS
+    return STREAM_SPEC, dataclasses.replace(STREAM_SETTINGS, **{name: value})
+
+
+def test_every_field_is_a_stream_input_or_a_choice_input():
+    covered = {(part, name) for part, name, _ in STREAM_INPUTS + CHOICE_INPUTS}
+    fields = {("spec", f.name) for f in dataclasses.fields(ScenarioSpec)}
+    fields |= {("settings", f.name) for f in dataclasses.fields(RunSettings)}
+    assert covered == fields
+    assert len(covered) == len(STREAM_INPUTS) + len(CHOICE_INPUTS)
+
+
+@pytest.mark.parametrize("part,name,value", STREAM_INPUTS)
+def test_every_input_the_stream_reads_gives_a_new_stream(part, name, value):
+    run_closed_loop(STREAM_SPEC, STREAM_SETTINGS)
+    before = simulator._last_stream
+    spec, st_ = _changed(part, name, value)
+    run = run_closed_loop(spec, st_)
+    assert simulator._last_stream[1] is not before[1]
+    assert simulator._last_stream[0] != before[0]
+    assert _same_run(run, _cold(spec, st_))
+
+
+@pytest.mark.parametrize("part,name,value", CHOICE_INPUTS)
+def test_inputs_only_the_planner_or_scoring_read_reuse_the_stream(part, name, value):
+    run_closed_loop(STREAM_SPEC, STREAM_SETTINGS)
+    before = simulator._last_stream
+    spec, st_ = _changed(part, name, value)
+    run = run_closed_loop(spec, st_)
+    assert simulator._last_stream is before
+    assert _same_run(run, _cold(spec, st_))
+
+
+@pytest.mark.parametrize("part,name", [
+    ("settings", "jitter_m"), ("settings", "mode_noise_m"), ("settings", "ns"), ("spec", "angle_rad"),
+])
+def test_signed_zeros_never_share_a_stream(part, name):
+    spec = ScenarioSpec("straight", 2.0, 5.0, seed=2)
+    st_ = RunSettings(planner="oneshot", history_depth=0)
+    other_zero = None
+    for value in (0.0, -0.0, 0.0):
+        if part == "spec":
+            spec = dataclasses.replace(spec, **{name: value})
+        else:
+            st_ = dataclasses.replace(st_, **{name: value})
+        run = run_closed_loop(spec, st_)
+        assert simulator._last_stream is not other_zero
+        assert _same_run(run, _cold(spec, st_))
+        other_zero = simulator._last_stream
+
+
+def test_a_reused_stream_is_read_only():
+    spec = dataclasses.replace(STREAM_SPEC, seed=8)
+    run_closed_loop(spec, dataclasses.replace(STREAM_SETTINGS, planner="oneshot", history_depth=0))
+    stream = simulator._last_stream[1]
+    log, _ = run_closed_loop(spec, STREAM_SETTINGS)
+    assert simulator._last_stream[1] is stream
+    arrays = [getattr(stream.scene, f.name) for f in dataclasses.fields(stream.scene)]
+    arrays += [stream.scores, stream.queries]
+    arrays += [a for pose in stream.poses for a in (pose.rotation, pose.translation)]
+    arrays += [a for props in stream.proposals for a in (props.points, props.scores, props.queries)]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == 10 + 5 * len(log.frames)
+    for array in arrays:
+        assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        log.frames[0].proposals.points[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        stream.scene.world[1] = 0.0
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_paired_rollouts_on_a_shared_stream_equal_cold_ones(kind):
+    # every order of two planners: momentum then one-shot, one-shot then
+    # momentum, and the same settings twice; the second always reuses
+    spec = dataclasses.replace(STREAM_SPEC, kind=kind, angle_rad=1.2, seed=9)
+    cases = [RunSettings(planner="oneshot", history_depth=0, occlusion_start=2, occlusion_len=1)]
+    cases += [
+        dataclasses.replace(cases[0], planner="momentum", history_depth=depth, distance=distance)
+        for depth in (0, 1, 2) for distance in DistanceKind
+    ]
+    cold = {st_: _cold(spec, st_) for st_ in cases}
+    for first in cases:
+        for second in cases:
+            simulator._last_stream = None
+            assert _same_run(run_closed_loop(spec, first), cold[first])
+            assert _same_run(run_closed_loop(spec, second), cold[second])
+
+
+def test_replay_builds_no_stream(monkeypatch, tmp_path):
+    # a replay scores the log through the same scene and score functions,
+    # never through the rollout's stream or the one kept
+    log, report = run_closed_loop(STREAM_SPEC, STREAM_SETTINGS)
+    save_log(log, tmp_path / "run.jsonl")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stream pass ran")
+
+    monkeypatch.setattr(simulator, "_stream", refuse)
+    monkeypatch.setattr(simulator, "_last_stream", (simulator._stream_key(STREAM_SPEC, STREAM_SETTINGS), None))
+    replayed = report_from_log(load_log(tmp_path / "run.jsonl"))
+    assert replayed.to_csv_text() == report.to_csv_text()
+    with pytest.raises(AssertionError):
+        _cold(STREAM_SPEC, STREAM_SETTINGS)
+
+
+def test_debug_level_times_each_rollout_outside_logs_and_csvs(caplog, monkeypatch):
+    pair = (STREAM_SETTINGS, dataclasses.replace(STREAM_SETTINGS, planner="oneshot", history_depth=0))
+
+    def refuse():
+        raise AssertionError("a rollout below debug level did timing work")
+
+    caplog.set_level(logging.INFO, logger="momentum_planning")
+    with monkeypatch.context() as patched:
+        patched.setattr(simulator, "perf_counter_ns", refuse)
+        simulator._last_stream = None
+        quiet = [run_closed_loop(STREAM_SPEC, st_) for st_ in pair]
+    assert not caplog.records
+    caplog.set_level(logging.DEBUG, logger="momentum_planning")
+    simulator._last_stream = None
+    loud = [run_closed_loop(STREAM_SPEC, st_) for st_ in pair]
+    lines = [r.getMessage() for r in caplog.records]
+    assert len(lines) == 2
+    for line, how in zip(lines, ("built", "reused")):
+        assert re.fullmatch(rf"stream {how}: stream \d+ us, choose \d+ us, score \d+ us", line), line
+    for run_q, run_l in zip(quiet, loud):
+        assert _same_run(run_q, run_l)
 
 
 # ---------------------------------------------------------------------------
