@@ -275,6 +275,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # the levels and handlers _configure_logging sets are process-wide; an
+    # in-process caller gets back the ones it had
+    root = logging.getLogger()
+    package_level, root_level, root_handlers = logger.level, root.level, list(root.handlers)
     try:
         _configure_logging()
         return args.func(args)
@@ -291,6 +295,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        logger.setLevel(package_level)
+        root.setLevel(root_level)
+        for handler in root.handlers[:]:
+            if handler not in root_handlers:
+                root.removeHandler(handler)
 
 
 def entry() -> None:

@@ -52,7 +52,10 @@ class ObstacleBox:
         object.__setattr__(self, "center", (cx, cy))
 
     def corners(self) -> np.ndarray:
-        return _box_corners(self.center, self.heading, self.length, self.width)
+        """The four corners (4, 2), clockwise from front left."""
+        c, s = np.cos(self.heading), np.sin(self.heading)
+        local = np.array([[0.5 * self.length, 0.5 * self.width]]) * _CORNER_SIGNS
+        return local @ np.array([[c, -s], [s, c]]).T + np.asarray(self.center)
 
     def fields(self) -> tuple:
         """``(center, heading, length, width)``, the form :func:`overlap_flags` takes."""
@@ -60,18 +63,6 @@ class ObstacleBox:
 
 
 _CORNER_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]])
-
-
-def _box_corners(center, heading, length, width) -> np.ndarray:
-    """Corners (..., 4, 2) of oriented rectangles broadcast over the
-    leading axes of the inputs (center carries a trailing axis of 2)."""
-    c, s = np.cos(heading), np.sin(heading)
-    half = np.stack(np.broadcast_arrays(0.5 * np.asarray(length, dtype=np.float64),
-                                        0.5 * np.asarray(width, dtype=np.float64)), axis=-1)
-    local = half[..., None, :] * _CORNER_SIGNS
-    rot = np.stack((c, -s, s, c), axis=-1).reshape(*np.shape(c), 2, 2)
-    # one small matrix product per box, as a single box would compute it
-    return local @ np.swapaxes(rot, -1, -2) + np.asarray(center)[..., None, :]
 
 
 def _horizon_index(horizon_s: float, dt: float, available: int) -> int:
@@ -112,23 +103,27 @@ def overlap_flags(a, b) -> np.ndarray:
 
     ``a`` and ``b`` are ``(center, heading, length, width)`` array tuples
     (center with a trailing axis of 2) whose leading axes broadcast against
-    each other; returns one flag per broadcast position.  Touching counts
-    as overlap: a pair is apart only when some box axis separates the
-    corner projections strictly.
+    each other; returns one flag per broadcast position.  On each of the
+    four box axes a pair is apart when the centre offset's projection
+    exceeds the sum of both boxes' projected half extents (the closed form
+    of Gottschalk, Lin & Manocha's OBB test).  Touching counts as overlap:
+    only a strictly greater offset separates.  Swapping ``a`` and ``b``
+    negates the offset and reorders commutative products, so the flags are
+    exactly symmetric.
     """
-    ca, cb = _box_corners(*a), _box_corners(*b)
-    shape = np.broadcast_shapes(ca.shape, cb.shape)
-    # a's four corners then b's, so one product projects both onto an axis
-    corners = np.concatenate([np.broadcast_to(ca, shape), np.broadcast_to(cb, shape)], axis=-2)
-    apart = np.zeros(shape[:-2], dtype=bool)
-    for heading in (a[1], b[1]):
-        c, s = np.cos(heading), np.sin(heading)
-        for axis in (np.stack((c, s), axis=-1), np.stack((-s, c), axis=-1)):
-            # corner index first, so the extremes reduce across whole arrays
-            proj = np.moveaxis((corners @ axis[..., None])[..., 0], -1, 0).copy()
-            pa, pb = proj[:4], proj[4:]
-            apart |= (pa.max(axis=0) < pb.min(axis=0)) | (pb.max(axis=0) < pa.min(axis=0))
-    return ~apart
+    (center_a, heading_a, length_a, width_a), (center_b, heading_b, length_b, width_b) = a, b
+    d = np.asarray(center_b, dtype=np.float64) - np.asarray(center_a, dtype=np.float64)
+    dx, dy = d[..., 0], d[..., 1]
+    ca, sa, cb, sb = np.cos(heading_a), np.sin(heading_a), np.cos(heading_b), np.sin(heading_b)
+    cos_ab, sin_ab = np.abs(ca * cb + sa * sb), np.abs(sa * cb - ca * sb)
+    la, wa, lb, wb = (0.5 * np.asarray(v, dtype=np.float64) for v in (length_a, width_a, length_b, width_b))
+    # a's length and width axes, then b's
+    return ~(
+        (np.abs(dx * ca + dy * sa) > la + (lb * cos_ab + wb * sin_ab))
+        | (np.abs(dy * ca - dx * sa) > wa + (lb * sin_ab + wb * cos_ab))
+        | (np.abs(dx * cb + dy * sb) > lb + (la * cos_ab + wa * sin_ab))
+        | (np.abs(dy * cb - dx * sb) > wb + (la * sin_ab + wa * cos_ab))
+    )
 
 
 def boxes_overlap(a: ObstacleBox, b: ObstacleBox) -> bool:

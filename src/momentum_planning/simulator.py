@@ -110,15 +110,11 @@ class ScriptedObstacle:
             )
         object.__setattr__(self, "velocity", (vx, vy))
 
-    def centers_at(self, steps) -> np.ndarray:
-        """Box centre (..., 2) at each absolute step of an integer array."""
-        t = np.asarray(steps) * SIM_DT
-        cx, cy = self.box.center
-        return np.stack((cx + self.velocity[0] * t, cy + self.velocity[1] * t), axis=-1)
-
     def at_step(self, step: int) -> ObstacleBox:
-        cx, cy = self.centers_at(step)
-        return ObstacleBox((float(cx), float(cy)), self.box.heading, self.box.length, self.box.width)
+        t = step * SIM_DT
+        cx, cy = self.box.center
+        return ObstacleBox((cx + self.velocity[0] * t, cy + self.velocity[1] * t),
+                           self.box.heading, self.box.length, self.box.width)
 
 
 @dataclass(frozen=True)
@@ -965,16 +961,15 @@ def _score_choice(scene: _Scene, chosen_index, settings: RunSettings, obstacles)
     # collisions: ego boxes swept along the plans against every obstacle at
     # the same absolute step, one kernel call over (obstacle, frame, waypoint);
     # a scene without obstacles has nothing to hit
-    n_obs = len(obstacles)
-    if n_obs:
+    if obstacles:
         pred_world = chosen @ np.swapaxes(rot, -1, -2) + xy[:, None, :]
         ego = (pred_world, ego_headings(pred_world), settings.ego_length_m, settings.ego_width_m)
-        boxes = (
-            np.array([o.centers_at(steps) for o in obstacles]).reshape(n_obs, n_frames, h, 2),
-            np.array([o.box.heading for o in obstacles]).reshape(n_obs, 1, 1),
-            np.array([o.box.length for o in obstacles]).reshape(n_obs, 1, 1),
-            np.array([o.box.width for o in obstacles]).reshape(n_obs, 1, 1),
-        )
+        # one row per obstacle: centre, velocity, heading, length, width; the
+        # track is each centre plus velocity times time, as at_step computes it
+        rows = np.array([(*o.box.center, *o.velocity, o.box.heading, o.box.length, o.box.width)
+                         for o in obstacles])[:, None, None, :]
+        t = (steps * SIM_DT)[..., None]
+        boxes = (rows[..., 0:2] + rows[..., 2:4] * t, rows[..., 4], rows[..., 5], rows[..., 6])
         hits = overlap_flags(ego, boxes).any(axis=0)
     else:
         hits = np.zeros((n_frames, h), dtype=bool)

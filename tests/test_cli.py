@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -362,3 +363,19 @@ def test_log_level_env_accepted(tmp_path, monkeypatch):
     monkeypatch.setenv("MOMAD_LOG_LEVEL", "debug")
     cfg = write_config(tmp_path / "cfg.json")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_main_restores_the_logging_state_it_found(tmp_path, monkeypatch):
+    # the package logger, and a root logger with no handler yet, as a
+    # script that imports the package and calls main() has them
+    package, root = logging.getLogger("momentum_planning"), logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    before = package.isEnabledFor(logging.DEBUG), package.level, root.level
+    monkeypatch.setenv("MOMAD_LOG_LEVEL", "debug")
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert (package.isEnabledFor(logging.DEBUG), package.level, root.level) == before
+    assert root.handlers == []
+    monkeypatch.setenv("MOMAD_LOG_LEVEL", "loud")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert (package.isEnabledFor(logging.DEBUG), package.level, root.level) == before

@@ -187,6 +187,50 @@ def test_kernel_is_symmetric_and_matches_the_pairwise_test(pairs):
     assert forward.tolist() == [reference_boxes_overlap(x, y) for x, y in pairs]
 
 
+def test_kernel_matches_the_pairwise_test_on_random_and_near_contact_pairs():
+    rng = np.random.default_rng(12)
+    n_random, n_near = 20_000, 4_000
+
+    def extents(n):
+        return rng.uniform(0.5, 5.0, n), rng.uniform(0.5, 3.0, n)
+
+    # random pairs, about half of them overlapping
+    la, wa = extents(n_random)
+    lb, wb = extents(n_random)
+    random_a = (rng.uniform(-3.0, 3.0, (n_random, 2)), rng.uniform(-math.pi, math.pi, n_random), la, wa)
+    random_b = (rng.uniform(-3.0, 3.0, (n_random, 2)), rng.uniform(-math.pi, math.pi, n_random), lb, wb)
+
+    # pairs at a shared heading, b moved from a along the length or the
+    # width normal to the sum of the half extents -1e-9 (touching) or +1e-9
+    # (apart), with a sideways offset that keeps the other axis overlapping
+    heading = rng.uniform(-math.pi, math.pi, n_near)
+    la_n, wa_n = extents(n_near)
+    lb_n, wb_n = extents(n_near)
+    along_length = rng.random(n_near) < 0.5
+    gap = np.where(rng.random(n_near) < 0.5, -1e-9, 1e-9)
+    reach = np.where(along_length, la_n + lb_n, wa_n + wb_n) / 2.0 + gap
+    side = np.where(along_length, wa_n + wb_n, la_n + lb_n) / 2.0 * rng.uniform(-0.9, 0.9, n_near)
+    u = np.stack([np.cos(heading), np.sin(heading)], axis=-1)
+    v = np.stack([-np.sin(heading), np.cos(heading)], axis=-1)
+    center_a = rng.uniform(-3.0, 3.0, (n_near, 2))
+    offset = np.where(along_length[:, None], reach[:, None] * u + side[:, None] * v,
+                      reach[:, None] * v + side[:, None] * u)
+    near_a = (center_a, heading, la_n, wa_n)
+    near_b = (center_a + offset, heading, lb_n, wb_n)
+
+    a = tuple(np.concatenate(parts) for parts in zip(random_a, near_a))
+    b = tuple(np.concatenate(parts) for parts in zip(random_b, near_b))
+    flags = overlap_flags(a, b)
+    expected = [
+        reference_boxes_overlap(ObstacleBox(tuple(a[0][i]), a[1][i], a[2][i], a[3][i]),
+                                ObstacleBox(tuple(b[0][i]), b[1][i], b[2][i], b[3][i]))
+        for i in range(len(flags))
+    ]
+    assert flags.tolist() == expected
+    np.testing.assert_array_equal(flags[n_random:], gap < 0.0)
+    assert 0.3 < flags[:n_random].mean() < 0.7
+
+
 def test_kernel_broadcasts_one_box_against_a_grid():
     ego = ObstacleBox((0.0, 0.0), 0.3, 4.0, 2.0)
     xs, ys = np.meshgrid(np.linspace(-6, 6, 13), np.linspace(-4, 4, 9))

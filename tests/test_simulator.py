@@ -1,5 +1,6 @@
 import base64
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -55,7 +56,7 @@ from momentum_planning.simulator import (
     step_momentum,
     step_oneshot,
 )
-from momentum_planning.metrics import L2Protocol, ObstacleBox
+from momentum_planning.metrics import L2Protocol, ObstacleBox, collision_flags
 from momentum_planning.trajectory import Pose2, Trajectory, trajectory_to_dict
 
 DATA = Path(__file__).parent / "data"
@@ -590,6 +591,60 @@ def test_blocking_obstacle_registers_collision():
     _, clean = run_closed_loop(far, st)
     for h in st.horizons_s:
         assert clean.collision_rate[h] == 0.0
+
+
+def _golden_collision_scenes():
+    """48 one-shot obstacle scenes: each path kind with a box parked near
+    the path, a box crossing it, boxes far from it, and all three."""
+    scenes = []
+    for i in range(48):
+        kind = ("straight", "arc_turn", "s_curve")[i % 3]
+        role = ("parked", "moving", "clear", "mixed")[(i // 3) % 4]
+        rng = np.random.default_rng([12, i])
+        spec = ScenarioSpec(kind, 4.0, float(rng.uniform(4.0, 8.0)), float(rng.uniform(20.0, 40.0)),
+                            float(rng.uniform(math.pi / 4.0, math.pi / 2.0)), seed=i)
+        path = gen_scenario(spec, extra_steps=6)[0].points
+        tangent = path[1:] - path[:-1]
+        normal = np.stack([-tangent[:, 1], tangent[:, 0]], axis=-1) / np.linalg.norm(tangent, axis=-1)[:, None]
+        boxes = []
+        if role in ("parked", "mixed"):
+            p = int(rng.integers(2, 9))
+            center = path[p] + float(rng.uniform(-2.5, 2.5)) * normal[p]
+            heading = math.atan2(tangent[p, 1], tangent[p, 0]) + float(rng.uniform(-0.3, 0.3))
+            boxes.append(ScriptedObstacle(ObstacleBox(tuple(center), heading, 4.5, 1.8)))
+        if role in ("moving", "mixed"):
+            p = int(rng.integers(3, 10))
+            offset = float(rng.choice([-1.0, 1.0]) * rng.uniform(5.0, 9.0))
+            velocity = -offset * float(rng.uniform(0.7, 1.3)) / (p * SIM_DT) * normal[p]
+            boxes.append(ScriptedObstacle(ObstacleBox(tuple(path[p] + offset * normal[p]),
+                                                      float(rng.uniform(-math.pi, math.pi)), 4.0, 1.8),
+                                          tuple(velocity)))
+        if role in ("clear", "mixed"):
+            p = int(rng.integers(0, len(normal)))
+            center = path[p] + float(rng.choice([-1.0, 1.0]) * rng.uniform(25.0, 35.0)) * normal[p]
+            boxes.append(ScriptedObstacle(ObstacleBox(tuple(center), float(rng.uniform(-math.pi, math.pi)), 4.0, 1.8),
+                                          tuple(rng.uniform(-0.5, 0.5, 2))))
+        scenes.append(dataclasses.replace(spec, obstacles=tuple(boxes)))
+    return scenes
+
+
+def test_golden_collision_digest():
+    # pinned on the corner-projection kernel the closed form replaced; the
+    # collision rows and per-waypoint flags depend on no float bits other
+    # than the flags', so the digest holds on any platform
+    settings_ = RunSettings(planner="oneshot", history_depth=0)
+    rows, flags, colliding = [], [], 0
+    for spec in _golden_collision_scenes():
+        log, report = run_closed_loop(spec, settings_)
+        rows += [line for line in report.to_csv_text().splitlines() if line.startswith("collision_rate,")]
+        colliding += max(report.collision_rate.values()) > 0.0
+        for j, frame in enumerate(log.frames):
+            world = frame.chosen_trajectory.points @ frame.ego_pose.rotation.T + frame.ego_pose.translation
+            tracks = [[o.at_step(j + 1 + i) for i in range(len(world))] for o in spec.obstacles]
+            flags.append(collision_flags(Trajectory(world, dt=SIM_DT), (4.0, 2.0), tracks))
+    digest = hashlib.sha1("\n".join(rows).encode() + np.packbits(np.concatenate(flags)).tobytes())
+    assert (len(rows), colliding) == (144, 35)
+    assert digest.hexdigest() == "b044d1637162242191ecf4b21296a40dcaabeff2"
 
 
 def test_occlusion_window_flattens_scores():
