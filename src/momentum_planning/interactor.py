@@ -19,7 +19,16 @@ round-trip.  ``trajectory_sq_loss_and_grads`` runs the same stage code as
 ``mpi_forward``, keeps its intermediates, and feeds them to a
 hand-derived reverse pass for the squared-norm loss over the produced
 trajectories, returning a gradient for every weight entry; it exists so
-the forward math can be verified against finite differences.
+the forward math can be verified against finite differences.  It skips
+the score head, whose logits the loss never reads, and returns zeros for
+its two tensors.
+
+Every history run starts the cell from the zero state, passed as the
+absent state ``_lstm_gates(x, None, None, ...)``.  The forward then skips
+``h @ W_hh.T`` and ``f * c``; the reverse pass skips, for the step that
+started from it, the W_hh gradient term, the f-gate term (``dc * c * f *
+(1 - f)``, zero there) and the dh and dc it would pass further back.
+Results keep the bits the zero arrays give, down to the sign of zero.
 
 Shape conventions (D = query width, K = candidates, N = waypoints):
     query row        (D,)
@@ -76,6 +85,15 @@ def softmax(logits) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _read_only(name, array) -> np.ndarray:
+    # one weight tensor as a finite, read-only float64 array
+    arr = np.asarray(array, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ShapeError(f"{name} contains non-finite values")
+    arr.setflags(write=False)
+    return arr
+
+
 def _apply_activation(pre, activation):
     if activation == "identity":
         return pre
@@ -126,13 +144,7 @@ class WeightBundle:
         extra = [n for n in tensors if n not in WEIGHT_NAMES]
         if missing or extra:
             raise ShapeError(f"weight names off: missing {missing}, unexpected {extra}")
-        self._tensors = {}
-        for name in WEIGHT_NAMES:
-            arr = np.asarray(tensors[name], dtype=np.float64)
-            if not np.isfinite(arr).all():
-                raise ShapeError(f"{name} contains non-finite values")
-            arr.setflags(write=False)
-            self._tensors[name] = arr
+        self._tensors = {name: _read_only(name, tensors[name]) for name in WEIGHT_NAMES}
         self._validate_shapes()
 
     def _validate_shapes(self):
@@ -185,9 +197,14 @@ class WeightBundle:
         return tuple(WEIGHT_NAMES)
 
     def with_tensor(self, name: str, array) -> "WeightBundle":
-        tensors = dict(self._tensors)
-        tensors[name] = np.asarray(array, dtype=np.float64)
-        return WeightBundle(tensors)
+        """A bundle with one tensor replaced; the others, already checked and
+        read-only, are shared rather than checked again."""
+        if name not in self._tensors:
+            raise ShapeError(f"unknown weight {name!r}")
+        bundle = object.__new__(WeightBundle)
+        bundle._tensors = {**self._tensors, name: _read_only(name, array)}
+        bundle._validate_shapes()
+        return bundle
 
     def __eq__(self, other):
         if not isinstance(other, WeightBundle):
@@ -238,12 +255,17 @@ class WeightBundle:
     def load(path) -> "WeightBundle":
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ShapeError(f"weights file must hold a JSON object, got {type(payload).__name__}")
         tensors = {}
         for name, rec in payload.items():
             if not isinstance(rec, dict) or "shape" not in rec or "data" not in rec:
                 raise ShapeError(f"weight record {name!r} must carry 'shape' and 'data'")
-            arr = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
-            tensors[name] = arr
+            try:
+                tensors[name] = np.asarray(rec["data"], dtype=np.float64).reshape(rec["shape"])
+            except (TypeError, ValueError) as exc:
+                raise ShapeError(f"weight record {name!r}: data does not fill shape "
+                                 f"{rec['shape']!r} with numbers ({exc})") from None
         return WeightBundle(tensors)
 
 
@@ -276,22 +298,24 @@ def score_gate(batch: QueryBatch, weights: WeightBundle, activation: str = "iden
 
 
 def _lstm_gates(x, h, c, w_ih, w_hh, b):
-    # one cell update for all rows of x, h, c (each (..., K, D)); returns
-    # every intermediate, gate order along the 4D axis is i, f, g, o
-    a = x @ w_ih.T + h @ w_hh.T + b
+    # one cell update for all rows of x, h, c (each (..., K, D)); h = c =
+    # None is the zero state, which skips the recurrent product and f * c.
+    # Returns every intermediate, gate order along the 4D axis is i, f, g, o
+    a = x @ w_ih.T + b if h is None else x @ w_ih.T + h @ w_hh.T + b
     d = len(b) // 4
-    i = sigmoid(a[..., :d])
-    f = sigmoid(a[..., d : 2 * d])
+    s = sigmoid(a)
+    i, f, o = s[..., :d], s[..., d : 2 * d], s[..., 3 * d :]
     g = np.tanh(a[..., 2 * d : 3 * d])
-    o = sigmoid(a[..., 3 * d :])
-    c_new = f * c + i * g
+    # f * 0 + i * g is i * g with -0.0 read as +0.0, which + 0.0 does too
+    c_new = i * g + 0.0 if c is None else f * c + i * g
     tanh_c = np.tanh(c_new)
     return i, f, g, o, c_new, tanh_c, o * tanh_c
 
 
 def _mix_history(history, weights: WeightBundle, activation: str):
     # returns (final hidden rows, per-step (batch, score-gate values, h, c,
-    # cell values)) with h, c the state the step started from
+    # cell values)) with h, c the state the step started from, None for the
+    # zero state of the first step
     steps = [history] if isinstance(history, QueryBatch) else list(history)
     if not steps:
         raise EmptyInputError("history must contain at least one query batch")
@@ -299,7 +323,7 @@ def _mix_history(history, weights: WeightBundle, activation: str):
     if any(step.k != k or step.width != d for step in steps):
         raise ShapeError("all history batches must share K and D")
     w_ih, w_hh, b = weights.get("lstm.W_ih"), weights.get("lstm.W_hh"), weights.get("lstm.b")
-    h = c = np.zeros((k, d))
+    h = c = None
     tape = []
     for step in steps:
         gate = _score_gate(step.rows, step.scores, weights, activation)
@@ -389,11 +413,9 @@ def _score_head(z, weights: WeightBundle):
     return (weights.get("head.W_score") @ z[..., None])[..., 0] + weights.get("head.b_score")
 
 
-def _plan_head(query, instance_features, weights: WeightBundle):
-    # one query; returns ((trajectories, score logits), pooled head input z)
-    z = _head_input(query, instance_features)
-    flat = weights.get("head.W_traj") @ z + weights.get("head.b_traj")
-    return (flat.reshape(weights.k, weights.n_t, 2), _score_head(z, weights)), z
+def _trajectory_head(z, weights: WeightBundle):
+    # flat trajectory offsets (K*N*2,) of one pooled head input z (2D,)
+    return weights.get("head.W_traj") @ z + weights.get("head.b_traj")
 
 
 def plan_head(query, instance_features, weights: WeightBundle):
@@ -401,7 +423,9 @@ def plan_head(query, instance_features, weights: WeightBundle):
 
     Returns (trajectories (K, N, 2), score_logits (K,)).
     """
-    return _plan_head(_row(query), instance_features, weights)[0]
+    z = _head_input(_row(query), instance_features)
+    trajs = _trajectory_head(z, weights).reshape(weights.k, weights.n_t, 2)
+    return trajs, _score_head(z, weights)
 
 
 def _refined_scores(query, mixed, instance_features, weights: WeightBundle):
@@ -448,59 +472,74 @@ def trajectory_sq_loss_and_grads(
     refined, (q_sel, qp, kp, vp, w_att, ctx) = _cross_attention(
         _row(selected_query), mixed, mixed, weights
     )
-    (trajs, _), z = _plan_head(refined, instance_features, weights)
-    y = trajs.reshape(-1)
+    z = _head_input(refined, instance_features)
+    y = _trajectory_head(z, weights)
     loss = float(y @ y)
 
-    d = weights.d_q
+    d, root_d = weights.d_q, math.sqrt(weights.d_q)
     w_ih, w_hh = weights.get("lstm.W_ih"), weights.get("lstm.W_hh")
     w_k, w_v, w_o = weights.get("attn.W_k"), weights.get("attn.W_v"), weights.get("attn.W_o")
-    grads = {name: np.zeros_like(weights.get(name)) for name in WEIGHT_NAMES}
-    # score logits never touch the loss; their grads stay zero
+    # score logits never touch the loss; theirs are the only zero grads built
+    grads = {name: np.zeros(weights.get(name).shape) for name in ("head.W_score", "head.b_score")}
 
+    # np.dot runs the gemm/gemv that @ runs, with the same bits, in 60-90% of
+    # its time on these (K, D)-sized operands (timeit, numpy 2.4, x86-64)
     dy = 2.0 * y
-    grads["head.W_traj"] = np.outer(dy, z)
+    grads["head.W_traj"] = dy[:, None] * z
     grads["head.b_traj"] = dy
-    datt = (weights.get("head.W_traj").T @ dy)[:d]
+    datt = np.dot(weights.get("head.W_traj").T, dy)[:d]
 
-    grads["attn.W_o"] = np.outer(datt, ctx)
-    dctx = w_o.T @ datt
-    dw_att = vp @ dctx
-    dvp = np.outer(w_att, dctx)
-    dlogits = w_att * (dw_att - w_att @ dw_att)
-    dqp = (kp.T @ dlogits) / math.sqrt(d)
-    dkp = np.outer(dlogits, qp) / math.sqrt(d)
-    grads["attn.W_q"] = np.outer(dqp, q_sel)
-    grads["attn.W_k"] = dkp.T @ mixed
-    grads["attn.W_v"] = dvp.T @ mixed
+    grads["attn.W_o"] = datt[:, None] * ctx
+    dctx = np.dot(w_o.T, datt)
+    dw_att = np.dot(vp, dctx)
+    dvp = w_att[:, None] * dctx
+    dlogits = w_att * (dw_att - np.dot(w_att, dw_att))
+    dqp = np.dot(kp.T, dlogits) / root_d
+    dkp = dlogits[:, None] * qp / root_d
+    grads["attn.W_q"] = dqp[:, None] * q_sel
+    grads["attn.W_k"] = np.dot(dkp.T, mixed)
+    grads["attn.W_v"] = np.dot(dvp.T, mixed)
 
-    # back through time, every candidate row at once
-    dh = dkp @ w_k + dvp @ w_v
-    dc = np.zeros_like(dh)
+    # back through time, every candidate row at once; the first step started
+    # from the zero state, so it has no f * c term, no W_hh term and no
+    # dh or dc to pass further back
+    dh = np.dot(dkp, w_k) + np.dot(dvp, w_v)
+    dc = None
     for step, (pre, act, gate, x), h_prev, c_prev, cell in reversed(mix_tape):
         i, f, g, o, _, tanh_c, _ = cell
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        dc_out = dh * o * (1.0 - tanh_c * tanh_c)
+        dc = dc_out if dc is None else dc + dc_out
         da = np.concatenate(
             [
                 dc * g * i * (1.0 - i),
-                dc * c_prev * f * (1.0 - f),
+                np.zeros(dc.shape) if h_prev is None else dc * c_prev * f * (1.0 - f),
                 dc * i * (1.0 - g * g),
                 dh * tanh_c * o * (1.0 - o),
             ],
             axis=1,
         )
-        grads["lstm.W_ih"] += da.T @ x
-        grads["lstm.W_hh"] += da.T @ h_prev
-        grads["lstm.b"] += da.sum(axis=0)
-        dh = da @ w_hh
-        dc = dc * f
-
-        d_act = (da @ w_ih) * gate
+        d_act = np.dot(da, w_ih) * gate
         if activation == "relu":
             d_act = d_act * (pre > 0.0)
         elif activation == "tanh":
             d_act = d_act * (1.0 - act * act)
-        grads["mlp.W"] += d_act.T @ step.rows
-        grads["mlp.b"] += d_act.sum(axis=0)
+        terms = [
+            ("lstm.W_ih", np.dot(da.T, x)),
+            ("lstm.b", da.sum(axis=0)),
+            ("mlp.W", np.dot(d_act.T, step.rows)),
+            ("mlp.b", d_act.sum(axis=0)),
+        ]
+        if h_prev is not None:
+            terms.append(("lstm.W_hh", np.dot(da.T, h_prev)))
+            dh = np.dot(da, w_hh)
+            dc = dc * f
+        for name, term in terms:
+            if name in grads:
+                grads[name] += term
+            else:
+                grads[name] = term
+    if "lstm.W_hh" not in grads:
+        # one step, from the zero state: W_hh never reached the loss
+        grads["lstm.W_hh"] = np.zeros(w_hh.shape)
 
-    return loss, grads
+    return loss, {name: grads[name] for name in WEIGHT_NAMES}

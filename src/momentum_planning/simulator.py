@@ -616,8 +616,7 @@ def _choose_momentum(stream: _Stream, settings: RunSettings, weights: WeightBund
         e = min(s + block, n_frames)
         hist = slice(s - 1, e - 1)
         gated = _score_gate(queries[hist], scores[hist], weights, "identity")[-1]
-        zero = np.zeros_like(gated)
-        _, _, _, _, c1, _, mixed = _lstm_gates(gated, zero, zero, *cell)
+        _, _, _, _, c1, _, mixed = _lstm_gates(gated, None, None, *cell)
         if settings.history_depth == 2:
             h1 = mixed
             h0 = np.concatenate([carry_h, h1[:-1]])

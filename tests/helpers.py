@@ -1,5 +1,6 @@
-"""Shared test harnesses: finite differences for gradient verification, and
-the per-candidate proposal and matching loops, the per-frame momentum step
+"""Shared test harnesses: finite differences for gradient verification, the
+reverse pass the analytic gradients must reproduce byte for byte, and the
+per-candidate proposal and matching loops, the per-frame momentum step
 and the per-frame rollout and scoring loops that the batched ``propose``,
 ``ttm_select``, ``step_momentum``, ``run_closed_loop`` and
 ``report_from_log`` must reproduce."""
@@ -8,7 +9,7 @@ import math
 
 import numpy as np
 
-from momentum_planning.interactor import QueryBatch, WeightBundle, mpi_forward, softmax
+from momentum_planning.interactor import QueryBatch, WeightBundle, mpi_forward, sigmoid, softmax
 from momentum_planning.matching import TrajectorySet, trajectory_distance, ttm_select
 from momentum_planning.metrics import MetricReport, ObstacleBox, l2_error, min_ade_fde, tpc
 from momentum_planning.simulator import (
@@ -55,6 +56,107 @@ def max_rel_err(analytic, numeric, floor=1e-4):
     n = np.asarray(numeric).reshape(-1)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
     return float((np.abs(a - n) / denom).max())
+
+
+def reference_sq_loss_and_grads(selected_query, history, instance_features, weights,
+                                activation="identity"):
+    """``trajectory_sq_loss_and_grads`` as it was before it skipped the zero
+    state's terms and the score head, kept as its byte-identity oracle: every
+    history run starts from zero arrays, every gradient is accumulated into a
+    ``zeros_like`` tensor, and the forward stages of that version are written
+    out here, so the oracle shares no code with what it checks but
+    ``sigmoid`` and ``softmax``."""
+    w = {name: weights.get(name) for name in weights.names()}
+    d = weights.d_q
+
+    def gate_rows(step):
+        pre = step.rows @ w["mlp.W"].T + w["mlp.b"]
+        act = {"identity": pre, "relu": np.maximum(pre, 0.0), "tanh": np.tanh(pre)}[activation]
+        gate = sigmoid(step.scores)[..., None]
+        return pre, act, gate, gate * act
+
+    def lstm(x, h, c):
+        a = x @ w["lstm.W_ih"].T + h @ w["lstm.W_hh"].T + w["lstm.b"]
+        i = sigmoid(a[..., :d])
+        f = sigmoid(a[..., d : 2 * d])
+        g = np.tanh(a[..., 2 * d : 3 * d])
+        o = sigmoid(a[..., 3 * d :])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        return i, f, g, o, c_new, tanh_c, o * tanh_c
+
+    steps = [history] if isinstance(history, QueryBatch) else list(history)
+    h = c = np.zeros((steps[0].k, d))
+    mix_tape = []
+    for step in steps:
+        gate = gate_rows(step)
+        cell = lstm(gate[-1], h, c)
+        mix_tape.append((step, gate, h, c, cell))
+        _, _, _, _, c, _, h = cell
+    mixed = h
+
+    q_sel = np.asarray(selected_query, dtype=np.float64).reshape(-1)
+    qp = (w["attn.W_q"] @ q_sel[..., None])[..., 0]
+    kp = mixed @ w["attn.W_k"].T
+    w_att = softmax((kp @ qp[..., None])[..., 0] / math.sqrt(d))
+    vp = mixed @ w["attn.W_v"].T
+    ctx = (w_att[..., None, :] @ vp)[..., 0, :]
+    refined = (w["attn.W_o"] @ ctx[..., None])[..., 0]
+    feats = np.asarray(instance_features, dtype=np.float64)
+    z = np.concatenate([refined, feats.mean(axis=-2)], axis=-1)
+    flat = w["head.W_traj"] @ z + w["head.b_traj"]
+    y = flat.reshape(weights.k, weights.n_t, 2).reshape(-1)
+    loss = float(y @ y)
+
+    w_ih, w_hh = w["lstm.W_ih"], w["lstm.W_hh"]
+    w_k, w_v, w_o = w["attn.W_k"], w["attn.W_v"], w["attn.W_o"]
+    grads = {name: np.zeros_like(weights.get(name)) for name in weights.names()}
+
+    dy = 2.0 * y
+    grads["head.W_traj"] = np.outer(dy, z)
+    grads["head.b_traj"] = dy
+    datt = (w["head.W_traj"].T @ dy)[:d]
+
+    grads["attn.W_o"] = np.outer(datt, ctx)
+    dctx = w_o.T @ datt
+    dw_att = vp @ dctx
+    dvp = np.outer(w_att, dctx)
+    dlogits = w_att * (dw_att - w_att @ dw_att)
+    dqp = (kp.T @ dlogits) / math.sqrt(d)
+    dkp = np.outer(dlogits, qp) / math.sqrt(d)
+    grads["attn.W_q"] = np.outer(dqp, q_sel)
+    grads["attn.W_k"] = dkp.T @ mixed
+    grads["attn.W_v"] = dvp.T @ mixed
+
+    dh = dkp @ w_k + dvp @ w_v
+    dc = np.zeros_like(dh)
+    for step, (pre, act, gate, x), h_prev, c_prev, cell in reversed(mix_tape):
+        i, f, g, o, _, tanh_c, _ = cell
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        da = np.concatenate(
+            [
+                dc * g * i * (1.0 - i),
+                dc * c_prev * f * (1.0 - f),
+                dc * i * (1.0 - g * g),
+                dh * tanh_c * o * (1.0 - o),
+            ],
+            axis=1,
+        )
+        grads["lstm.W_ih"] += da.T @ x
+        grads["lstm.W_hh"] += da.T @ h_prev
+        grads["lstm.b"] += da.sum(axis=0)
+        dh = da @ w_hh
+        dc = dc * f
+
+        d_act = (da @ w_ih) * gate
+        if activation == "relu":
+            d_act = d_act * (pre > 0.0)
+        elif activation == "tanh":
+            d_act = d_act * (1.0 - act * act)
+        grads["mlp.W"] += d_act.T @ step.rows
+        grads["mlp.b"] += d_act.sum(axis=0)
+
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import fd_grad, max_rel_err
+from helpers import fd_grad, max_rel_err, reference_sq_loss_and_grads
 
 from momentum_planning.interactor import (
     QueryBatch,
@@ -85,3 +85,29 @@ def test_recurrent_and_score_grads_zero_at_depth_one():
     assert not grads["lstm.W_hh"].any()
     assert not grads["head.W_score"].any()
     assert not grads["head.b_score"].any()
+
+
+def test_reverse_pass_is_byte_identical_to_the_reference():
+    # 300 seeded draws over widths, candidate counts, horizons, depths and
+    # activations; the loss and every gradient must keep their exact bytes
+    rng = np.random.default_rng(20261018)
+    activations = ("identity", "relu", "tanh")
+    for draw in range(300):
+        d, k, n = int(rng.integers(3, 13)), int(rng.integers(2, 7)), int(rng.integers(3, 9))
+        depth, activation = 1 + draw % 2, activations[draw % 3]
+        scale = float(rng.uniform(0.5, 3.0))
+        hist = [
+            QueryBatch(scale * rng.standard_normal((k, d)), scale * rng.standard_normal(k))
+            for _ in range(depth)
+        ]
+        q, feats = rng.standard_normal(d), rng.standard_normal((k, d))
+        wb = WeightBundle.seeded(d, k, n, seed=int(rng.integers(0, 2**31)))
+        loss, grads = trajectory_sq_loss_and_grads(q, hist, feats, wb, activation)
+        ref_loss, ref_grads = reference_sq_loss_and_grads(q, hist, feats, wb, activation)
+        where = (draw, d, k, n, depth, activation)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes(), where
+        assert sorted(grads) == sorted(ref_grads), where
+        for name, ref in ref_grads.items():
+            got = grads[name]
+            assert got.dtype == ref.dtype and got.shape == ref.shape, (where, name)
+            assert got.tobytes() == ref.tobytes(), (where, name)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -180,6 +181,23 @@ def test_mix_history_rejects_empty_and_mismatched(wb):
         mix_history([batch(rng, k=K), batch(rng, k=K + 1)], wb)
 
 
+@pytest.mark.parametrize("lead", [(), (5,)], ids=["rows", "stacked"])
+def test_absent_state_equals_the_zero_arrays_bit_for_bit(lead):
+    # h = c = None is how every history run starts; it must give what zero
+    # arrays give, down to the sign of zero, also where a wide input scale
+    # saturates the gates
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        d, k = int(rng.integers(2, 13)), int(rng.integers(1, 7))
+        w = WeightBundle.seeded(d, k, 2, seed=trial)
+        cell = (w.get("lstm.W_ih"), w.get("lstm.W_hh"), w.get("lstm.b"))
+        x = (1.0, 80.0)[trial % 2] * rng.standard_normal(lead + (k, d))
+        zero = np.zeros_like(x)
+        absent, zeros = _lstm_gates(x, None, None, *cell), _lstm_gates(x, zero, zero, *cell)
+        for got, want in zip(absent, zeros):
+            assert same_bits(got, want), (trial, d, k)
+
+
 # --- attention ---------------------------------------------------------------------
 
 
@@ -342,6 +360,49 @@ def test_weight_bundle_shape_validation():
     del tensors["attn.W_q"]
     with pytest.raises(ShapeError):
         WeightBundle(tensors)
+
+
+def test_with_tensor_checks_and_freezes_only_the_new_tensor(wb):
+    new = wb.with_tensor("mlp.b", [1, 2, 3, 4, 5, 6])
+    assert new.get("mlp.b").dtype == np.float64 and not new.get("mlp.b").flags.writeable
+    assert new.get("mlp.b").tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    # the unchanged tensors are the same read-only arrays, not copies
+    assert all(new.get(n) is wb.get(n) for n in wb.names() if n != "mlp.b")
+    assert wb.get("mlp.b").tolist() != new.get("mlp.b").tolist()
+    with pytest.raises(ShapeError, match="non-finite"):
+        wb.with_tensor("mlp.b", np.r_[np.zeros(D - 1), np.inf])
+    with pytest.raises(ShapeError, match="unknown weight"):
+        wb.with_tensor("mlp.c", np.zeros(D))
+
+
+def _write_weights(tmp_path, wb, edit):
+    path = tmp_path / "weights.json"
+    wb.save(path)
+    payload = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(payload)))
+    return path
+
+
+def _extend(rec, *values):
+    rec["data"] = rec["data"] + list(values)
+    return rec
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        (lambda p: list(p.values()), "JSON object"),
+        (lambda p: {**p, "mlp.b": _extend(p["mlp.b"], float("nan"))}, "'mlp.b'"),
+        (lambda p: {**p, "lstm.b": {**p["lstm.b"], "data": p["lstm.b"]["data"][:-1]}}, "'lstm.b'"),
+        (lambda p: {**p, "attn.W_q": {**p["attn.W_q"], "data": ["x"] + p["attn.W_q"]["data"][1:]}},
+         "'attn.W_q'"),
+    ],
+    ids=["not_an_object", "stray_nan", "short_data", "non_numeric"],
+)
+def test_weight_bundle_load_rejects_malformed_files(tmp_path, wb, edit, match):
+    path = _write_weights(tmp_path, wb, edit)
+    with pytest.raises(ShapeError, match=match):
+        WeightBundle.load(path)
 
 
 def test_weight_bundle_json_round_trip(tmp_path, wb):
