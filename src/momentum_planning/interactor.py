@@ -86,8 +86,9 @@ def softmax(logits) -> np.ndarray:
 
 
 def _read_only(name, array) -> np.ndarray:
-    # one weight tensor as a finite, read-only float64 array
-    arr = np.asarray(array, dtype=np.float64)
+    # one weight tensor as a finite, read-only float64 copy: freezing the
+    # caller's own array would make it read-only for the caller too
+    arr = np.array(array, dtype=np.float64)
     if not np.isfinite(arr).all():
         raise ShapeError(f"{name} contains non-finite values")
     arr.setflags(write=False)

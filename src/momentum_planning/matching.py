@@ -5,6 +5,11 @@ trajectory was planned in, scores each one by a set distance, and keeps the
 closest.  Hausdorff is the default because it penalizes the worst-aligned
 stretch of a candidate; the pointwise-mean baseline is retained for
 ablations and is sensitive to where samples happen to bunch up.
+
+Both distances have one definition, ``_pair_distances``, over stacked
+(frame, candidate, plan) arrays: a rollout's selection calls it over frame
+blocks, ``ttm_select`` on one frame, and ``hausdorff`` and
+``trajectory_distance`` on one pair.
 """
 
 from __future__ import annotations
@@ -123,29 +128,15 @@ def _points_of(traj) -> np.ndarray:
     return pts
 
 
-def directed_hausdorff(a, b) -> float:
-    """sup over a of inf over b of the pointwise Euclidean distance."""
-    pa, pb = _points_of(a), _points_of(b)
-    dx = pa[:, 0][:, None] - pb[:, 0][None, :]
-    dy = pa[:, 1][:, None] - pb[:, 1][None, :]
-    d = np.sqrt(dx * dx + dy * dy)
-    return float(d.min(axis=1).max())
+def _one_pair(pa, pb, kind: DistanceKind) -> float:
+    """``_pair_distances`` of one (N, 2) point set to one (M, 2) set."""
+    return float(_pair_distances(pa[None, None], pb[None, None], kind)[0, 0, 0])
 
 
 def hausdorff(a, b) -> float:
-    """Symmetric Hausdorff distance: max of the two directed values."""
-    return max(directed_hausdorff(a, b), directed_hausdorff(b, a))
-
-
-def mean_euclidean(a, b) -> float:
-    """Mean pointwise distance between two equal-length trajectories."""
-    pa, pb = _points_of(a), _points_of(b)
-    if len(pa) != len(pb):
-        raise AlignmentError(
-            f"pointwise mean needs equal lengths, got {len(pa)} and {len(pb)}"
-        )
-    diff = pa - pb
-    return float(np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2).mean())
+    """Symmetric Hausdorff distance between two point sets: the larger of
+    the two directed sup-inf distances."""
+    return _one_pair(_points_of(a), _points_of(b), DistanceKind.HAUSDORFF)
 
 
 def trajectory_distance(a: Trajectory, b: Trajectory, kind: DistanceKind) -> float:
@@ -155,7 +146,7 @@ def trajectory_distance(a: Trajectory, b: Trajectory, kind: DistanceKind) -> flo
     if kind is DistanceKind.HAUSDORFF:
         return hausdorff(a, b)
     n = max(len(a), len(b))
-    return mean_euclidean(resample(a, n), resample(b, n))
+    return _one_pair(resample(a, n).points, resample(b, n).points, kind)
 
 
 def _moved(points, rotation, translation) -> np.ndarray:
@@ -169,8 +160,10 @@ def _moved(points, rotation, translation) -> np.ndarray:
 
 def _pair_distances(moved, plans, kind: DistanceKind) -> np.ndarray:
     """TTM distance (F, K, K') of each moved candidate (F, K, N, 2) to each
-    of the frame's historical plans (F, K', M, 2); each value equals
-    ``trajectory_distance`` on that pair.  The pointwise mean needs M = N."""
+    of the frame's historical plans (F, K', M, 2): the symmetric Hausdorff
+    distance, or the mean pointwise distance, which needs M = N.  This is
+    the one definition of both; ``hausdorff``, ``trajectory_distance`` and
+    ``ttm_select`` are its calls on one frame."""
     if kind is DistanceKind.HAUSDORFF:
         a = moved[:, :, None, :, None, :]
         b = plans[:, None, :, None, :, :]
@@ -202,8 +195,8 @@ def ttm_select(
     a rollout's stacked selection uses, with one frame and one plan: the
     symmetric Hausdorff distance, or the pointwise mean, which first
     resamples the candidates and the history to the longer of N and M when
-    they differ.  Each value equals ``trajectory_distance`` on that
-    candidate.  Ties resolve to the lowest index.
+    they differ, as ``trajectory_distance`` does.  Ties resolve to the
+    lowest index.
     """
     kind = DistanceKind(kind)
     moved = _moved(candidates.points[None], frame_delta.rotation[None], frame_delta.translation[None])

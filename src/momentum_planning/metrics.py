@@ -11,6 +11,13 @@ Consistency (``tpc``) compares the current prediction against the previous
 one after moving it into the previous frame; only waypoints whose absolute
 time exists in both predictions participate, and the per-sample value is
 the RMSE over those pairs.
+
+Each metric has one definition, a kernel over stacks of F frames:
+displacements and the two L2 protocols, the TPC pairing, min ADE/FDE,
+swept-box collisions, the horizon rule and the per-frame mean.  A rollout's
+report folds them over every frame at once; ``l2_error``, ``tpc``,
+``min_ade_fde``, ``collision_flags`` and ``collision_rate`` are their calls
+on one frame.
 """
 
 from __future__ import annotations
@@ -22,9 +29,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, EmptyInputError, HorizonError, ShapeError
-from .matching import TrajectorySet
-from .trajectory import OverlapMask, Pose2, Trajectory, transform_to_frame
+from .errors import AlignmentError, ConfigError, EmptyInputError, GeometryError, HorizonError, ShapeError
+from .matching import TrajectorySet, _moved
+from .trajectory import OverlapMask, Pose2, Trajectory
+from .trajectory import transform_to_frame  # noqa: F401
+
+# nothing here calls transform_to_frame; it stays importable on this module
+# because bench/tracing.py wraps it here.
 
 _HORIZON_SNAP = 1e-9
 
@@ -66,7 +77,14 @@ _CORNER_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]])
 
 
 def _horizon_index(horizon_s: float, dt: float, available: int) -> int:
-    steps = int(round(horizon_s / dt))
+    """Index of the last of ``available`` waypoints on a ``dt`` grid that a
+    horizon of ``horizon_s`` seconds reads: the one horizon rule, which
+    every metric and ``RunSettings`` apply.  A horizon that is no positive
+    multiple of dt (non-finite ones included) or needs more waypoints than
+    there are raises ``HorizonError``."""
+    ratio = horizon_s / dt
+    # round() refuses inf and nan, which are no multiple of dt either
+    steps = int(round(ratio)) if math.isfinite(ratio) else 0
     if steps < 1 or abs(steps * dt - horizon_s) > _HORIZON_SNAP:
         raise HorizonError(f"horizon {horizon_s} s is not a positive multiple of dt={dt}")
     if steps > available:
@@ -74,6 +92,27 @@ def _horizon_index(horizon_s: float, dt: float, available: int) -> int:
             f"horizon {horizon_s} s needs {steps} waypoints, only {available} available"
         )
     return steps - 1
+
+
+def _mean_of(values: np.ndarray) -> float:
+    """The mean of per-frame values, summed with ``math.fsum`` in frame
+    order; 0.0 for no frames."""
+    return math.fsum(values.tolist()) / len(values) if len(values) else 0.0
+
+
+def _displacements(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance per waypoint between broadcast (..., N, 2) stacks,
+    in C order, so that each row sums as it would alone."""
+    d = a - b
+    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2, order="C")
+
+
+def _l2(d: np.ndarray, steps: int, protocol: L2Protocol) -> np.ndarray:
+    """L2 per row of (F, n) displacements over the first ``steps``
+    waypoints: the last one's, or their mean."""
+    if protocol is L2Protocol.AVERAGED_UP_TO:
+        return d[:, :steps].mean(axis=-1)
+    return d[:, steps - 1]
 
 
 def l2_error(
@@ -87,15 +126,8 @@ def l2_error(
     if pred.dt != gt.dt:
         raise AlignmentError(f"dt mismatch: {pred.dt} vs {gt.dt}")
     n = min(len(pred), len(gt))
-    d = np.linalg.norm(pred.points[:n] - gt.points[:n], axis=1)
-    out = {}
-    for h in horizons_s:
-        idx = _horizon_index(h, pred.dt, n)
-        if protocol is L2Protocol.AT_TIMESTEP:
-            out[float(h)] = float(d[idx])
-        else:
-            out[float(h)] = float(d[: idx + 1].mean())
-    return out
+    d = _displacements(pred.points[None, :n], gt.points[None, :n])
+    return {float(h): float(_l2(d, _horizon_index(h, pred.dt, n) + 1, protocol)[0]) for h in horizons_s}
 
 
 def overlap_flags(a, b) -> np.ndarray:
@@ -153,6 +185,21 @@ def ego_headings(points: np.ndarray) -> np.ndarray:
     return np.concatenate([headings, headings[..., -1:]], axis=-1)
 
 
+def _swept_hits(points: np.ndarray, length: float, width: float, boxes) -> np.ndarray:
+    """Per-waypoint collision flags (..., n) of a ``length`` x ``width`` ego
+    box swept along (..., n, 2) paths, heading along them, against
+    ``boxes``: obstacle stacks in ``overlap_flags`` form whose leading
+    obstacle axis comes before axes that broadcast against the paths."""
+    ego = (points, ego_headings(points), length, width)
+    return overlap_flags(ego, boxes).any(axis=0)
+
+
+def _collided(hits: np.ndarray, steps: int) -> np.ndarray:
+    """100 per row of (F, n) hit flags with a hit among its first ``steps``
+    waypoints, else 0."""
+    return np.where(hits[:, :steps].any(axis=-1), 100.0, 0.0)
+
+
 def _clamped_track(obstacle, n: int) -> list:
     """An obstacle's box at each of ``n`` waypoints: a static box
     everywhere, a track clamped at its end."""
@@ -179,8 +226,7 @@ def collision_flags(pred: Trajectory, ego_dims: tuple[float, float], obstacles) 
         [[(*box.center, box.heading, box.length, box.width) for box in track] for track in tracks],
         dtype=np.float64,
     ).reshape(len(tracks), n, 5)
-    ego = (pred.points, ego_headings(pred.points), length, width)
-    return overlap_flags(ego, (rows[..., :2], rows[..., 2], rows[..., 3], rows[..., 4])).any(axis=0)
+    return _swept_hits(pred.points, length, width, (rows[..., :2], rows[..., 2], rows[..., 3], rows[..., 4]))
 
 
 def collision_rate(
@@ -191,12 +237,25 @@ def collision_rate(
 ) -> dict[float, float]:
     """Percent collision per horizon for one prediction: 100 when any step
     up to the horizon collides, else 0."""
-    flags = collision_flags(pred, ego_dims, obstacles)
-    out = {}
-    for h in horizons_s:
-        idx = _horizon_index(h, pred.dt, len(pred))
-        out[float(h)] = 100.0 if flags[: idx + 1].any() else 0.0
-    return out
+    flags = collision_flags(pred, ego_dims, obstacles)[None]
+    return {float(h): float(_collided(flags, _horizon_index(h, pred.dt, len(pred)) + 1)[0]) for h in horizons_s}
+
+
+def _consistency_sq(cur, prev, rotation, translation, gap: int) -> np.ndarray:
+    """The TPC pairing over F frames: each plan (F, n, 2) moved into the
+    frame before by its (F, 2, 2) rotation and (F, 2) translation, the
+    product TTM moves candidates by, then the squared distance (F, L) from
+    its waypoint i to waypoint i + gap of that frame's plan (F, m, 2), for
+    every i < L = min(n, m - gap)."""
+    moved = _moved(cur[:, None], rotation, translation)[:, 0]
+    length = min(moved.shape[1], prev.shape[1] - gap)
+    diff = moved[:, :length] - prev[:, gap : gap + length]
+    return diff[..., 0] ** 2 + diff[..., 1] ** 2
+
+
+def _rms(sq: np.ndarray) -> np.ndarray:
+    """Root of the mean over the last axis."""
+    return np.sqrt(sq.mean(axis=-1))
 
 
 def tpc(
@@ -209,9 +268,12 @@ def tpc(
     """Consistency of consecutive predictions, as RMSE over the overlap.
 
     The current prediction is moved into the previous frame first; masked
-    waypoint i pairs with previous waypoint i + gap.  Returns None when the
-    mask selects nothing (the sample is skipped by aggregation).
+    waypoint i pairs with previous waypoint i + gap, and the gap must be
+    non-negative.  Returns None when the mask selects nothing (the sample is
+    skipped by aggregation).
     """
+    if frame_gap_steps < 0:
+        raise GeometryError(f"frame gap must be >= 0, got {frame_gap_steps}")
     if len(mask) != len(cur_pred):
         raise ShapeError(f"mask length {len(mask)} != prediction length {len(cur_pred)}")
     idx = np.flatnonzero(mask.flags)
@@ -219,10 +281,18 @@ def tpc(
         return None
     if idx.max() + frame_gap_steps >= len(prev_pred):
         raise AlignmentError("mask selects waypoints beyond the previous horizon")
-    moved = transform_to_frame(cur_pred, frame_delta)
-    diff = moved.points[idx] - prev_pred.points[idx + frame_gap_steps]
-    sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
-    return float(math.sqrt(sq.mean()))
+    sq = _consistency_sq(cur_pred.points[None], prev_pred.points[None], frame_delta.rotation[None],
+                         frame_delta.translation[None], frame_gap_steps)
+    return float(_rms(sq[:, idx])[0])
+
+
+def _best_displacements(points: np.ndarray, gt: np.ndarray):
+    """Min ADE (F,), min FDE (F,) and the ADE winner (F,) of candidate
+    stacks (F, K, N, 2) against ground truths (F, N, 2); ties go to the
+    lowest index."""
+    d = _displacements(points, gt[:, None])
+    ade = d.mean(axis=-1)
+    return ade.min(axis=-1), d[..., -1].min(axis=-1), ade.argmin(axis=-1)
 
 
 def min_ade_fde(candidates: TrajectorySet, gt: Trajectory):
@@ -232,17 +302,11 @@ def min_ade_fde(candidates: TrajectorySet, gt: Trajectory):
     them; the returned index belongs to the ADE winner (lowest index on a
     tie).
     """
-    ades, fdes = [], []
-    for traj in candidates.trajectories:
-        if len(traj) != len(gt):
-            raise AlignmentError(
-                f"candidate length {len(traj)} != ground-truth length {len(gt)}"
-            )
-        d = np.linalg.norm(traj.points - gt.points, axis=1)
-        ades.append(float(d.mean()))
-        fdes.append(float(d[-1]))
-    best = int(np.argmin(ades))
-    return ades[best], float(min(fdes)), best
+    n = candidates.points.shape[1]
+    if n != len(gt):
+        raise AlignmentError(f"candidate length {n} != ground-truth length {len(gt)}")
+    ade, fde, best = _best_displacements(candidates.points[None], gt.points[None])
+    return float(ade[0]), float(fde[0]), int(best[0])
 
 
 def focal_loss(prob: float, target: int, alpha: float = 0.25, gamma: float = 2.0) -> float:
@@ -327,6 +391,23 @@ class MetricReport:
         for name, h, v in self.rows():
             lines.append(f"{name},{'' if h is None else repr(h)},{repr(v)}")
         return "\n".join(lines) + "\n"
+
+
+def _fold_report(horizons_s, dt: float, protocol: L2Protocol, d, hits, sq, min_ade: float,
+                 min_fde: float) -> MetricReport:
+    """The report over F frames at every horizon, from per-frame rows: the
+    displacements (F, n) of each chosen plan, its collision flags (F, n)
+    and its TPC pairing (F', n') against the plan before (a frame without
+    one has no row); min ADE/FDE are given.  Each horizon slices its first
+    waypoints from those rows, and per-frame values go through
+    ``_mean_of``."""
+    l2, collision, consistency = {}, {}, {}
+    for h in horizons_s:
+        steps = _horizon_index(h, dt, d.shape[1]) + 1
+        l2[h] = _mean_of(_l2(d, steps, protocol))
+        collision[h] = _mean_of(_collided(hits, steps))
+        consistency[h] = _mean_of(_rms(sq[:, :steps]))
+    return MetricReport(l2=l2, collision_rate=collision, tpc=consistency, min_ade=min_ade, min_fde=min_fde)
 
 
 def mean_reports(reports: Sequence[MetricReport]) -> MetricReport:

@@ -38,12 +38,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, EmptyInputError, LogCorruptionError, ShapeError
+from .errors import AlignmentError, ConfigError, EmptyInputError, HorizonError, LogCorruptionError, ShapeError
 from .interactor import QueryBatch, WeightBundle, mix_history, softmax
 from .interactor import _lstm_gates, _refined_scores, _score_gate
 from .interactor import mpi_forward  # noqa: F401
 from .matching import DistanceKind, TrajectorySet, _moved, _pair_distances, ttm_select
-from .metrics import L2Protocol, MetricReport, ObstacleBox, ego_headings, overlap_flags
+from .metrics import L2Protocol, MetricReport, ObstacleBox, _best_displacements, _consistency_sq
+from .metrics import _displacements, _fold_report, _horizon_index, _mean_of, _swept_hits
 from .metrics import collision_flags, l2_error, min_ade_fde, tpc  # noqa: F401
 from .trajectory import Pose2, Trajectory, trajectory_from_dict
 from .trajectory import transform_to_frame  # noqa: F401
@@ -269,13 +270,10 @@ class RunSettings:
         if not horizons:
             raise ConfigError("at least one evaluation horizon is required")
         for h in horizons:
-            # h / SIM_DT overflows to inf for huge h, which round() refuses
-            steps = round(h / SIM_DT) if math.isfinite(h / SIM_DT) else 0
-            if steps < 1 or abs(steps * SIM_DT - h) > 1e-9 or steps > self.horizon_steps:
-                raise ConfigError(
-                    f"horizon {h} s must be a positive multiple of {SIM_DT} s within "
-                    f"{self.horizon_steps * SIM_DT} s"
-                )
+            try:
+                _horizon_index(h, SIM_DT, self.horizon_steps)
+            except HorizonError as exc:
+                raise ConfigError(f"evaluation {exc}") from exc
         object.__setattr__(self, "horizons_s", horizons)
 
     def to_dict(self) -> dict:
@@ -503,7 +501,7 @@ def _fan(gt: np.ndarray, draws: np.ndarray, k: int, mode_noise: float, jitter: f
     cands[:, :, 0] += shared_first[:, None]
     cands[:, :, 1:] += cand_jitter
 
-    ades = np.linalg.norm(cands - observed[:, None], axis=-1).mean(axis=-1)
+    ades = _displacements(cands, observed[:, None]).mean(axis=-1)
     scores = softmax(-ades)
     queries = candidate_queries(cands.reshape(f * k, n, 2), d_q).reshape(f, k, d_q)
     return cands, scores, queries
@@ -659,12 +657,6 @@ def _frame_deltas(rot, xy):
     return rot_t @ rot[:-1], (rot_t @ (xy[:-1] - xy[1:])[..., None])[..., 0]
 
 
-def _mean_of(values: np.ndarray) -> float:
-    """The mean of per-frame values, summed with ``math.fsum`` in frame
-    order; 0.0 for no frames."""
-    return math.fsum(values.tolist()) / len(values) if len(values) else 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class _Scene:
     """All that scoring reads of F planned frames and no choice changes, as
@@ -697,14 +689,12 @@ def _scene(world: np.ndarray, rot: np.ndarray, xy: np.ndarray, points: np.ndarra
     # absolute step of waypoint i planned at frame j; always within the path
     steps = np.arange(n_frames)[:, None] + 1 + np.arange(h)
     gt = (world[steps] - xy[:, None, :]) @ rot
-    dist = np.linalg.norm(points - gt[:, None], axis=-1)
+    ade, fde, _ = _best_displacements(points, gt)
     delta_rot, delta_xy = _frame_deltas(rot, xy)
     for array in (world, rot, xy, delta_rot, delta_xy, points, steps, gt):
         array.setflags(write=False)
     return _Scene(
-        world, rot, xy, delta_rot, delta_xy, points, steps, gt,
-        min_ade=_mean_of(dist.mean(axis=-1).min(axis=-1)),
-        min_fde=_mean_of(dist[..., -1].min(axis=-1)),
+        world, rot, xy, delta_rot, delta_xy, points, steps, gt, min_ade=_mean_of(ade), min_fde=_mean_of(fde)
     )
 
 
@@ -936,51 +926,36 @@ def _score_choice(scene: _Scene, chosen_index, settings: RunSettings, obstacles)
     settings' protocol, TPC and collisions with ``obstacles`` at every
     horizon; min ADE/FDE are the scene's.
 
-    Every value is computed at once on stacked (frame, waypoint) arrays,
-    each matrix product the one a single frame would compute, so the report
-    matches scoring frame by frame with the per-trajectory metric functions
-    bit for bit.  Per-frame values are then summed with ``math.fsum`` in
-    frame order.
+    This assembles the chosen plans, the frame deltas and the obstacle
+    tracks as stacked (frame, waypoint) arrays, and ``metrics`` scores them
+    with the kernels its per-trajectory functions call on one frame, so the
+    report matches scoring frame by frame bit for bit.
     """
     h = settings.horizon_steps
-    rot, xy, steps = scene.rot, scene.xy, scene.steps
     n_frames = len(scene.points)
     chosen = scene.points[np.arange(n_frames), chosen_index]
-
-    # displacement, both protocols
-    d = np.linalg.norm(chosen - scene.gt, axis=-1)
-    averaged = settings.protocol is L2Protocol.AVERAGED_UP_TO
-
-    # consistency: frame j's plan moved into frame j-1, waypoint i against
-    # the previous plan's waypoint i+1
-    moved = (chosen[1:] - scene.delta_xy[:, None, :]) @ scene.delta_rot
-    gap = moved[:, : h - 1] - chosen[:-1, 1:]
-    sq = gap[..., 0] ** 2 + gap[..., 1] ** 2
+    # frame j's plan moved into frame j-1, paired with that frame's plan
+    # one step on
+    sq = _consistency_sq(chosen[1:], chosen[:-1], scene.delta_rot, scene.delta_xy, 1)
 
     # collisions: ego boxes swept along the plans against every obstacle at
     # the same absolute step, one kernel call over (obstacle, frame, waypoint);
     # a scene without obstacles has nothing to hit
     if obstacles:
-        pred_world = chosen @ np.swapaxes(rot, -1, -2) + xy[:, None, :]
-        ego = (pred_world, ego_headings(pred_world), settings.ego_length_m, settings.ego_width_m)
+        pred_world = chosen @ np.swapaxes(scene.rot, -1, -2) + scene.xy[:, None, :]
         # one row per obstacle: centre, velocity, heading, length, width; the
         # track is each centre plus velocity times time, as at_step computes it
         rows = np.array([(*o.box.center, *o.velocity, o.box.heading, o.box.length, o.box.width)
                          for o in obstacles])[:, None, None, :]
-        t = (steps * SIM_DT)[..., None]
+        t = (scene.steps * SIM_DT)[..., None]
         boxes = (rows[..., 0:2] + rows[..., 2:4] * t, rows[..., 4], rows[..., 5], rows[..., 6])
-        hits = overlap_flags(ego, boxes).any(axis=0)
+        hits = _swept_hits(pred_world, settings.ego_length_m, settings.ego_width_m, boxes)
     else:
         hits = np.zeros((n_frames, h), dtype=bool)
 
-    l2, collision, consistency = {}, {}, {}
-    for hh in settings.horizons_s:
-        s = int(round(hh / SIM_DT))
-        l2[hh] = _mean_of(d[:, :s].mean(axis=-1) if averaged else d[:, s - 1])
-        collision[hh] = _mean_of(np.where(hits[:, :s].any(axis=-1), 100.0, 0.0))
-        consistency[hh] = _mean_of(np.sqrt(sq[:, : min(s, h - 1)].mean(axis=-1)))
-    return MetricReport(
-        l2=l2, collision_rate=collision, tpc=consistency, min_ade=scene.min_ade, min_fde=scene.min_fde
+    return _fold_report(
+        settings.horizons_s, SIM_DT, settings.protocol, _displacements(chosen, scene.gt), hits, sq,
+        scene.min_ade, scene.min_fde,
     )
 
 

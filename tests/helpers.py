@@ -1,17 +1,19 @@
 """Shared test harnesses: finite differences for gradient verification, the
-reverse pass the analytic gradients must reproduce byte for byte, and the
-per-candidate proposal and matching loops, the per-frame momentum step
-and the per-frame rollout and scoring loops that the batched ``propose``,
-``ttm_select``, ``step_momentum``, ``run_closed_loop`` and
-``report_from_log`` must reproduce."""
+reverse pass the analytic gradients must reproduce byte for byte, the
+one-trajectory metrics and distances that their batched kernels' one-frame
+calls must reproduce, and the per-candidate proposal and matching loops,
+the per-frame momentum step and the per-frame rollout and scoring loops
+that the batched ``propose``, ``ttm_select``, ``step_momentum``,
+``run_closed_loop`` and ``report_from_log`` must reproduce."""
 
 import math
 
 import numpy as np
 
+from momentum_planning.errors import AlignmentError, EmptyInputError, HorizonError, ShapeError
 from momentum_planning.interactor import QueryBatch, WeightBundle, mpi_forward, sigmoid, softmax
-from momentum_planning.matching import TrajectorySet, trajectory_distance, ttm_select
-from momentum_planning.metrics import MetricReport, ObstacleBox, l2_error, min_ade_fde, tpc
+from momentum_planning.matching import DistanceKind, TrajectorySet, ttm_select
+from momentum_planning.metrics import L2Protocol, MetricReport, ObstacleBox
 from momentum_planning.simulator import (
     SIM_DT,
     FrameRecord,
@@ -29,6 +31,7 @@ from momentum_planning.trajectory import (
     Trajectory,
     overlap_mask,
     relative_pose,
+    resample,
     transform_from_frame,
     transform_to_frame,
 )
@@ -159,6 +162,124 @@ def reference_sq_loss_and_grads(selected_query, history, instance_features, weig
     return loss, grads
 
 
+def outcome(fn, *args):
+    """What one call gives: ``("value", result)``, or ``("raises", type)``
+    with the exact type of the exception it raised."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is the outcome
+        return "raises", type(exc)
+
+
+# ---------------------------------------------------------------------------
+# one-trajectory metrics and distances as they were written before they
+# became one-frame calls of the batched kernels, kept verbatim as the
+# oracles those calls and the batched report must reproduce bit for bit
+
+
+def _reference_horizon_index(horizon_s, dt, available):
+    steps = int(round(horizon_s / dt))
+    if steps < 1 or abs(steps * dt - horizon_s) > 1e-9:
+        raise HorizonError(f"horizon {horizon_s} s is not a positive multiple of dt={dt}")
+    if steps > available:
+        raise HorizonError(
+            f"horizon {horizon_s} s needs {steps} waypoints, only {available} available"
+        )
+    return steps - 1
+
+
+def reference_l2_error(pred, gt, horizons_s, protocol=L2Protocol.AT_TIMESTEP):
+    """Displacement error per horizon under the chosen protocol."""
+    protocol = L2Protocol(protocol)
+    if pred.dt != gt.dt:
+        raise AlignmentError(f"dt mismatch: {pred.dt} vs {gt.dt}")
+    n = min(len(pred), len(gt))
+    d = np.linalg.norm(pred.points[:n] - gt.points[:n], axis=1)
+    out = {}
+    for h in horizons_s:
+        idx = _reference_horizon_index(h, pred.dt, n)
+        if protocol is L2Protocol.AT_TIMESTEP:
+            out[float(h)] = float(d[idx])
+        else:
+            out[float(h)] = float(d[: idx + 1].mean())
+    return out
+
+
+def reference_tpc(cur_pred, prev_pred, frame_delta, mask, frame_gap_steps=1):
+    """Consistency of consecutive predictions, as RMSE over the overlap."""
+    if len(mask) != len(cur_pred):
+        raise ShapeError(f"mask length {len(mask)} != prediction length {len(cur_pred)}")
+    idx = np.flatnonzero(mask.flags)
+    if idx.size == 0:
+        return None
+    if idx.max() + frame_gap_steps >= len(prev_pred):
+        raise AlignmentError("mask selects waypoints beyond the previous horizon")
+    moved = transform_to_frame(cur_pred, frame_delta)
+    diff = moved.points[idx] - prev_pred.points[idx + frame_gap_steps]
+    sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
+    return float(math.sqrt(sq.mean()))
+
+
+def reference_min_ade_fde(candidates, gt):
+    """Best average and final displacement over candidates, one candidate
+    at a time."""
+    ades, fdes = [], []
+    for traj in candidates.trajectories:
+        if len(traj) != len(gt):
+            raise AlignmentError(
+                f"candidate length {len(traj)} != ground-truth length {len(gt)}"
+            )
+        d = np.linalg.norm(traj.points - gt.points, axis=1)
+        ades.append(float(d.mean()))
+        fdes.append(float(d[-1]))
+    best = int(np.argmin(ades))
+    return ades[best], float(min(fdes)), best
+
+
+def _reference_points_of(traj):
+    pts = traj.points if isinstance(traj, Trajectory) else np.asarray(traj, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ShapeError(f"expected (N, 2) points, got shape {pts.shape}")
+    if len(pts) == 0:
+        raise EmptyInputError("distance over an empty point set is undefined")
+    return pts
+
+
+def reference_directed_hausdorff(a, b):
+    """sup over a of inf over b of the pointwise Euclidean distance."""
+    pa, pb = _reference_points_of(a), _reference_points_of(b)
+    dx = pa[:, 0][:, None] - pb[:, 0][None, :]
+    dy = pa[:, 1][:, None] - pb[:, 1][None, :]
+    d = np.sqrt(dx * dx + dy * dy)
+    return float(d.min(axis=1).max())
+
+
+def reference_hausdorff(a, b):
+    """Symmetric Hausdorff distance: max of the two directed values."""
+    return max(reference_directed_hausdorff(a, b), reference_directed_hausdorff(b, a))
+
+
+def reference_mean_euclidean(a, b):
+    """Mean pointwise distance between two equal-length trajectories."""
+    pa, pb = _reference_points_of(a), _reference_points_of(b)
+    if len(pa) != len(pb):
+        raise AlignmentError(
+            f"pointwise mean needs equal lengths, got {len(pa)} and {len(pb)}"
+        )
+    diff = pa - pb
+    return float(np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2).mean())
+
+
+def reference_trajectory_distance(a, b, kind):
+    """Distance dispatch; the pointwise baseline aligns lengths by resampling
+    both inputs to the longer one first."""
+    kind = DistanceKind(kind)
+    if kind is DistanceKind.HAUSDORFF:
+        return reference_hausdorff(a, b)
+    n = max(len(a), len(b))
+    return reference_mean_euclidean(resample(a, n), resample(b, n))
+
+
 # ---------------------------------------------------------------------------
 # per-frame scoring: the loop that ``report_from_log`` replaced, kept as the
 # reference its batched form must reproduce byte for byte
@@ -222,7 +343,7 @@ def reference_report_from_log(log):
     for j, frame in enumerate(log.frames):
         future_world = Trajectory(world[j + 1 : j + 1 + h], dt=SIM_DT)
         gt_future = transform_to_frame(future_world, frame.ego_pose)
-        frame_l2 = l2_error(frame.chosen_trajectory, gt_future, horizons, settings.protocol)
+        frame_l2 = reference_l2_error(frame.chosen_trajectory, gt_future, horizons, settings.protocol)
         for hh in horizons:
             l2_acc[hh].append(frame_l2[hh])
 
@@ -238,7 +359,7 @@ def reference_report_from_log(log):
             steps = int(round(hh / SIM_DT))
             col_acc[hh].append(100.0 if flags[:steps].any() else 0.0)
 
-        ade, fde, _ = min_ade_fde(frame.proposals, gt_future)
+        ade, fde, _ = reference_min_ade_fde(frame.proposals, gt_future)
         ade_acc.append(ade)
         fde_acc.append(fde)
 
@@ -249,7 +370,7 @@ def reference_report_from_log(log):
             for hh in horizons:
                 steps = int(round(hh / SIM_DT))
                 flags_h = base_mask.flags & (np.arange(len(base_mask)) < steps)
-                value = tpc(
+                value = reference_tpc(
                     frame.chosen_trajectory,
                     prev.chosen_trajectory,
                     delta,
@@ -330,12 +451,12 @@ def reference_propose(gt_future, k, mode_noise, jitter, seed, d_q=32):
 
 
 def reference_ttm_select(candidates, history, frame_delta, kind):
-    """One ``trajectory_distance`` call per candidate; the first strict
-    minimum wins."""
+    """One ``reference_trajectory_distance`` call per candidate; the first
+    strict minimum wins."""
     best_idx = -1
     best_dist = np.inf
     for i, candidate in enumerate(candidates.trajectories):
-        d = trajectory_distance(transform_to_frame(candidate, frame_delta), history, kind)
+        d = reference_trajectory_distance(transform_to_frame(candidate, frame_delta), history, kind)
         if d < best_dist:
             best_dist = d
             best_idx = i

@@ -375,6 +375,19 @@ def test_with_tensor_checks_and_freezes_only_the_new_tensor(wb):
         wb.with_tensor("mlp.c", np.zeros(D))
 
 
+def test_bundles_copy_and_leave_the_callers_arrays_writable(wb):
+    tensors = {name: wb.get(name).copy() for name in wb.names()}
+    built = WeightBundle(tensors)
+    assert all(array.flags.writeable for array in tensors.values())
+    tensors["mlp.b"][0] += 1.0
+    assert built == wb
+    a = np.arange(float(D))
+    new = wb.with_tensor("mlp.b", a)
+    assert a.flags.writeable and not new.get("mlp.b").flags.writeable
+    a[0] = 7.0
+    assert new.get("mlp.b")[0] == 0.0
+
+
 def _write_weights(tmp_path, wb, edit):
     path = tmp_path / "weights.json"
     wb.save(path)

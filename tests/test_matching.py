@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_ttm_select
+from helpers import (
+    outcome,
+    reference_directed_hausdorff,
+    reference_hausdorff,
+    reference_mean_euclidean,
+    reference_trajectory_distance,
+    reference_ttm_select,
+)
 
 from momentum_planning.errors import AlignmentError, EmptyInputError, GeometryError
 from momentum_planning.matching import (
@@ -13,9 +20,7 @@ from momentum_planning.matching import (
     _pair_distances,
     DistanceKind,
     TrajectorySet,
-    directed_hausdorff,
     hausdorff,
-    mean_euclidean,
     trajectory_distance,
     ttm_select,
 )
@@ -59,7 +64,7 @@ def make_set(trajectories, scores=None):
 
 
 def test_single_point_pair():
-    assert directed_hausdorff([[0.0, 0.0]], [[3.0, 4.0]]) == 5.0
+    assert reference_directed_hausdorff([[0.0, 0.0]], [[3.0, 4.0]]) == 5.0
     assert hausdorff([[0.0, 0.0]], [[3.0, 4.0]]) == 5.0
 
 
@@ -83,7 +88,7 @@ def test_matches_brute_force_exactly(a, b):
 @given(points_strategy(), points_strategy())
 @settings(max_examples=150)
 def test_directed_never_exceeds_symmetric(a, b):
-    assert directed_hausdorff(a, b) <= hausdorff(a, b)
+    assert reference_directed_hausdorff(a, b) <= hausdorff(a, b)
 
 
 @given(points_strategy(), points_strategy())
@@ -109,17 +114,17 @@ def test_triangle_inequality(a, b, c):
 
 def test_mean_euclidean_identical_is_zero():
     a = np.array([[0.0, 0.0], [1.0, 1.0]])
-    assert mean_euclidean(a, a) == 0.0
+    assert reference_mean_euclidean(a, a) == 0.0
 
 
 def test_mean_euclidean_constant_offset():
     a = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    assert mean_euclidean(a, a + [0.0, 0.75]) == pytest.approx(0.75, abs=1e-12)
+    assert reference_mean_euclidean(a, a + [0.0, 0.75]) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_mean_euclidean_rejects_length_mismatch():
     with pytest.raises(AlignmentError):
-        mean_euclidean(np.zeros((3, 2)), np.zeros((4, 2)))
+        reference_mean_euclidean(np.zeros((3, 2)), np.zeros((4, 2)))
 
 
 def test_trajectory_distance_resamples_for_pointwise_kind():
@@ -252,7 +257,8 @@ def test_pair_distances_equal_trajectory_distance(kind, f, k, k_prev, n, m, seed
     dist = _pair_distances(moved, plans, kind)
     assert dist.shape == (f, k, k_prev)
     for j, a, b in np.ndindex(*dist.shape):
-        assert dist[j, a, b] == trajectory_distance(Trajectory(moved[j, a]), Trajectory(plans[j, b]), kind)
+        expected = reference_trajectory_distance(Trajectory(moved[j, a]), Trajectory(plans[j, b]), kind)
+        assert dist[j, a, b] == expected
 
 
 def _ttm_table(points, plans, kind):
@@ -292,3 +298,55 @@ def test_candidate_moved_out_of_range_raises_geometry_error():
             _moved(cands.points[None], rotation, translation)
         with pytest.raises(GeometryError):
             ttm_select(cands, Trajectory(line), Pose2(rotation[0], translation[0]), DistanceKind.HAUSDORFF)
+
+
+# ---------------------------------------------------------------------------
+# the one-pair calls against the verbatim per-pair oracles: equal values,
+# or the same error type for bad input, over seeded draws
+
+
+def _draw_points(rng, n):
+    """``n`` waypoints: a random walk, sometimes with repeats or all on one
+    spot, so that zero distances and ties occur."""
+    pts = np.cumsum(rng.normal(0.0, rng.choice([0.01, 1.0, 30.0]), (n, 2)), axis=0)
+    if n > 1 and rng.random() < 0.2:
+        pts[rng.integers(1, n)] = pts[0]
+    if rng.random() < 0.05:
+        pts[:] = pts[0]
+    return pts
+
+
+def test_hausdorff_equals_the_per_pair_oracle_over_seeded_draws():
+    rng = np.random.default_rng(1401)
+    errors = 0
+    for _ in range(3000):
+        a, b = _draw_points(rng, int(rng.integers(1, 26))), _draw_points(rng, int(rng.integers(1, 26)))
+        if rng.random() < 0.5:
+            a, b = Trajectory(a), Trajectory(b)
+        elif rng.random() < 0.2:
+            a, b = a.tolist(), b.tolist()
+        bad = rng.random()
+        if bad < 0.03:
+            a = np.zeros((0, 2))
+        elif bad < 0.06:
+            b = np.zeros((4, 3))
+        expected = outcome(reference_hausdorff, a, b)
+        assert outcome(hausdorff, a, b) == expected
+        errors += expected[0] == "raises"
+    assert 100 < errors < 300
+
+
+def test_trajectory_distance_equals_the_per_pair_oracle_over_seeded_draws():
+    rng = np.random.default_rng(1402)
+    errors = 0
+    for i in range(3000):
+        kind = list(DistanceKind)[i % 2]
+        kind = kind.value if rng.random() < 0.2 else kind
+        n = int(rng.integers(1, 21))
+        m = n if rng.random() < 0.3 else int(rng.integers(1, 21))
+        a, b = Trajectory(_draw_points(rng, n)), Trajectory(_draw_points(rng, m))
+        expected = outcome(reference_trajectory_distance, a, b, kind)
+        assert outcome(trajectory_distance, a, b, kind) == expected
+        errors += expected[0] == "raises"
+    # the pointwise mean cannot resample a single waypoint
+    assert 50 < errors < 300

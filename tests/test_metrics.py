@@ -5,11 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_boxes_overlap, reference_collision_flags
+from helpers import (
+    outcome,
+    reference_boxes_overlap,
+    reference_collision_flags,
+    reference_l2_error,
+    reference_min_ade_fde,
+    reference_tpc,
+)
 
 from momentum_planning.errors import (
     AlignmentError,
     ConfigError,
+    GeometryError,
     HorizonError,
     ShapeError,
 )
@@ -32,6 +40,7 @@ from momentum_planning.metrics import (
     tpc,
 )
 from momentum_planning.trajectory import (
+    OverlapMask,
     Pose2,
     Trajectory,
     overlap_mask,
@@ -74,6 +83,17 @@ def test_l2_horizon_validation():
         l2_error(gt, gt, [0.3])  # not a multiple of dt
     with pytest.raises(AlignmentError):
         l2_error(straight(4, dt=0.25), gt, [1.0])
+
+
+@pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan, 1e308, -1e308])
+def test_non_finite_and_overflowing_horizons_raise_horizon_error(horizon):
+    # horizon / dt is inf or nan here, which round() refuses with
+    # OverflowError or a bare ValueError
+    t = straight(6)
+    with pytest.raises(HorizonError):
+        l2_error(t, t, [horizon])
+    with pytest.raises(HorizonError):
+        collision_rate(t, (1, 1), [], [horizon])
 
 
 # --- oriented boxes ----------------------------------------------------------------
@@ -379,6 +399,14 @@ def test_tpc_rejects_inconsistent_mask():
         tpc(traj, straight(3), Pose2.identity(), OverlapMask([True] * 6))
 
 
+def test_tpc_rejects_a_negative_frame_gap():
+    # as overlap_mask does; a negative gap used to wrap around to the
+    # previous plan's last waypoints
+    traj = straight(6)
+    with pytest.raises(GeometryError):
+        tpc(traj, traj, Pose2.identity(), overlap_mask(traj, traj, 0), -1)
+
+
 # --- candidate quality -------------------------------------------------------------
 
 
@@ -477,3 +505,95 @@ def test_mean_reports_requires_shared_horizons():
     b = MetricReport(l2={1.0: 0.0}, collision_rate={1.0: 0.0}, tpc={1.0: 0.0}, min_ade=0.0, min_fde=0.0)
     with pytest.raises(AlignmentError):
         mean_reports([a, b])
+
+
+# ---------------------------------------------------------------------------
+# the one-trajectory calls against their verbatim per-trajectory oracles:
+# equal values, or the same error type for bad input, over seeded draws
+
+
+def _walk(rng, n):
+    """``n`` waypoints of a random walk at a random scale."""
+    return np.cumsum(rng.normal(0.5, rng.choice([0.01, 1.0, 30.0]), (n, 2)), axis=0)
+
+
+def _horizons(rng, dt, available):
+    """One to four horizons: mostly multiples of ``dt`` within ``available``
+    waypoints, some beyond them, some no multiple, zero or negative."""
+    out = []
+    for _ in range(int(rng.integers(1, 5))):
+        r = rng.random()
+        if r < 0.9:
+            out.append(float(rng.integers(1, available + 1)) * dt)
+        elif r < 0.94:
+            out.append(float(rng.integers(available + 1, 23)) * dt)
+        elif r < 0.97:
+            out.append(float(rng.integers(1, 20)) * dt + 0.3 * dt)
+        else:
+            out.append(float(rng.integers(-2, 1)) * dt)
+    return out
+
+
+def test_l2_error_equals_the_per_trajectory_oracle_over_seeded_draws():
+    rng = np.random.default_rng(1403)
+    values = 0
+    for i in range(3000):
+        protocol = list(L2Protocol)[i % 2]
+        protocol = protocol.value if rng.random() < 0.2 else protocol
+        dt = float(rng.choice([0.5, 0.25, 0.1]))
+        pred = Trajectory(_walk(rng, int(rng.integers(1, 21))), dt=dt)
+        if rng.random() < 0.1:
+            gt = pred
+        else:
+            gt = Trajectory(_walk(rng, int(rng.integers(1, 21))), dt=dt if rng.random() < 0.95 else 2.0 * dt)
+        horizons = _horizons(rng, dt, min(len(pred), len(gt)))
+        expected = outcome(reference_l2_error, pred, gt, horizons, protocol)
+        assert outcome(l2_error, pred, gt, horizons, protocol) == expected
+        values += expected[0] == "value"
+    assert 600 < values < 2400
+
+
+def test_tpc_equals_the_per_trajectory_oracle_over_seeded_draws():
+    rng = np.random.default_rng(1404)
+    counts = {"value": 0, "none": 0, "raises": 0}
+    for _ in range(3000):
+        n, m = int(rng.integers(1, 21)), int(rng.integers(1, 21))
+        cur, prev = Trajectory(_walk(rng, n)), Trajectory(_walk(rng, m))
+        gap = int(rng.integers(0, 3))
+        r = rng.random()
+        if r < 0.15:
+            flags = np.zeros(n, dtype=bool)
+        elif r < 0.6:
+            flags = np.arange(n) + gap < m
+        elif r < 0.95:
+            flags = (rng.random(n) < 0.5) & (np.arange(n) + gap < m)
+        else:
+            flags = rng.random(n + 1) < 0.5
+        if rng.random() < 0.05:
+            flags = np.ones(n, dtype=bool)
+        delta = Pose2.from_heading(rng.uniform(-math.pi, math.pi), rng.normal(0.0, 5.0, 2))
+        if rng.random() < 0.1:
+            delta = Pose2.identity()
+        args = (cur, prev, delta, OverlapMask(flags), gap)
+        expected = outcome(reference_tpc, *args)
+        assert outcome(tpc, *args) == expected
+        counts["none" if expected == ("value", None) else expected[0]] += 1
+    assert min(counts.values()) > 100
+
+
+def test_min_ade_fde_equals_the_per_candidate_oracle_over_seeded_draws():
+    rng = np.random.default_rng(1405)
+    errors = 0
+    for _ in range(3000):
+        k, n = int(rng.integers(1, 17)), int(rng.integers(1, 21))
+        points = np.stack([_walk(rng, n) for _ in range(k)])
+        if k > 1 and rng.random() < 0.2:
+            points[int(rng.integers(1, k))] = points[0]
+        gt = Trajectory(points[0] if rng.random() < 0.1 else _walk(rng, n))
+        if rng.random() < 0.05:
+            gt = Trajectory(_walk(rng, n + 1))
+        cands = TrajectorySet.from_points(points, np.full(k, 1.0 / k), np.zeros((k, 4)))
+        expected = outcome(reference_min_ade_fde, cands, gt)
+        assert outcome(min_ade_fde, cands, gt) == expected
+        errors += expected[0] == "raises"
+    assert 50 < errors < 300

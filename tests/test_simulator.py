@@ -24,7 +24,14 @@ from helpers import (
     reference_step_momentum,
 )
 
-from momentum_planning.errors import AlignmentError, ConfigError, GeometryError, LogCorruptionError, ShapeError
+from momentum_planning.errors import (
+    AlignmentError,
+    ConfigError,
+    GeometryError,
+    HorizonError,
+    LogCorruptionError,
+    ShapeError,
+)
 from momentum_planning.interactor import WeightBundle, softmax
 from momentum_planning.matching import DistanceKind, TrajectorySet
 from momentum_planning import simulator
@@ -56,7 +63,7 @@ from momentum_planning.simulator import (
     step_momentum,
     step_oneshot,
 )
-from momentum_planning.metrics import L2Protocol, ObstacleBox, collision_flags
+from momentum_planning.metrics import L2Protocol, ObstacleBox, _horizon_index, collision_flags
 from momentum_planning.trajectory import Pose2, Trajectory, trajectory_to_dict
 
 DATA = Path(__file__).parent / "data"
@@ -240,6 +247,21 @@ def test_settings_round_trip_and_defaults():
 def test_bad_settings_rejected(patch):
     with pytest.raises(ConfigError):
         RunSettings.from_dict(RunSettings().to_dict() | patch)
+
+
+def test_settings_check_horizons_by_the_metrics_rule():
+    # RunSettings accepts exactly the horizons the metrics accept on its
+    # plan length, and reports the others as a ConfigError
+    for steps in (2, 6):
+        for h in (0.5, 1.0, 1.0 + 5e-10, 1.0 + 2e-9, 1.25, 2.5, 3.0, 3.5, 0.0, -1.0, math.inf, math.nan, 1e308):
+            try:
+                _horizon_index(h, SIM_DT, steps)
+            except HorizonError:
+                with pytest.raises(ConfigError) as info:
+                    RunSettings(horizon_steps=steps, horizons_s=(h,))
+                assert isinstance(info.value.__cause__, HorizonError)
+            else:
+                assert RunSettings(horizon_steps=steps, horizons_s=(h,)).horizons_s == (h,)
 
 
 def test_integral_float_settings_become_ints():
@@ -799,8 +821,7 @@ def test_obstacle_free_log_scores_without_the_collision_kernel(monkeypatch, kind
     def refuse(*args, **kwargs):
         raise AssertionError("collision kernel run for a scene without obstacles")
 
-    monkeypatch.setattr(simulator, "overlap_flags", refuse)
-    monkeypatch.setattr(simulator, "ego_headings", refuse)
+    monkeypatch.setattr(simulator, "_swept_hits", refuse)
     assert report_from_log(log).to_csv_text() == reference_report_from_log(log).to_csv_text()
     with pytest.raises(AssertionError):
         report_from_log(blocked_log)
