@@ -40,6 +40,7 @@ from .errors import (
 from .matching import DistanceKind
 from .metrics import L2Protocol, MetricReport, mean_reports
 from .simulator import (
+    MAX_SEED,
     RunSettings,
     ScenarioLog,
     ScenarioSpec,
@@ -123,9 +124,9 @@ def _load_run_config(path, args):
     if (
         not isinstance(seeds, list)
         or not seeds
-        or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)
+        or not all(isinstance(s, int) and not isinstance(s, bool) and 0 <= s <= MAX_SEED for s in seeds)
     ):
-        raise ConfigError("seeds must be a non-empty list of non-negative integers")
+        raise ConfigError("seeds must be a non-empty list of integers in [0, 2**64 - 1]")
     return spec, settings, list(seeds)
 
 

@@ -49,21 +49,28 @@ import numpy as np
 
 from .errors import EmptyInputError, ShapeError
 
-WEIGHT_NAMES = (
-    "mlp.W",
-    "mlp.b",
-    "lstm.W_ih",
-    "lstm.W_hh",
-    "lstm.b",
-    "attn.W_q",
-    "attn.W_k",
-    "attn.W_v",
-    "attn.W_o",
-    "head.W_traj",
-    "head.b_traj",
-    "head.W_score",
-    "head.b_score",
-)
+
+def _shapes(d: int, k: int, n_t: int) -> dict:
+    """Every weight tensor's shape for query width D, K candidates and N
+    waypoints, in the bundle's name order."""
+    return {
+        "mlp.W": (d, d),
+        "mlp.b": (d,),
+        "lstm.W_ih": (4 * d, d),
+        "lstm.W_hh": (4 * d, d),
+        "lstm.b": (4 * d,),
+        "attn.W_q": (d, d),
+        "attn.W_k": (d, d),
+        "attn.W_v": (d, d),
+        "attn.W_o": (d, d),
+        "head.W_traj": (k * n_t * 2, 2 * d),
+        "head.b_traj": (k * n_t * 2,),
+        "head.W_score": (k, 2 * d),
+        "head.b_score": (k,),
+    }
+
+
+WEIGHT_NAMES = tuple(_shapes(0, 0, 0))
 
 _ACTIVATIONS = ("identity", "relu", "tanh")
 
@@ -149,33 +156,15 @@ class WeightBundle:
         self._validate_shapes()
 
     def _validate_shapes(self):
-        d = self._tensors["mlp.W"].shape[0]
-        k = self._tensors["head.W_score"].shape[0]
-        expected = {
-            "mlp.W": (d, d),
-            "mlp.b": (d,),
-            "lstm.W_ih": (4 * d, d),
-            "lstm.W_hh": (4 * d, d),
-            "lstm.b": (4 * d,),
-            "attn.W_q": (d, d),
-            "attn.W_k": (d, d),
-            "attn.W_v": (d, d),
-            "attn.W_o": (d, d),
-            "head.W_score": (k, 2 * d),
-            "head.b_score": (k,),
-        }
-        for name, shape in expected.items():
-            if self._tensors[name].shape != shape:
-                raise ShapeError(
-                    f"{name} must have shape {shape}, got {self._tensors[name].shape}"
-                )
-        wt = self._tensors["head.W_traj"]
-        if wt.ndim != 2 or wt.shape[1] != 2 * d or wt.shape[0] % (2 * k) != 0:
-            raise ShapeError(
-                f"head.W_traj must be (K*N*2, {2 * d}) with K={k}, got {wt.shape}"
-            )
-        if self._tensors["head.b_traj"].shape != (wt.shape[0],):
-            raise ShapeError("head.b_traj length must match head.W_traj rows")
+        # D, K and K*N*2 are read off three tensors (0 for a 0-d one), then
+        # every tensor must have its shape in the table
+        t = self._tensors
+        d, k, rows = ((*t[name].shape, 0)[0] for name in ("mlp.W", "head.W_score", "head.W_traj"))
+        if k < 1:
+            raise ShapeError(f"head.W_score must have at least one row, got {t['head.W_score'].shape}")
+        for name, shape in _shapes(d, k, rows // (2 * k)).items():
+            if t[name].shape != shape:
+                raise ShapeError(f"{name} must have shape {shape}, got {t[name].shape}")
 
     @property
     def d_q(self) -> int:
@@ -224,25 +213,9 @@ class WeightBundle:
             raise ShapeError(f"dimensions must be positive, got {(d_q, k, n_t)}")
         rng = np.random.default_rng(seed)
         bound = 1.0 / math.sqrt(d_q)
-        shapes = {
-            "mlp.W": (d_q, d_q),
-            "mlp.b": (d_q,),
-            "lstm.W_ih": (4 * d_q, d_q),
-            "lstm.W_hh": (4 * d_q, d_q),
-            "lstm.b": (4 * d_q,),
-            "attn.W_q": (d_q, d_q),
-            "attn.W_k": (d_q, d_q),
-            "attn.W_v": (d_q, d_q),
-            "attn.W_o": (d_q, d_q),
-            "head.W_traj": (k * n_t * 2, 2 * d_q),
-            "head.b_traj": (k * n_t * 2,),
-            "head.W_score": (k, 2 * d_q),
-            "head.b_score": (k,),
-        }
-        tensors = {
-            name: rng.uniform(-bound, bound, size=shapes[name]) for name in WEIGHT_NAMES
-        }
-        return WeightBundle(tensors)
+        return WeightBundle(
+            {name: rng.uniform(-bound, bound, size=shape) for name, shape in _shapes(d_q, k, n_t).items()}
+        )
 
     def save(self, path) -> None:
         payload = {

@@ -55,12 +55,15 @@ class ObstacleBox:
     width: float
 
     def __post_init__(self):
-        cx, cy = float(self.center[0]), float(self.center[1])
-        if not all(map(math.isfinite, (cx, cy, self.heading, self.length, self.width))):
+        if not isinstance(self.center, (list, tuple, np.ndarray)) or len(self.center) != 2:
+            raise ShapeError(f"obstacle box center must be two numbers, got {self.center!r}")
+        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        for name in ("heading", "length", "width"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not all(map(math.isfinite, (*self.center, self.heading, self.length, self.width))):
             raise ShapeError("obstacle box fields must be finite")
         if self.length <= 0.0 or self.width <= 0.0:
             raise ShapeError("obstacle box extents must be positive")
-        object.__setattr__(self, "center", (cx, cy))
 
     def corners(self) -> np.ndarray:
         """The four corners (4, 2), clockwise from front left."""

@@ -32,7 +32,8 @@ import functools
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from time import perf_counter_ns
 from typing import Sequence
 
@@ -71,6 +72,14 @@ MIN_RADIUS_M = 1.0
 MAX_K = 16
 MAX_HORIZON_STEPS = 20
 MAX_D_Q = 128
+# seeds, scenario and weight seeds alike, fit in 64 unsigned bits; far
+# larger ones make the ``run_seed<seed>`` file names too long to write
+MAX_SEED = 2**64 - 1
+# noise scales (mode_noise_m, jitter_m, ns): the rollout squares distances
+# between noisy candidates and multiplies noisy queries by the weights,
+# and from about 1e155 those overflow float64.  1e6 m is no sensor's
+# noise, and a rollout at it stays far inside the range and warns of nothing
+MAX_NOISE = 1e6
 
 # the most float64 values one frame block of the momentum selection pass
 # holds in one array: its (frames, K, K', N, N) pointwise distances or its
@@ -86,6 +95,16 @@ PLANNER_KINDS = ("oneshot", "momentum")
 _QUERY_PROJECTION_SEED = 1_400_305
 
 
+# ---------------------------------------------------------------------------
+# records
+#
+# ScriptedObstacle, ScenarioSpec and RunSettings declare their schema once,
+# as dataclass fields: each field's annotation picks its coercion in
+# ``_COERCE``, its default is the dataclass default, and the dict form
+# lists the fields in declaration order.  ``__post_init__`` coerces, then
+# checks the bounds, so a config file and a direct call give equal records.
+
+
 def _integral(name: str, value) -> int:
     """``value`` as an int; bools, fractions and non-numbers are rejected
     rather than truncated."""
@@ -96,6 +115,81 @@ def _integral(name: str, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _pair(name: str, value) -> tuple[float, float]:
+    if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 2:
+        raise ConfigError(f"{name} must be two numbers, got {value!r}")
+    return float(value[0]), float(value[1])
+
+
+def _floats(name: str, value) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
+def _obstacles(name: str, value) -> tuple:
+    return tuple(o if isinstance(o, ScriptedObstacle) else ScriptedObstacle.from_dict(o) for o in value)
+
+
+# field annotation -> (name, value) -> coerced value; None keeps the value
+_COERCE = {
+    "str": None,
+    "ObstacleBox": None,
+    "int": _integral,
+    "int | None": lambda name, value: None if value is None else _integral(name, value),
+    "float": lambda name, value: float(value),
+    "tuple[float, float]": _pair,
+    "tuple[float, ...]": _floats,
+    "tuple[ScriptedObstacle, ...]": _obstacles,
+    "DistanceKind": lambda name, value: DistanceKind(value),
+    "L2Protocol": lambda name, value: L2Protocol(value),
+}
+
+
+@functools.cache
+def _schema(cls) -> dict:
+    """A record class's field names in declaration order, each with the
+    coercion its annotation picks in ``_COERCE``."""
+    return {f.name: _COERCE[f.type] for f in fields(cls)}
+
+
+def _coerce(record) -> None:
+    """Set every field of a frozen record to its coerced value."""
+    for name, convert in _schema(type(record)).items():
+        if convert is not None:
+            object.__setattr__(record, name, convert(name, getattr(record, name)))
+
+
+def _plain(value):
+    # a field value in its JSON form; tuples hold numbers or obstacles
+    if isinstance(value, tuple):
+        return [v.to_dict() if isinstance(v, ScriptedObstacle) else v for v in value]
+    return value.value if isinstance(value, Enum) else value
+
+
+def _record_dict(record) -> dict:
+    """A record's fields in declaration order: enums by value, tuples as
+    lists, obstacles by their own ``to_dict``."""
+    return {name: _plain(getattr(record, name)) for name in _schema(type(record))}
+
+
+def _read_record(cls, obj, what: str):
+    """``cls(**obj)`` for a mapping of ``cls``'s fields; any way that fails
+    is a ConfigError."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a mapping")
+    unknown = obj.keys() - _schema(cls)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown, key=str)}")
+    try:
+        return cls(**obj)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers the obstacle box's own ShapeError
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ScriptedObstacle:
     """A box with constant-velocity motion."""
@@ -104,18 +198,31 @@ class ScriptedObstacle:
     velocity: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        vx, vy = float(self.velocity[0]), float(self.velocity[1])
-        if not math.hypot(vx, vy) <= MAX_SPEED_MPS:
+        _coerce(self)
+        if not math.hypot(*self.velocity) <= MAX_SPEED_MPS:
             raise ConfigError(
-                f"obstacle speed must be finite and at most {MAX_SPEED_MPS} m/s, got {(vx, vy)}"
+                f"obstacle speed must be finite and at most {MAX_SPEED_MPS} m/s, got {self.velocity}"
             )
-        object.__setattr__(self, "velocity", (vx, vy))
 
     def at_step(self, step: int) -> ObstacleBox:
         t = step * SIM_DT
         cx, cy = self.box.center
         return ObstacleBox((cx + self.velocity[0] * t, cy + self.velocity[1] * t),
                            self.box.heading, self.box.length, self.box.width)
+
+    def to_dict(self) -> dict:
+        """The box's fields and the velocity, in one flat record."""
+        return _record_dict(self.box) | {"velocity": list(self.velocity)}
+
+    @staticmethod
+    def from_dict(obj) -> "ScriptedObstacle":
+        """The flat record ``to_dict`` writes: the box's fields beside an
+        optional velocity."""
+        if isinstance(obj, dict):
+            box = {key: value for key, value in obj.items() if key != "velocity"}
+            obj = {key: value for key, value in obj.items() if key == "velocity"}
+            obj["box"] = _read_record(ObstacleBox, box, "obstacle")
+        return _read_record(ScriptedObstacle, obj, "obstacle")
 
 
 @dataclass(frozen=True)
@@ -131,6 +238,7 @@ class ScenarioSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _coerce(self)
         if self.kind not in SCENARIO_KINDS:
             raise ConfigError(f"unknown scenario kind {self.kind!r}; pick one of {SCENARIO_KINDS}")
         if not 0.0 < self.duration_s <= MAX_DURATION_S:
@@ -153,67 +261,15 @@ class ScenarioSpec:
             raise ConfigError(f"radius must be at least {MIN_RADIUS_M} m, got {self.radius_m}")
         if self.kind == "arc_turn" and not self.angle_rad > 0.0:
             raise ConfigError(f"turn angle must be positive, got {self.angle_rad}")
-        object.__setattr__(self, "seed", _integral("seed", self.seed))
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        if not 0 <= self.seed <= MAX_SEED:
+            raise ConfigError(f"seed must be in [0, 2**64 - 1], got {self.seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "duration_s": float(self.duration_s),
-            "speed_mps": float(self.speed_mps),
-            "radius_m": float(self.radius_m),
-            "angle_rad": float(self.angle_rad),
-            "obstacles": [
-                {
-                    "center": [o.box.center[0], o.box.center[1]],
-                    "heading": o.box.heading,
-                    "length": o.box.length,
-                    "width": o.box.width,
-                    "velocity": [o.velocity[0], o.velocity[1]],
-                }
-                for o in self.obstacles
-            ],
-            "seed": self.seed,
-        }
+        return _record_dict(self)
 
     @staticmethod
-    def from_dict(obj: dict) -> "ScenarioSpec":
-        if not isinstance(obj, dict):
-            raise ConfigError("scenario spec must be a mapping")
-        known = {"kind", "duration_s", "speed_mps", "radius_m", "angle_rad", "obstacles", "seed"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown scenario keys: {sorted(unknown)}")
-        try:
-            obstacles = tuple(
-                ScriptedObstacle(
-                    ObstacleBox(
-                        (float(rec["center"][0]), float(rec["center"][1])),
-                        float(rec["heading"]),
-                        float(rec["length"]),
-                        float(rec["width"]),
-                    ),
-                    tuple(rec.get("velocity", (0.0, 0.0))),
-                )
-                for rec in obj.get("obstacles", [])
-            )
-            return ScenarioSpec(
-                kind=obj["kind"],
-                duration_s=float(obj["duration_s"]),
-                speed_mps=float(obj["speed_mps"]),
-                radius_m=float(obj.get("radius_m", 20.0)),
-                angle_rad=float(obj.get("angle_rad", math.pi / 2.0)),
-                obstacles=obstacles,
-                seed=obj.get("seed", 0),
-            )
-        except ConfigError:
-            raise
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
-            # ValueError covers non-numeric fields and the obstacle box's
-            # own ShapeError
-            raise ConfigError(f"bad scenario spec: {exc}") from exc
+    def from_dict(obj) -> "ScenarioSpec":
+        return _read_record(ScenarioSpec, obj, "scenario")
 
 
 @dataclass(frozen=True)
@@ -238,16 +294,11 @@ class RunSettings:
     horizons_s: tuple[float, ...] = (1.0, 2.0, 3.0)
 
     def __post_init__(self):
+        _coerce(self)
         if self.planner not in PLANNER_KINDS:
             raise ConfigError(f"unknown planner {self.planner!r}; pick one of {PLANNER_KINDS}")
-        for name in ("history_depth", "k", "horizon_steps", "d_q", "weight_seed", "occlusion_len"):
-            object.__setattr__(self, name, _integral(name, getattr(self, name)))
-        if self.occlusion_start is not None:
-            object.__setattr__(self, "occlusion_start", _integral("occlusion_start", self.occlusion_start))
         if self.history_depth not in (0, 1, 2):
             raise ConfigError(f"history depth must be 0, 1 or 2, got {self.history_depth}")
-        object.__setattr__(self, "distance", DistanceKind(self.distance))
-        object.__setattr__(self, "protocol", L2Protocol(self.protocol))
         if not 1 <= self.k <= MAX_K:
             raise ConfigError(f"candidate count must be in [1, {MAX_K}], got {self.k}")
         if not 2 <= self.horizon_steps <= MAX_HORIZON_STEPS:
@@ -256,81 +307,30 @@ class RunSettings:
             raise ConfigError(f"query width must be in [1, {MAX_D_Q}], got {self.d_q}")
         for name in ("mode_noise_m", "jitter_m", "ns"):
             value = getattr(self, name)
-            if value < 0.0 or not math.isfinite(value):
-                raise ConfigError(f"{name} must be non-negative, got {value}")
-        if self.weight_seed < 0:
-            raise ConfigError(f"weight seed must be >= 0, got {self.weight_seed}")
+            if not 0.0 <= value <= MAX_NOISE:
+                raise ConfigError(f"{name} must be in [0, {MAX_NOISE:g}], got {value}")
+        if not 0 <= self.weight_seed <= MAX_SEED:
+            raise ConfigError(f"weight seed must be in [0, 2**64 - 1], got {self.weight_seed}")
         if self.occlusion_start is not None and self.occlusion_start < 0:
             raise ConfigError(f"occlusion start must be >= 0, got {self.occlusion_start}")
         if self.occlusion_len < 0:
             raise ConfigError(f"occlusion length must be >= 0, got {self.occlusion_len}")
         if not (0.0 < self.ego_length_m < math.inf and 0.0 < self.ego_width_m < math.inf):
             raise ConfigError("ego dimensions must be positive and finite")
-        horizons = tuple(float(h) for h in self.horizons_s)
-        if not horizons:
+        if not self.horizons_s:
             raise ConfigError("at least one evaluation horizon is required")
-        for h in horizons:
+        for h in self.horizons_s:
             try:
                 _horizon_index(h, SIM_DT, self.horizon_steps)
             except HorizonError as exc:
                 raise ConfigError(f"evaluation {exc}") from exc
-        object.__setattr__(self, "horizons_s", horizons)
 
     def to_dict(self) -> dict:
-        return {
-            "planner": self.planner,
-            "history_depth": self.history_depth,
-            "distance": self.distance.value,
-            "k": self.k,
-            "horizon_steps": self.horizon_steps,
-            "d_q": self.d_q,
-            "mode_noise_m": self.mode_noise_m,
-            "jitter_m": self.jitter_m,
-            "ns": self.ns,
-            "weight_seed": self.weight_seed,
-            "occlusion_start": self.occlusion_start,
-            "occlusion_len": self.occlusion_len,
-            "ego_length_m": self.ego_length_m,
-            "ego_width_m": self.ego_width_m,
-            "protocol": self.protocol.value,
-            "horizons_s": list(self.horizons_s),
-        }
+        return _record_dict(self)
 
     @staticmethod
-    def from_dict(obj: dict) -> "RunSettings":
-        if not isinstance(obj, dict):
-            raise ConfigError("run settings must be a mapping")
-        defaults = RunSettings()
-        known = set(defaults.to_dict())
-        unknown = set(obj) - known
-        if unknown:
-            raise ConfigError(f"unknown settings keys: {sorted(unknown)}")
-        merged = defaults.to_dict() | dict(obj)
-        if not isinstance(merged["horizons_s"], (list, tuple)):
-            raise ConfigError(f"horizons_s must be a list of seconds, got {merged['horizons_s']!r}")
-        try:
-            return RunSettings(
-                planner=merged["planner"],
-                history_depth=merged["history_depth"],
-                distance=DistanceKind(merged["distance"]),
-                k=merged["k"],
-                horizon_steps=merged["horizon_steps"],
-                d_q=merged["d_q"],
-                mode_noise_m=float(merged["mode_noise_m"]),
-                jitter_m=float(merged["jitter_m"]),
-                ns=float(merged["ns"]),
-                weight_seed=merged["weight_seed"],
-                occlusion_start=merged["occlusion_start"],
-                occlusion_len=merged["occlusion_len"],
-                ego_length_m=float(merged["ego_length_m"]),
-                ego_width_m=float(merged["ego_width_m"]),
-                protocol=L2Protocol(merged["protocol"]),
-                horizons_s=tuple(merged["horizons_s"]),
-            )
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(f"bad run settings: {exc}") from exc
+    def from_dict(obj) -> "RunSettings":
+        return _read_record(RunSettings, obj, "settings")
 
 
 @dataclass(frozen=True)
@@ -757,7 +757,7 @@ def _stream_key(spec: ScenarioSpec, settings: RunSettings) -> tuple:
     )
     return (
         spec.kind, spec.seed, settings.k, settings.horizon_steps, settings.d_q,
-        settings.occlusion_start, settings.occlusion_len, *(float(x).hex() for x in floats),
+        settings.occlusion_start, settings.occlusion_len, *(x.hex() for x in floats),
     )
 
 

@@ -1,17 +1,28 @@
 import json
 import logging
 import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from momentum_planning.cli import main
 from momentum_planning.curation import SampleRecord, save_samples_jsonl
 from momentum_planning.simulator import (
     MAX_D_Q,
+    MAX_DURATION_S,
     MAX_HORIZON_STEPS,
     MAX_K,
+    MAX_NOISE,
+    MAX_SEED,
+    MAX_SPEED_MPS,
+    MIN_RADIUS_M,
+    PLANNER_KINDS,
+    SCENARIO_KINDS,
     RunSettings,
     ScenarioSpec,
     load_log,
@@ -77,6 +88,7 @@ def test_malformed_config_exits_2_without_outputs(tmp_path):
 
 
 BAD_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": -1, "width": 2.0}
+OK_BOX = {"center": [30.0, 9.0], "heading": 0.0, "length": 4.0, "width": 2.0}
 FAST_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": 4.0, "width": 2.0,
             "velocity": [1e308, 0.0]}
 
@@ -99,11 +111,28 @@ FAST_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": 4.0, "width": 2.0,
         ("settings", "horizon_steps", MAX_HORIZON_STEPS + 1),
         ("settings", "d_q", MAX_D_Q + 1),
         ("settings", "k", 1e12),
+        ("scenario", "obstacles", [{**OK_BOX, "vel": [3.0, 0.0]}]),
+        ("scenario", "obstacles", [{**OK_BOX, "center": [0.0, 0.0, 5.0]}]),
+        ("scenario", "obstacles", [{**OK_BOX, "velocity": [3.0, 0.0, 1.0]}]),
+        ("scenario", "obstacles", [{**OK_BOX, "center": "12"}]),
+        ("scenario", "seed", 1e308),
+        ("settings", "weight_seed", MAX_SEED + 1),
+        ("scenario", "duration_s", 10**400),
+        ("scenario", "obstacles", [{**OK_BOX, "heading": -(10**400)}]),
+        ("settings", "mode_noise_m", 1e155),
+        ("settings", "jitter_m", 1e155),
+        ("settings", "jitter_m", 1e308),
+        ("settings", "ns", 1e308),
+        ("settings", "ns", MAX_NOISE * (1 + 2**-52)),
     ],
     ids=["history_depth", "obstacle_length", "radius_inf", "short_duration",
          "negative_weight_seed", "fractional_k", "speed_over_bound", "negative_seed",
          "obstacle_speed_over_bound", "horizon_overflows", "radius_subnormal",
-         "k_over_bound", "horizon_steps_over_bound", "d_q_over_bound", "huge_k"],
+         "k_over_bound", "horizon_steps_over_bound", "d_q_over_bound", "huge_k",
+         "obstacle_unknown_key", "obstacle_center_of_three", "obstacle_velocity_of_three",
+         "obstacle_center_string", "seed_1e308", "weight_seed_over_bound", "huge_int_duration",
+         "huge_int_heading", "mode_noise_1e155", "jitter_1e155", "jitter_1e308", "ns_1e308",
+         "ns_over_bound"],
 )
 def test_bad_config_values_exit_2_without_outputs(tmp_path, section, key, value):
     cfg = write_config(tmp_path / "cfg.json")
@@ -121,6 +150,159 @@ def test_negative_run_seed_exits_2_without_outputs(tmp_path, seeds, flag):
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out", str(out), *flag]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "seeds, flag",
+    [([0, 10**309], []), ([0, MAX_SEED + 1], []), ([0], ["--seed", str(MAX_SEED + 1)]), (None, [])],
+    ids=["seeds_huge", "seeds_over_bound", "seed_flag_over_bound", "scenario_seed_1e308"],
+)
+def test_huge_seeds_exit_2_with_the_out_dir_empty(tmp_path, seeds, flag):
+    # the bound is checked for every seed before the first one runs
+    cfg = write_config(tmp_path / "cfg.json", **({} if seeds is None else {"seeds": seeds}))
+    if seeds is None:
+        obj = json.loads(cfg.read_text())
+        obj["scenario"]["seed"] = 1e308
+        cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["run", "--config", str(cfg), "--out", str(out), *flag]) == 2
+    assert list(out.iterdir()) == []
+
+
+def test_seed_and_noise_bounds_are_inclusive(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json")
+    obj = json.loads(cfg.read_text())
+    obj["settings"].update(mode_noise_m=MAX_NOISE, jitter_m=MAX_NOISE, ns=MAX_NOISE, weight_seed=MAX_SEED)
+    obj["scenario"]["obstacles"] = [OK_BOX]
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--seed", str(MAX_SEED)]) == 0
+    log = load_log(out / f"run_seed{MAX_SEED}.jsonl")
+    assert (log.spec.seed, log.settings.weight_seed, log.settings.ns) == (MAX_SEED, MAX_SEED, MAX_NOISE)
+
+
+# ---------------------------------------------------------------------------
+# every config dict either runs or exits 2 having written nothing
+
+# values of the wrong type or far out of range, for any key
+WRONG = st.sampled_from(
+    [True, False, "x", "2.0", [], [1.0], None, 0.0, -0.0, 1e308, -1e308, 10**400, -(10**400), 2**64]
+)
+_UP = math.inf
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# key -> (valid values, values at or just past a bound); valid values keep
+# scenes short so that an example runs in milliseconds
+OBSTACLE_KEYS = {
+    "center": (st.lists(_floats(-30.0, 30.0), min_size=2, max_size=2),
+               [[1e308, -1e308], [0.0, 0.0], [1.0, 2.0, 3.0], [1.0], "12"]),
+    "heading": (_floats(-4.0, 4.0), [math.pi, 1e308]),
+    "length": (_floats(0.5, 6.0), [5e-324, 1e308]),
+    "width": (_floats(0.5, 3.0), [5e-324, 1e308]),
+    "velocity": (st.lists(_floats(-5.0, 5.0), min_size=2, max_size=2),
+                 [[MAX_SPEED_MPS, 0.0], [0.0, math.nextafter(-MAX_SPEED_MPS, -_UP)], [1.0, 2.0, 3.0]]),
+}
+SCENARIO_KEYS = {
+    "kind": (st.sampled_from(SCENARIO_KINDS), ["turn"]),
+    "duration_s": (st.sampled_from([0.5, 1.0, 2.0, 3.0]), [0.25, 0.75, math.nextafter(MAX_DURATION_S, _UP)]),
+    "speed_mps": (_floats(0.5, 10.0), [MAX_SPEED_MPS, math.nextafter(MAX_SPEED_MPS, _UP), 5e-324]),
+    "radius_m": (_floats(5.0, 40.0), [MIN_RADIUS_M, math.nextafter(MIN_RADIUS_M, 0.0), 1e308]),
+    "angle_rad": (_floats(0.1, 3.0), [5e-324, 1e308, -1.0]),
+    "seed": (st.integers(0, 100), [MAX_SEED, MAX_SEED + 1, -1, 7.0]),
+}
+SETTINGS_KEYS = {
+    "planner": (st.sampled_from(PLANNER_KINDS), ["greedy"]),
+    "history_depth": (st.integers(0, 2), [3, -1, 2.0]),
+    "distance": (st.sampled_from(["hausdorff", "euclidean"]), ["manhattan"]),
+    "k": (st.integers(1, 6), [MAX_K, MAX_K + 1, 0]),
+    "horizon_steps": (st.integers(2, 8), [MAX_HORIZON_STEPS, MAX_HORIZON_STEPS + 1, 1]),
+    "d_q": (st.integers(1, 16), [MAX_D_Q, MAX_D_Q + 1, 0]),
+    **{
+        name: (_floats(0.0, 2.0), [MAX_NOISE, math.nextafter(MAX_NOISE, _UP), 1e155, -1e-300])
+        for name in ("mode_noise_m", "jitter_m", "ns")
+    },
+    "weight_seed": (st.integers(0, 5), [MAX_SEED, MAX_SEED + 1, -1]),
+    "occlusion_start": (st.one_of(st.none(), st.integers(0, 4)), [10**30, -1]),
+    "occlusion_len": (st.integers(0, 4), [10**30, -1]),
+    "ego_length_m": (_floats(1.0, 6.0), [5e-324, 1e308]),
+    "ego_width_m": (_floats(1.0, 3.0), [5e-324, 1e308]),
+    "protocol": (st.sampled_from(["vad", "uniad"]), ["mean"]),
+    "horizons_s": (st.sampled_from([[0.5], [1.0], [0.5, 1.0]]), [[1.0, 1e308], [], [0.75], [10.0], "12"]),
+}
+SEEDS = (st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
+         [[MAX_SEED], [MAX_SEED + 1], [10**309], [-1], [], [1.5], [True], 0])
+
+
+@st.composite
+def run_configs(draw):
+    """A config of valid values, then one to three keys redrawn from their
+    bound values or from WRONG, deleted, or added under an unknown name."""
+    valid = {name: strategies[0] for name, strategies in OBSTACLE_KEYS.items()}
+    obstacles = draw(st.lists(st.fixed_dictionaries({}, optional=valid), max_size=2))
+    for box in obstacles:
+        box.setdefault("center", [20.0, 8.0])
+        for name, value in (("heading", 0.0), ("length", 4.0), ("width", 2.0)):
+            box.setdefault(name, value)
+    scenario = draw(st.fixed_dictionaries({name: s[0] for name, s in SCENARIO_KEYS.items()}))
+    scenario["obstacles"] = obstacles
+    cfg = {
+        "scenario": scenario,
+        "settings": draw(st.fixed_dictionaries({}, optional={name: s[0] for name, s in SETTINGS_KEYS.items()})),
+    }
+    if draw(st.booleans()):
+        cfg["seeds"] = draw(SEEDS[0])
+    keys = (
+        [("scenario", name, spec) for name, spec in SCENARIO_KEYS.items()]
+        + [("settings", name, spec) for name, spec in SETTINGS_KEYS.items()]
+        + [("obstacle", name, spec) for name, spec in OBSTACLE_KEYS.items()]
+        + [("config", "seeds", SEEDS), ("scenario", "obstacles", (None, [[], "ab", [None]]))]
+    )
+    for _ in range(draw(st.integers(1, 3))):
+        section, name, (_, bounds) = draw(st.sampled_from(keys))
+        if section == "obstacle":
+            if not obstacles:
+                obstacles.append({"center": [20.0, 8.0], "heading": 0.0, "length": 4.0, "width": 2.0})
+            target = obstacles[0]
+        else:
+            target = cfg if section == "config" else cfg[section]
+        action = draw(st.sampled_from(["bound", "bound", "wrong", "wrong", "wrong", "delete", "unknown"]))
+        if action == "delete":
+            target.pop(name, None)
+        elif action == "unknown":
+            target[name + "_x"] = 1.0
+        else:
+            target[name] = draw(st.sampled_from(bounds) if action == "bound" else WRONG)
+    return cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_configs())
+def test_every_run_config_runs_or_exits_2_writing_nothing(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        path.write_text(json.dumps(cfg))
+        out.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["run", "--config", str(path), "--out", str(out)])
+        written = sorted(p.name for p in out.iterdir())
+    event(f"exit {code}")
+    assert code in (0, 2)
+    if code == 2:
+        assert written == []
+    else:
+        seeds = cfg.get("seeds", [int(cfg["scenario"].get("seed", 0))])
+        assert written == sorted(
+            ["metrics_mean.csv"] + [f"{stem}{s}.{ext}" for s in seeds
+                                    for stem, ext in (("run_seed", "jsonl"), ("metrics_seed", "csv"))]
+        )
 
 
 def test_unknown_config_key_exits_2(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from momentum_planning.errors import EmptyInputError, ShapeError
 from momentum_planning.interactor import (
+    WEIGHT_NAMES,
     QueryBatch,
     WeightBundle,
     _attention_logits,
@@ -360,6 +361,22 @@ def test_weight_bundle_shape_validation():
     del tensors["attn.W_q"]
     with pytest.raises(ShapeError):
         WeightBundle(tensors)
+
+
+def _misshapen(shape):
+    # a 0-d array, an extra axis, one more leading row, and no leading rows
+    return [np.array(0.0), np.zeros(shape + (1,)), np.zeros((shape[0] + 1,) + shape[1:]),
+            np.zeros((0,) + shape[1:])]
+
+
+@pytest.mark.parametrize("name", WEIGHT_NAMES)
+def test_every_misshapen_tensor_raises_shape_error(wb, name):
+    tensors = {n: wb.get(n) for n in wb.names()}
+    for bad in _misshapen(wb.get(name).shape):
+        with pytest.raises(ShapeError):
+            WeightBundle({**tensors, name: bad})
+        with pytest.raises(ShapeError):
+            wb.with_tensor(name, bad)
 
 
 def test_with_tensor_checks_and_freezes_only_the_new_tensor(wb):

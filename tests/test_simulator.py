@@ -202,6 +202,55 @@ def test_scenario_spec_dict_round_trip():
         ScenarioSpec.from_dict({"kind": "straight", "duration_s": 1.0, "speed_mps": 1.0, "bogus": 1})
 
 
+@pytest.mark.parametrize(
+    "patch",
+    [{"vel": [3.0, 0.0]}, {"center": [0.0, 0.0, 5.0]}, {"velocity": [3.0, 0.0, 1.0]}, {"center": "12"},
+     {"velocity": [1.0]}, {"center": 5.0}, {"box": {}}, {"heading": None}],
+)
+def test_obstacle_records_reject_unknown_keys_and_stray_values(patch):
+    rec = {"center": [1.0, 2.0], "heading": 0.3, "length": 4.0, "width": 2.0} | patch
+    with pytest.raises(ConfigError):
+        ScriptedObstacle.from_dict(rec)
+    with pytest.raises(ConfigError):
+        ScenarioSpec.from_dict({"kind": "straight", "duration_s": 1.0, "speed_mps": 1.0, "obstacles": [rec]})
+
+
+def _records():
+    box = ObstacleBox((1, -2.5), 3, 4.0, 2)
+    obstacles = (ScriptedObstacle(box), ScriptedObstacle(box, velocity=(-0.5, 1)))
+    return [
+        *obstacles,
+        ScenarioSpec("straight", 1, 2),
+        ScenarioSpec("arc_turn", 4.0, 5, radius_m=12, angle_rad=-0.0 + 1, obstacles=obstacles, seed=2**64 - 1),
+        RunSettings(),
+        RunSettings(planner="oneshot", history_depth=0, distance="euclidean", k=3.0, mode_noise_m=1, ns=0,
+                    weight_seed=np.int64(5), occlusion_start=2, occlusion_len=1, protocol="uniad",
+                    horizons_s=[0.5, 3]),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_records_round_trip_through_json_and_equal_direct_calls(record):
+    cls = type(record)
+    assert cls.from_dict(json.loads(json.dumps(record.to_dict()))) == record
+    text = json.dumps(record.to_dict())
+    assert json.dumps(cls.from_dict(json.loads(text)).to_dict()) == text
+
+
+def test_a_config_and_a_direct_call_give_equal_records():
+    from_config = RunSettings.from_dict({"mode_noise_m": 1, "ego_width_m": "2.5"})
+    assert from_config == RunSettings(mode_noise_m=1, ego_width_m=2.5)
+    assert RunSettings(mode_noise_m=1).to_dict()["mode_noise_m"] == 1.0
+    assert type(RunSettings(ns=0).ns) is float
+    spec = ScenarioSpec.from_dict({"kind": "arc_turn", "duration_s": 2, "speed_mps": 5})
+    assert spec == ScenarioSpec("arc_turn", 2.0, 5.0)
+    assert (spec.radius_m, spec.angle_rad, spec.obstacles, spec.seed) == (20.0, math.pi / 2.0, (), 0)
+    rec = {"center": [1, 2], "heading": 0, "length": 4, "width": 2}
+    obstacle = ScriptedObstacle(ObstacleBox((1.0, 2.0), 0.0, 4.0, 2.0))
+    assert ScriptedObstacle.from_dict(rec) == obstacle
+    assert ScenarioSpec("straight", 1.0, 1.0, obstacles=[rec]).obstacles == (obstacle,)
+
+
 # ---------------------------------------------------------------------------
 # settings
 
