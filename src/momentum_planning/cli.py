@@ -109,15 +109,8 @@ def _load_run_config(path, args):
     if not isinstance(settings_dict, dict):
         raise ConfigError("'settings' must be a mapping")
 
-    overrides = {}
-    if args.protocol is not None:
-        overrides["protocol"] = args.protocol
-    if args.distance is not None:
-        overrides["distance"] = args.distance
-    if args.history_depth is not None:
-        overrides["history_depth"] = args.history_depth
-    if args.ns is not None:
-        overrides["ns"] = args.ns
+    overrides = {key: value for key in ("protocol", "distance", "history_depth", "ns")
+                 if (value := getattr(args, key)) is not None}
     settings = RunSettings.from_dict(dict(settings_dict) | overrides)
 
     seeds = [args.seed] if args.seed is not None else obj.get("seeds", [spec.seed])
@@ -125,8 +118,10 @@ def _load_run_config(path, args):
         not isinstance(seeds, list)
         or not seeds
         or not all(isinstance(s, int) and not isinstance(s, bool) and 0 <= s <= MAX_SEED for s in seeds)
+        # a repeated seed would run twice, rewrite its files and count double
+        or len(set(seeds)) != len(seeds)
     ):
-        raise ConfigError("seeds must be a non-empty list of integers in [0, 2**64 - 1]")
+        raise ConfigError("seeds must be a non-empty list of distinct integers in [0, 2**64 - 1]")
     return spec, settings, list(seeds)
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlignmentError, EmptyInputError, GeometryError, ShapeError
-from .trajectory import DEFAULT_DT, Pose2, Trajectory, resample
+from .trajectory import DEFAULT_DT, Pose2, Trajectory, _to_frame, resample
 from .trajectory import transform_to_frame  # noqa: F401
 
 # nothing here calls transform_to_frame; it stays importable on this module
@@ -145,14 +145,22 @@ def trajectory_distance(a: Trajectory, b: Trajectory, kind: DistanceKind) -> flo
     kind = DistanceKind(kind)
     if kind is DistanceKind.HAUSDORFF:
         return hausdorff(a, b)
-    n = max(len(a), len(b))
-    return _one_pair(resample(a, n).points, resample(b, n).points, kind)
+    pa, pb = _resampled_to_longer([a], b)
+    return _one_pair(pa[0], pb, kind)
+
+
+def _resampled_to_longer(plans, other: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The points of every plan, stacked, and of ``other``, each resampled
+    to the longest of their lengths: how the pointwise mean aligns plans."""
+    n = max(len(other), *map(len, plans))
+    return np.stack([resample(p, n).points for p in plans]), resample(other, n).points
 
 
 def _moved(points, rotation, translation) -> np.ndarray:
     """Candidates (F, K, N, 2) moved by each frame's delta, a (F, 2, 2)
-    rotation and (F, 2) translation: one product per frame."""
-    moved = (points - translation[:, None, None, :]) @ rotation[:, None]
+    rotation and (F, 2) translation, through ``trajectory._to_frame``; a
+    non-finite result raises ``GeometryError``."""
+    moved = _to_frame(points, rotation[:, None], translation[:, None])
     if not np.isfinite(moved).all():
         raise GeometryError("candidate moved into the history frame is not finite")
     return moved
@@ -194,16 +202,13 @@ def ttm_select(
     in one product, then scored at once by ``_pair_distances``, the kernel
     a rollout's stacked selection uses, with one frame and one plan: the
     symmetric Hausdorff distance, or the pointwise mean, which first
-    resamples the candidates and the history to the longer of N and M when
-    they differ, as ``trajectory_distance`` does.  Ties resolve to the
-    lowest index.
+    resamples the candidates and the history to the longer of N and M
+    through ``_resampled_to_longer``, as ``trajectory_distance`` does.
+    Ties resolve to the lowest index.
     """
     kind = DistanceKind(kind)
-    moved = _moved(candidates.points[None], frame_delta.rotation[None], frame_delta.translation[None])
+    moved = _moved(candidates.points[None], frame_delta.rotation[None], frame_delta.translation[None])[0]
     hist = history.points
     if kind is DistanceKind.MEAN_EUCLIDEAN:
-        n = max(moved.shape[2], len(hist))
-        hist = resample(history, n).points
-        if moved.shape[2] != n:
-            moved = np.stack([resample(Trajectory(m, dt=candidates.dt), n).points for m in moved[0]])[None]
-    return int(np.argmin(_pair_distances(moved, hist[None, None], kind)))
+        moved, hist = _resampled_to_longer([Trajectory(m, dt=candidates.dt) for m in moved], history)
+    return int(np.argmin(_pair_distances(moved[None], hist[None, None], kind)))

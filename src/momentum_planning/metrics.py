@@ -31,13 +31,22 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError, EmptyInputError, GeometryError, HorizonError, ShapeError
 from .matching import TrajectorySet, _moved
-from .trajectory import OverlapMask, Pose2, Trajectory
+from .trajectory import OverlapMask, Pose2, Trajectory, _from_frame
 from .trajectory import transform_to_frame  # noqa: F401
 
 # nothing here calls transform_to_frame; it stays importable on this module
 # because bench/tracing.py wraps it here.
 
 _HORIZON_SNAP = 1e-9
+
+
+def _number(name: str, value) -> float:
+    """``value`` as a float; bools, strings and other non-numbers are
+    rejected rather than converted.  Every number field of a record, here
+    and in ``simulator``, reads through this."""
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 class L2Protocol(str, Enum):
@@ -57,9 +66,9 @@ class ObstacleBox:
     def __post_init__(self):
         if not isinstance(self.center, (list, tuple, np.ndarray)) or len(self.center) != 2:
             raise ShapeError(f"obstacle box center must be two numbers, got {self.center!r}")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        object.__setattr__(self, "center", tuple(_number("center", v) for v in self.center))
         for name in ("heading", "length", "width"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _number(name, getattr(self, name)))
         if not all(map(math.isfinite, (*self.center, self.heading, self.length, self.width))):
             raise ShapeError("obstacle box fields must be finite")
         if self.length <= 0.0 or self.width <= 0.0:
@@ -69,7 +78,7 @@ class ObstacleBox:
         """The four corners (4, 2), clockwise from front left."""
         c, s = np.cos(self.heading), np.sin(self.heading)
         local = np.array([[0.5 * self.length, 0.5 * self.width]]) * _CORNER_SIGNS
-        return local @ np.array([[c, -s], [s, c]]).T + np.asarray(self.center)
+        return _from_frame(local, np.array([[c, -s], [s, c]]), np.asarray(self.center))
 
     def fields(self) -> tuple:
         """``(center, heading, length, width)``, the form :func:`overlap_flags` takes."""

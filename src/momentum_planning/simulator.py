@@ -14,15 +14,21 @@ candidate a planner picks.  Differences between planners show up where
 they should for consistency studies: in the predicted tails.
 
 A rollout therefore runs in three passes.  The stream pass draws every
-frame's noise at once, chains the ego poses in a short loop, builds all
-frames' proposals as stacked arrays and the scene quantities no choice
-changes; the most recent stream is kept for the next rollout on the same
-scene.  The selection pass then chooses over those stacks.  Within it only
-the previous choice depends on the planner, so the momentum planner's TTM
-distances and MPI scores are computed for every previous choice at once,
-stacked over frame blocks, and the choices are chased through them.  The
-score pass scores what the choice changes.  An execution that followed
-the chosen plan instead would have to choose inside the pose loop.
+frame's noise at once, chains the ego poses in a short loop, moves the
+ground truth into every ego frame once, for the proposals and the scene
+alike, and builds all frames' proposals as stacked arrays and the scene
+quantities no choice changes; the most recent stream is kept for the next
+rollout on the same scene.  The selection pass then chooses over those
+stacks.  Within it only the previous choice depends on the planner, so
+the momentum planner's TTM distances and MPI scores are computed for
+every previous choice at once, stacked over frame blocks, and the choices
+are chased through them.  The score pass scores what the choice changes.
+An execution that followed the chosen plan instead would have to choose
+inside the pose loop.
+
+Every frame transform and frame delta here is a call of the stacked
+kernels in ``trajectory``, and the obstacle motion model has one
+definition, ``_boxes_at``.
 """
 
 from __future__ import annotations
@@ -45,15 +51,16 @@ from .interactor import _lstm_gates, _refined_scores, _score_gate
 from .interactor import mpi_forward  # noqa: F401
 from .matching import DistanceKind, TrajectorySet, _moved, _pair_distances, ttm_select
 from .metrics import L2Protocol, MetricReport, ObstacleBox, _best_displacements, _consistency_sq
-from .metrics import _displacements, _fold_report, _horizon_index, _mean_of, _swept_hits
+from .metrics import _displacements, _fold_report, _horizon_index, _mean_of, _number, _swept_hits
 from .metrics import collision_flags, l2_error, min_ade_fde, tpc  # noqa: F401
-from .trajectory import Pose2, Trajectory, trajectory_from_dict
+from .trajectory import Pose2, Trajectory, _frame_delta, _from_frame, _to_frame, trajectory_from_dict
 from .trajectory import transform_to_frame  # noqa: F401
 
 # The per-trajectory metrics above score one frame each and report_from_log
 # does not call them, the rollout moves its futures into the ego frame
-# without transform_to_frame, and nothing here calls mpi_forward; they stay
-# importable here because bench/tracing.py wraps them on this module.
+# through the stacked kernel, not transform_to_frame, and nothing here
+# calls mpi_forward; they stay importable here because bench/tracing.py
+# wraps them on this module.
 
 _logger = logging.getLogger(__name__)
 
@@ -118,13 +125,13 @@ def _integral(name: str, value) -> int:
 def _pair(name: str, value) -> tuple[float, float]:
     if not isinstance(value, (list, tuple, np.ndarray)) or len(value) != 2:
         raise ConfigError(f"{name} must be two numbers, got {value!r}")
-    return float(value[0]), float(value[1])
+    return _number(name, value[0]), _number(name, value[1])
 
 
 def _floats(name: str, value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    return tuple(_number(name, v) for v in value)
 
 
 def _obstacles(name: str, value) -> tuple:
@@ -137,7 +144,7 @@ _COERCE = {
     "ObstacleBox": None,
     "int": _integral,
     "int | None": lambda name, value: None if value is None else _integral(name, value),
-    "float": lambda name, value: float(value),
+    "float": _number,
     "tuple[float, float]": _pair,
     "tuple[float, ...]": _floats,
     "tuple[ScriptedObstacle, ...]": _obstacles,
@@ -205,10 +212,10 @@ class ScriptedObstacle:
             )
 
     def at_step(self, step: int) -> ObstacleBox:
-        t = step * SIM_DT
-        cx, cy = self.box.center
-        return ObstacleBox((cx + self.velocity[0] * t, cy + self.velocity[1] * t),
-                           self.box.heading, self.box.length, self.box.width)
+        """The box at absolute ``step``: ``_boxes_at`` for one obstacle and
+        one step."""
+        center, heading, length, width = _boxes_at((self,), step)
+        return ObstacleBox(center[0], heading[0], length[0], width[0])
 
     def to_dict(self) -> dict:
         """The box's fields and the velocity, in one flat record."""
@@ -223,6 +230,19 @@ class ScriptedObstacle:
             obj = {key: value for key, value in obj.items() if key == "velocity"}
             obj["box"] = _read_record(ObstacleBox, box, "obstacle")
         return _read_record(ScriptedObstacle, obj, "obstacle")
+
+
+def _boxes_at(obstacles, steps) -> tuple:
+    """The obstacles' boxes at absolute ``steps``, an int array of any
+    shape, in ``overlap_flags`` form: centres (O, *steps.shape, 2) moved
+    from the box centre by velocity * step * SIM_DT, and headings, lengths
+    and widths (O, 1, ...) that broadcast against them.  This is the one
+    definition of the obstacle motion model."""
+    rows = np.array([(*o.box.center, *o.velocity, o.box.heading, o.box.length, o.box.width)
+                     for o in obstacles])
+    rows = rows.reshape((len(obstacles),) + (1,) * np.ndim(steps) + (7,))
+    t = (np.asarray(steps) * SIM_DT)[..., None]
+    return rows[..., 0:2] + rows[..., 2:4] * t, rows[..., 4], rows[..., 5], rows[..., 6]
 
 
 @dataclass(frozen=True)
@@ -416,13 +436,14 @@ def gen_scenario(spec: ScenarioSpec, extra_steps: int = 0):
 
     Returns ``(path, tracks)`` where path holds ``round(duration/dt) +
     extra_steps`` waypoints (the ego's start pose at the origin is not a
-    waypoint) and ``tracks[i][step]`` is obstacle i at that absolute step.
+    waypoint) and ``tracks[i][step]`` is obstacle i at that absolute step,
+    every step's box from one ``_boxes_at`` call.
     """
     path = _gen_path(spec, extra_steps)
-    tracks = [
-        [obstacle.at_step(step) for step in range(len(path) + 1)]
-        for obstacle in spec.obstacles
-    ]
+    center, heading, length, width = _boxes_at(spec.obstacles, np.arange(len(path) + 1))
+    # each obstacle's heading, length and width, which its motion keeps
+    fixed = np.concatenate([heading, length, width], axis=-1).tolist()
+    tracks = [[ObstacleBox(c, *rest) for c in cs] for cs, rest in zip(center.tolist(), fixed)]
     return path, tracks
 
 
@@ -648,20 +669,25 @@ def _world(spec: ScenarioSpec, horizon_steps: int) -> np.ndarray:
     return np.vstack([[0.0, 0.0], _gen_path(spec, extra_steps=horizon_steps).points])
 
 
-def _frame_deltas(rot, xy):
-    """For each frame j >= 1 of (F, 2, 2) ego rotations and (F, 2)
-    positions, the pose that moves frame j's points into frame j-1:
-    rotations (F-1, 2, 2) and translations (F-1, 2), each the product
-    ``relative_pose`` computes."""
-    rot_t = np.swapaxes(rot[1:], -1, -2)
-    return rot_t @ rot[:-1], (rot_t @ (xy[:-1] - xy[1:])[..., None])[..., 0]
+def _futures(world: np.ndarray, rot: np.ndarray, xy: np.ndarray, h: int):
+    """The absolute step (F, h) of every waypoint planned from the ego poses
+    ``rot``/``xy`` along ``world``, and the ground-truth futures there in
+    each ego frame (F, h, 2).  A rollout transforms its ground truth here
+    once, for its proposals and its scene; a replay, from the log."""
+    n_frames = len(rot)
+    if n_frames + h > len(world):
+        raise AlignmentError(f"log has {n_frames} frames, the scenario's path covers {len(world) - h}")
+    # absolute step of waypoint i planned at frame j; always within the path
+    steps = np.arange(n_frames)[:, None] + 1 + np.arange(h)
+    return steps, _to_frame(world[steps], rot, xy)
 
 
 @dataclass(frozen=True, eq=False)
 class _Scene:
     """All that scoring reads of F planned frames and no choice changes, as
     read-only arrays: the ``_world`` path, the ego rotations (F, 2, 2) and
-    positions (F, 2) with their ``_frame_deltas``, the proposals
+    positions (F, 2) with the frame deltas (F-1, 2, 2) and (F-1, 2) that
+    move each frame's points into the frame before, the proposals
     (F, K, h, 2), the absolute step of each planned waypoint (F, h), the
     ego-frame ground-truth futures (F, h, 2), and min ADE/FDE."""
 
@@ -677,20 +703,13 @@ class _Scene:
     min_fde: float
 
 
-def _scene(world: np.ndarray, rot: np.ndarray, xy: np.ndarray, points: np.ndarray) -> _Scene:
+def _scene(world, rot, xy, steps, gt, points) -> _Scene:
     """The ``_Scene`` of frames planned along ``world`` from the ego poses
-    ``rot``/``xy`` with the proposals ``points``.  The rollout builds it
-    from its stream and ``report_from_log`` from a log, both here."""
-    n_frames, h = points.shape[0], points.shape[2]
-    if n_frames + h > len(world):
-        raise AlignmentError(
-            f"log has {n_frames} frames, the scenario's path covers {len(world) - h}"
-        )
-    # absolute step of waypoint i planned at frame j; always within the path
-    steps = np.arange(n_frames)[:, None] + 1 + np.arange(h)
-    gt = (world[steps] - xy[:, None, :]) @ rot
+    ``rot``/``xy``, with the ``_futures`` ``steps`` and ``gt`` and the
+    proposals ``points``.  The rollout builds it from its stream and
+    ``report_from_log`` from a log, both here."""
     ade, fde, _ = _best_displacements(points, gt)
-    delta_rot, delta_xy = _frame_deltas(rot, xy)
+    delta_rot, delta_xy = _frame_delta(rot[:-1], xy[:-1], rot[1:], xy[1:])
     for array in (world, rot, xy, delta_rot, delta_xy, points, steps, gt):
         array.setflags(write=False)
     return _Scene(
@@ -724,28 +743,27 @@ def _stream(spec: ScenarioSpec, settings: RunSettings) -> _Stream:
     width = _fan_width(k, h)
     draws = np.random.default_rng(spec.seed).standard_normal((n_frames, width + k * d_q))
     shared_first = 0.0 + settings.jitter_m * draws[:, :2]
-    gt = np.empty((n_frames, h, 2))
-    poses = []
-    for j in range(n_frames):
-        if j:
-            # step to the previous frame's first waypoint, which every
-            # candidate shares: the fan's lateral offset there is +-0.0 and
-            # the shared step nonzero or +0.0, so this sum equals it bit for bit
-            step_world = pose.rotation @ (gt[j - 1, 0] + shared_first[j - 1]) + pose.translation
-            disp = step_world - pose.translation
-            heading = math.atan2(disp[1], disp[0]) if (disp[0], disp[1]) != (0.0, 0.0) else pose.heading()
-            pose = Pose2.from_heading(heading, step_world)
+    poses = [pose]
+    for j in range(1, n_frames):
+        # step to the previous frame's first waypoint, which every candidate
+        # shares: its ground truth, the one waypoint this step reads, plus
+        # the shared step.  The fan's lateral offset there is +-0.0 and the
+        # shared step nonzero or +0.0, so this sum equals it bit for bit
+        first = _to_frame(world[j : j + 1], pose.rotation, pose.translation) + shared_first[j - 1]
+        step_world = _from_frame(first, pose.rotation, pose.translation)[0]
+        disp = step_world - pose.translation
+        heading = math.atan2(disp[1], disp[0]) if (disp[0], disp[1]) != (0.0, 0.0) else pose.heading()
+        pose = Pose2.from_heading(heading, step_world)
         poses.append(pose)
-        gt[j] = (world[j + 1 : j + 1 + h] - pose.translation) @ pose.rotation
+    rot, xy = np.array([p.rotation for p in poses]), np.array([p.translation for p in poses])
+    steps, gt = _futures(world, rot, xy, h)
 
     cands, scores, queries = _fan(gt, draws[:, :width], k, settings.mode_noise_m, settings.jitter_m, d_q)
     queries += (settings.ns * draws[:, width:]).reshape(n_frames, k, d_q)
     if settings.occlusion_start is not None:
         scores[settings.occlusion_start : settings.occlusion_start + settings.occlusion_len] = 1.0 / k
     proposals = TrajectorySet.per_frame(cands, scores, queries, dt=SIM_DT)
-    rot = np.array([p.rotation for p in poses])
-    xy = np.array([p.translation for p in poses])
-    return _Stream(_scene(world, rot, xy, cands), tuple(poses), proposals, scores, queries)
+    return _Stream(_scene(world, rot, xy, steps, gt, cands), tuple(poses), proposals, scores, queries)
 
 
 def _stream_key(spec: ScenarioSpec, settings: RunSettings) -> tuple:
@@ -818,7 +836,10 @@ def run_closed_loop(
         first step, the candidates' jitter, the observation, the query
         noise;
       * the ego poses, in a short loop, since each pose follows from the
-        previous frame's first step;
+        previous frame's first step; it moves only that one ground-truth
+        waypoint into each frame;
+      * every frame's ego-frame ground truth, moved once (``_futures``);
+        the proposals are fanned around it and the scene holds it;
       * every frame's candidates, scores, perturbed queries and occlusion,
         as stacked arrays checked once;
       * the scene the plans are scored on (``_scene``): pose stacks, frame
@@ -898,7 +919,8 @@ def _log_scene(log: ScenarioLog) -> _Scene:
     rot = np.array([fr.ego_pose.rotation for fr in log.frames]).reshape(f, 2, 2)
     xy = np.array([fr.ego_pose.translation for fr in log.frames]).reshape(f, 2)
     points = np.array([fr.proposals.points for fr in log.frames]).reshape(f, k, h, 2)
-    return _scene(_world(log.spec, h), rot, xy, points)
+    world = _world(log.spec, h)
+    return _scene(world, rot, xy, *_futures(world, rot, xy, h), points)
 
 
 def ground_truth_futures(log: ScenarioLog) -> np.ndarray:
@@ -942,13 +964,8 @@ def _score_choice(scene: _Scene, chosen_index, settings: RunSettings, obstacles)
     # the same absolute step, one kernel call over (obstacle, frame, waypoint);
     # a scene without obstacles has nothing to hit
     if obstacles:
-        pred_world = chosen @ np.swapaxes(scene.rot, -1, -2) + scene.xy[:, None, :]
-        # one row per obstacle: centre, velocity, heading, length, width; the
-        # track is each centre plus velocity times time, as at_step computes it
-        rows = np.array([(*o.box.center, *o.velocity, o.box.heading, o.box.length, o.box.width)
-                         for o in obstacles])[:, None, None, :]
-        t = (scene.steps * SIM_DT)[..., None]
-        boxes = (rows[..., 0:2] + rows[..., 2:4] * t, rows[..., 4], rows[..., 5], rows[..., 6])
+        pred_world = _from_frame(chosen, scene.rot, scene.xy)
+        boxes = _boxes_at(obstacles, scene.steps)
         hits = _swept_hits(pred_world, settings.ego_length_m, settings.ego_width_m, boxes)
     else:
         hits = np.zeros((n_frames, h), dtype=bool)

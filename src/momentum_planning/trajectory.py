@@ -11,6 +11,12 @@ Conventions:
     applies ``p -> R^-1 (p - t)``.
   * ``relative_pose(prev, cur)`` returns exactly the pose that moves points
     expressed in the current ego frame into the previous ego frame.
+
+Each of the three rigid-frame operations has one definition, a kernel over
+broadcast stacks of points and poses: ``_to_frame``, ``_from_frame`` and
+``_frame_delta``.  TTM, TPC and the rollout call them over frame stacks;
+``transform_to_frame``, ``transform_from_frame`` and ``relative_pose`` are
+their calls on one pose.
 """
 
 from __future__ import annotations
@@ -134,17 +140,36 @@ class OverlapMask:
         return int(self.flags.sum())
 
 
+def _to_frame(points, rotation, translation) -> np.ndarray:
+    """Points (..., N, 2) re-expressed in the frames whose poses are the
+    (..., 2, 2) rotations and (..., 2) translations, leading axes broadcast:
+    every point p becomes R^-1 (p - t), computed as (p - t) @ R."""
+    return (points - translation[..., None, :]) @ rotation
+
+
+def _from_frame(points, rotation, translation) -> np.ndarray:
+    """Inverse of ``_to_frame``: every point p becomes R p + t, computed as
+    p @ R^T + t."""
+    return points @ np.swapaxes(rotation, -1, -2) + translation[..., None, :]
+
+
+def _frame_delta(rot_prev, t_prev, rot_cur, t_cur):
+    """The poses of previous frames seen from current ones, given both in a
+    common frame as (..., 2, 2) rotations and (..., 2) translations: the
+    rotations R_cur^T R_prev and translations R_cur^T (t_prev - t_cur)."""
+    rot_t = np.swapaxes(rot_cur, -1, -2)
+    return rot_t @ rot_prev, (rot_t @ (t_prev - t_cur)[..., None])[..., 0]
+
+
 def transform_to_frame(traj: Trajectory, pose: Pose2) -> Trajectory:
     """Re-express ``traj`` in the frame whose pose (in the trajectory's
     current frame) is ``pose``: every point p becomes R^-1 (p - t)."""
-    moved = (traj.points - pose.translation) @ pose.rotation
-    return Trajectory(moved, dt=traj.dt)
+    return Trajectory(_to_frame(traj.points, pose.rotation, pose.translation), dt=traj.dt)
 
 
 def transform_from_frame(traj: Trajectory, pose: Pose2) -> Trajectory:
     """Inverse of :func:`transform_to_frame`: p becomes R p + t."""
-    moved = traj.points @ pose.rotation.T + pose.translation
-    return Trajectory(moved, dt=traj.dt)
+    return Trajectory(_from_frame(traj.points, pose.rotation, pose.translation), dt=traj.dt)
 
 
 def relative_pose(world_pose_prev: Pose2, world_pose_cur: Pose2) -> Pose2:
@@ -154,11 +179,8 @@ def relative_pose(world_pose_prev: Pose2, world_pose_cur: Pose2) -> Pose2:
     so feeding it to :func:`transform_to_frame` moves points expressed in
     the current ego frame into the previous ego frame.
     """
-    r_prev, r_cur = world_pose_prev.rotation, world_pose_cur.rotation
-    t_prev, t_cur = world_pose_prev.translation, world_pose_cur.translation
-    rot = r_cur.T @ r_prev
-    trans = r_cur.T @ (t_prev - t_cur)
-    return Pose2(rot, trans)
+    prev, cur = world_pose_prev, world_pose_cur
+    return Pose2(*_frame_delta(prev.rotation, prev.translation, cur.rotation, cur.translation))
 
 
 def resample(traj: Trajectory, n: int) -> Trajectory:

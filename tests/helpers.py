@@ -1,7 +1,8 @@
 """Shared test harnesses: finite differences for gradient verification, the
 reverse pass the analytic gradients must reproduce byte for byte, the
-one-trajectory metrics and distances that their batched kernels' one-frame
-calls must reproduce, and the per-candidate proposal and matching loops,
+one-trajectory metrics and distances and the one-pose frame operations and
+obstacle motion that their batched kernels' one-frame calls must
+reproduce, and the per-candidate proposal and matching loops,
 the per-frame momentum step and the per-frame rollout and scoring loops
 that the batched ``propose``, ``ttm_select``, ``step_momentum``,
 ``run_closed_loop`` and ``report_from_log`` must reproduce."""
@@ -20,7 +21,6 @@ from momentum_planning.simulator import (
     ScenarioLog,
     _gen_path,
     _query_projection,
-    gen_scenario,
     perturb_features,
     report_from_log,
     step_oneshot,
@@ -30,10 +30,7 @@ from momentum_planning.trajectory import (
     Pose2,
     Trajectory,
     overlap_mask,
-    relative_pose,
     resample,
-    transform_from_frame,
-    transform_to_frame,
 )
 
 
@@ -162,6 +159,37 @@ def reference_sq_loss_and_grads(selected_query, history, instance_features, weig
     return loss, grads
 
 
+# ---------------------------------------------------------------------------
+# the one-pose frame operations as they were written before they became
+# one-pose calls of the stacked kernels, kept verbatim as the oracles the
+# kernels' rows must reproduce bit for bit
+
+
+def reference_transform_to_frame(traj, pose):
+    moved = (traj.points - pose.translation) @ pose.rotation
+    return Trajectory(moved, dt=traj.dt)
+
+
+def reference_transform_from_frame(traj, pose):
+    moved = traj.points @ pose.rotation.T + pose.translation
+    return Trajectory(moved, dt=traj.dt)
+
+
+def reference_relative_pose(world_pose_prev, world_pose_cur):
+    r_prev, r_cur = world_pose_prev.rotation, world_pose_cur.rotation
+    t_prev, t_cur = world_pose_prev.translation, world_pose_cur.translation
+    rot = r_cur.T @ r_prev
+    trans = r_cur.T @ (t_prev - t_cur)
+    return Pose2(rot, trans)
+
+
+def reference_at_step(obstacle, step):
+    t = step * SIM_DT
+    cx, cy = obstacle.box.center
+    return ObstacleBox((cx + obstacle.velocity[0] * t, cy + obstacle.velocity[1] * t),
+                       obstacle.box.heading, obstacle.box.length, obstacle.box.width)
+
+
 def outcome(fn, *args):
     """What one call gives: ``("value", result)``, or ``("raises", type)``
     with the exact type of the exception it raised."""
@@ -214,7 +242,7 @@ def reference_tpc(cur_pred, prev_pred, frame_delta, mask, frame_gap_steps=1):
         return None
     if idx.max() + frame_gap_steps >= len(prev_pred):
         raise AlignmentError("mask selects waypoints beyond the previous horizon")
-    moved = transform_to_frame(cur_pred, frame_delta)
+    moved = reference_transform_to_frame(cur_pred, frame_delta)
     diff = moved.points[idx] - prev_pred.points[idx + frame_gap_steps]
     sq = diff[:, 0] ** 2 + diff[:, 1] ** 2
     return float(math.sqrt(sq.mean()))
@@ -331,7 +359,8 @@ def reference_report_from_log(log):
     """Every metric of a log, scored frame by frame and waypoint by waypoint."""
     settings = log.settings
     h = settings.horizon_steps
-    path, tracks = gen_scenario(log.spec, extra_steps=h)
+    path = _gen_path(log.spec, extra_steps=h)
+    tracks = [[reference_at_step(o, step) for step in range(len(path) + 1)] for o in log.spec.obstacles]
     world = np.vstack([[0.0, 0.0], path.points])
     horizons = settings.horizons_s
 
@@ -342,12 +371,12 @@ def reference_report_from_log(log):
 
     for j, frame in enumerate(log.frames):
         future_world = Trajectory(world[j + 1 : j + 1 + h], dt=SIM_DT)
-        gt_future = transform_to_frame(future_world, frame.ego_pose)
+        gt_future = reference_transform_to_frame(future_world, frame.ego_pose)
         frame_l2 = reference_l2_error(frame.chosen_trajectory, gt_future, horizons, settings.protocol)
         for hh in horizons:
             l2_acc[hh].append(frame_l2[hh])
 
-        pred_world = transform_from_frame(frame.chosen_trajectory, frame.ego_pose)
+        pred_world = reference_transform_from_frame(frame.chosen_trajectory, frame.ego_pose)
         aligned = [
             [track[min(j + 1 + i, len(track) - 1)] for i in range(len(pred_world))]
             for track in tracks
@@ -365,7 +394,7 @@ def reference_report_from_log(log):
 
         if j > 0:
             prev = log.frames[j - 1]
-            delta = relative_pose(prev.ego_pose, frame.ego_pose)
+            delta = reference_relative_pose(prev.ego_pose, frame.ego_pose)
             base_mask = overlap_mask(frame.chosen_trajectory, prev.chosen_trajectory, 1)
             for hh in horizons:
                 steps = int(round(hh / SIM_DT))
@@ -456,7 +485,7 @@ def reference_ttm_select(candidates, history, frame_delta, kind):
     best_idx = -1
     best_dist = np.inf
     for i, candidate in enumerate(candidates.trajectories):
-        d = reference_trajectory_distance(transform_to_frame(candidate, frame_delta), history, kind)
+        d = reference_trajectory_distance(reference_transform_to_frame(candidate, frame_delta), history, kind)
         if d < best_dist:
             best_dist = d
             best_idx = i
@@ -496,7 +525,7 @@ def reference_run_closed_loop(spec, settings, weights=None):
     rng = np.random.default_rng(spec.seed)
     frames = []
     for j in range(int(round(spec.duration_s / SIM_DT))):
-        gt_future = transform_to_frame(Trajectory(world[j + 1 : j + 1 + h], dt=SIM_DT), pose)
+        gt_future = reference_transform_to_frame(Trajectory(world[j + 1 : j + 1 + h], dt=SIM_DT), pose)
         proposals = reference_propose(
             gt_future, k, settings.mode_noise_m, settings.jitter_m, rng, settings.d_q
         )
@@ -511,7 +540,7 @@ def reference_run_closed_loop(spec, settings, weights=None):
             idx, refined_scores = step_oneshot(proposals), None
         else:
             history = frames[-settings.history_depth :]
-            delta = relative_pose(history[-1].ego_pose, pose) if history else Pose2.identity()
+            delta = reference_relative_pose(history[-1].ego_pose, pose) if history else Pose2.identity()
             idx, refined_scores = reference_step_momentum(proposals, history, delta, weights, settings.distance)
         frames.append(FrameRecord(j * SIM_DT, pose, proposals, idx, refined_scores))
 

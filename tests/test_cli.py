@@ -124,6 +124,15 @@ FAST_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": 4.0, "width": 2.0,
         ("settings", "jitter_m", 1e308),
         ("settings", "ns", 1e308),
         ("settings", "ns", MAX_NOISE * (1 + 2**-52)),
+        ("scenario", "duration_s", True),
+        ("settings", "ns", "0.5"),
+        ("scenario", "speed_mps", "5"),
+        ("settings", "horizons_s", [1.0, "2.0"]),
+        ("settings", "horizons_s", [True]),
+        ("scenario", "obstacles", [{**OK_BOX, "velocity": [True, 0.0]}]),
+        ("scenario", "obstacles", [{**OK_BOX, "center": ["30", 9.0]}]),
+        ("scenario", "obstacles", [{**OK_BOX, "heading": False}]),
+        ("scenario", "obstacles", [{**OK_BOX, "length": "4"}]),
     ],
     ids=["history_depth", "obstacle_length", "radius_inf", "short_duration",
          "negative_weight_seed", "fractional_k", "speed_over_bound", "negative_seed",
@@ -132,7 +141,9 @@ FAST_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": 4.0, "width": 2.0,
          "obstacle_unknown_key", "obstacle_center_of_three", "obstacle_velocity_of_three",
          "obstacle_center_string", "seed_1e308", "weight_seed_over_bound", "huge_int_duration",
          "huge_int_heading", "mode_noise_1e155", "jitter_1e155", "jitter_1e308", "ns_1e308",
-         "ns_over_bound"],
+         "ns_over_bound", "duration_bool", "ns_string", "speed_string", "horizon_string",
+         "horizon_bool", "obstacle_velocity_bool", "obstacle_center_string_entry",
+         "obstacle_heading_bool", "obstacle_length_string"],
 )
 def test_bad_config_values_exit_2_without_outputs(tmp_path, section, key, value):
     cfg = write_config(tmp_path / "cfg.json")
@@ -168,6 +179,16 @@ def test_huge_seeds_exit_2_with_the_out_dir_empty(tmp_path, seeds, flag):
     out.mkdir()
     assert main(["run", "--config", str(cfg), "--out", str(out), *flag]) == 2
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("seeds", [[0, 0, 1], [1, 0, 1]])
+def test_repeated_seeds_exit_2_without_outputs(tmp_path, command, seeds):
+    # a repeated seed would run twice and count double in the means
+    cfg = write_config(tmp_path / "cfg.json", seeds=seeds)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_seed_and_noise_bounds_are_inclusive(tmp_path):
@@ -237,7 +258,7 @@ SETTINGS_KEYS = {
     "horizons_s": (st.sampled_from([[0.5], [1.0], [0.5, 1.0]]), [[1.0, 1e308], [], [0.75], [10.0], "12"]),
 }
 SEEDS = (st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
-         [[MAX_SEED], [MAX_SEED + 1], [10**309], [-1], [], [1.5], [True], 0])
+         [[MAX_SEED], [MAX_SEED + 1], [10**309], [-1], [], [1.5], [True], 0, [0, 0]])
 
 
 @st.composite

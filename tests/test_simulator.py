@@ -16,12 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    reference_at_step,
     reference_candidate_queries,
     reference_lateral_normals,
     reference_propose,
+    reference_relative_pose,
     reference_report_from_log,
     reference_run_closed_loop,
     reference_step_momentum,
+    reference_transform_from_frame,
+    reference_transform_to_frame,
 )
 
 from momentum_planning.errors import (
@@ -50,6 +54,7 @@ from momentum_planning.simulator import (
     ScenarioLog,
     ScenarioSpec,
     ScriptedObstacle,
+    _boxes_at,
     _lateral_normals,
     candidate_queries,
     gen_scenario,
@@ -64,7 +69,17 @@ from momentum_planning.simulator import (
     step_oneshot,
 )
 from momentum_planning.metrics import L2Protocol, ObstacleBox, _horizon_index, collision_flags
-from momentum_planning.trajectory import Pose2, Trajectory, trajectory_to_dict
+from momentum_planning.trajectory import (
+    Pose2,
+    Trajectory,
+    _frame_delta,
+    _from_frame,
+    _to_frame,
+    relative_pose,
+    trajectory_to_dict,
+    transform_from_frame,
+    transform_to_frame,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -238,8 +253,14 @@ def test_records_round_trip_through_json_and_equal_direct_calls(record):
 
 
 def test_a_config_and_a_direct_call_give_equal_records():
-    from_config = RunSettings.from_dict({"mode_noise_m": 1, "ego_width_m": "2.5"})
+    from_config = RunSettings.from_dict({"mode_noise_m": 1, "ego_width_m": 2.5})
     assert from_config == RunSettings(mode_noise_m=1, ego_width_m=2.5)
+    # a number field reads numbers only, in a config and a direct call alike
+    for value in ("2.5", True):
+        with pytest.raises(ConfigError, match="ego_width_m must be a number"):
+            RunSettings.from_dict({"ego_width_m": value})
+        with pytest.raises(ConfigError, match="ego_width_m must be a number"):
+            RunSettings(ego_width_m=value)
     assert RunSettings(mode_noise_m=1).to_dict()["mode_noise_m"] == 1.0
     assert type(RunSettings(ns=0).ns) is float
     spec = ScenarioSpec.from_dict({"kind": "arc_turn", "duration_s": 2, "speed_mps": 5})
@@ -1065,6 +1086,94 @@ def test_replay_builds_no_stream(monkeypatch, tmp_path):
         _cold(STREAM_SPEC, STREAM_SETTINGS)
 
 
+def test_a_rollout_transforms_its_ground_truth_once(monkeypatch):
+    # the proposals fan around the scene's own ground-truth array, so a
+    # rollout cannot go back to computing it twice, and the pose loop moves
+    # only the one waypoint each step reads into its frame
+    fanned, moved = [], []
+    fan, to_frame = simulator._fan, simulator._to_frame
+
+    def spy_fan(gt, *args):
+        fanned.append(gt)
+        return fan(gt, *args)
+
+    def spy_to_frame(points, *args):
+        moved.append(points.shape)
+        return to_frame(points, *args)
+
+    monkeypatch.setattr(simulator, "_fan", spy_fan)
+    monkeypatch.setattr(simulator, "_to_frame", spy_to_frame)
+    monkeypatch.setattr(simulator, "_last_stream", None)
+    log, _ = run_closed_loop(STREAM_SPEC, STREAM_SETTINGS)
+    scene = simulator._last_stream[1].scene
+    assert len(fanned) == 1 and fanned[0] is scene.gt
+    f, h = len(log.frames), STREAM_SETTINGS.horizon_steps
+    assert moved == [(1, 2)] * (f - 1) + [(f, h, 2)]
+
+
+def _coords(rng, shape):
+    """+-0.0, values within 50 of the origin, or within 1e3 of +-1e6."""
+    sign = rng.choice([1.0, -1.0], shape)
+    near = rng.uniform(-50.0, 50.0, shape)
+    far = sign * (1e6 + rng.uniform(-1e3, 1e3, shape))
+    return np.choose(rng.integers(0, 3, shape), [sign * 0.0, near, far])
+
+
+def _headings(rng, m):
+    """Headings in every quadrant, a quarter of them on its edges, signed
+    zeros included."""
+    edges = rng.choice([0.0, -0.0, math.pi / 2.0, -math.pi / 2.0, math.pi, -math.pi], m)
+    return np.where(rng.random(m) < 0.25, edges, rng.uniform(-math.pi, math.pi, m))
+
+
+def frame_stack(f, n, seed):
+    """F poses, the F poses before them, (F, N, 2) points, 1-3 scripted
+    obstacles and F absolute steps, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    poses, prevs = (
+        [Pose2.from_heading(h, xy) for h, xy in zip(_headings(rng, f).tolist(), _coords(rng, (f, 2)))]
+        for _ in range(2)
+    )
+    points = _coords(rng, (f, n, 2))
+    o = int(rng.integers(1, 4))
+    boxes = zip(_coords(rng, (o, 2)), _headings(rng, o).tolist(), rng.uniform(0.5, 6.0, (o, 2)).tolist())
+    velocities = _coords(rng, (o, 2)) * 5e-5  # at most 71 m/s, signed zeros kept
+    obstacles = [ScriptedObstacle(ObstacleBox(c, h, length, width), v)
+                 for (c, h, (length, width)), v in zip(boxes, velocities)]
+    return poses, prevs, points, obstacles, rng.integers(0, 2400, f)
+
+
+def _bits(*values) -> bytes:
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_one_pose_calls_equal_rows_of_their_stacked_kernels(f, n, seed):
+    # each one-pose call is its kernel called on one pose, and every row of
+    # a stacked call equals it and the one-pose formula it replaced, bit for bit
+    poses, prevs, points, obstacles, steps = frame_stack(f, n, seed)
+    rot, xy = np.array([p.rotation for p in poses]), np.array([p.translation for p in poses])
+    to, back = _to_frame(points, rot, xy), _from_frame(points, rot, xy)
+    delta_rot, delta_xy = _frame_delta(
+        np.array([p.rotation for p in prevs]), np.array([p.translation for p in prevs]), rot, xy
+    )
+    for j, (pose, prev) in enumerate(zip(poses, prevs)):
+        traj = Trajectory(points[j])
+        for call, reference, row in ((transform_to_frame, reference_transform_to_frame, to[j]),
+                                     (transform_from_frame, reference_transform_from_frame, back[j])):
+            assert call(traj, pose).points.tobytes() == row.tobytes() == reference(traj, pose).points.tobytes()
+        rel, ref = relative_pose(prev, pose), reference_relative_pose(prev, pose)
+        assert rel.rotation.tobytes() == delta_rot[j].tobytes() == ref.rotation.tobytes()
+        assert rel.translation.tobytes() == delta_xy[j].tobytes() == ref.translation.tobytes()
+    center, heading, length, width = _boxes_at(obstacles, steps)
+    for o, obstacle in enumerate(obstacles):
+        for j, step in enumerate(steps.tolist()):
+            row = _bits(*center[o, j], heading[o, 0], length[o, 0], width[o, 0])
+            for box in (obstacle.at_step(step), reference_at_step(obstacle, step)):
+                assert _bits(*box.center, box.heading, box.length, box.width) == row
+
+
 def test_debug_level_times_each_rollout_outside_logs_and_csvs(caplog, monkeypatch):
     pair = (STREAM_SETTINGS, dataclasses.replace(STREAM_SETTINGS, planner="oneshot", history_depth=0))
 
@@ -1096,14 +1205,16 @@ def test_debug_level_times_each_rollout_outside_logs_and_csvs(caplog, monkeypatc
 def scored_logs(draw):
     """A rollout log over a drawn scene: any kind, 0-4 static or moving
     boxes placed near the path (some fast enough to leave it), either
-    protocol, 2-8 planning steps, and logs from one frame up to one frame
-    more than the scene's duration plans (the longest a path can score)."""
+    protocol, 2 to MAX_HORIZON_STEPS planning steps (numpy's row mean sums
+    pairwise from 8 values on, so long horizons pin how the fold sums), and
+    logs from one frame up to one frame more than the scene's duration
+    plans (the longest a path can score)."""
     kind = draw(st.sampled_from(SCENARIO_KINDS))
     duration = draw(st.sampled_from([0.5, 1.0, 2.0, 3.5]))
     speed = draw(st.floats(1.0, 12.0))
     radius = draw(st.floats(8.0, 40.0))
     angle = draw(st.floats(0.3, 2.0))
-    h = draw(st.integers(2, 8))
+    h = draw(st.integers(2, MAX_HORIZON_STEPS))
     path, _ = gen_scenario(ScenarioSpec(kind, duration, speed, radius, angle), extra_steps=h)
     obstacles = []
     for _ in range(draw(st.integers(0, 4))):
@@ -1520,3 +1631,17 @@ def test_chosen_plan_is_the_read_only_proposal_row(tmp_path, planner, depth):
 def test_v1_log_converts_to_v2_exactly(tmp_path, name):
     v1 = load_log(DATA / f"{name}.jsonl")
     assert_logs_bit_equal(round_trip(v1, tmp_path), v1)
+
+
+def test_v2_fixture_replays_to_its_csv_and_reruns_to_its_bytes(monkeypatch):
+    # written by format-2 code: momentum at depth 2 on an S-curve past a
+    # parked and a moving box, 12 planning steps, horizons up to 6 s; it
+    # pins the bits of every frame transform, frame delta and obstacle track
+    name = "v2_scurve_momentum_depth2_obstacles"
+    text = (DATA / f"{name}.jsonl").read_text()
+    log = load_log(DATA / f"{name}.jsonl")
+    assert log.settings.horizon_steps == 12 and max(log.settings.horizons_s) == 6.0
+    assert report_from_log(log).to_csv_text() == (DATA / f"{name}.metrics.csv").read_text()
+    monkeypatch.setattr(simulator, "_last_stream", None)  # a cold stream, from the header alone
+    rerun, _ = run_closed_loop(log.spec, log.settings)
+    assert log_to_jsonl(rerun) == text
