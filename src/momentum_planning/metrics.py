@@ -54,9 +54,17 @@ class L2Protocol(str, Enum):
     AVERAGED_UP_TO = "uniad"
 
 
+# obstacle centre bound, per coordinate: no ego path gets farther from the
+# origin than 100 m/s * 610 s = 61 km, so a box past it can never be hit,
+# and one near the float64 limit overflows the collision kernel's sums.
+# The simulator's own bounds, MAX_NOISE and its neighbours, sit there.
+MAX_OBSTACLE_COORD_M = 1e7
+
+
 @dataclass(frozen=True)
 class ObstacleBox:
-    """An oriented rectangle on the ground plane."""
+    """An oriented rectangle on the ground plane, its centre within
+    ``MAX_OBSTACLE_COORD_M`` of the origin on each axis."""
 
     center: tuple[float, float]
     heading: float
@@ -71,6 +79,8 @@ class ObstacleBox:
             object.__setattr__(self, name, _number(name, getattr(self, name)))
         if not all(map(math.isfinite, (*self.center, self.heading, self.length, self.width))):
             raise ShapeError("obstacle box fields must be finite")
+        if not all(abs(v) <= MAX_OBSTACLE_COORD_M for v in self.center):
+            raise ShapeError(f"obstacle box center {self.center} is past {MAX_OBSTACLE_COORD_M:g} m on an axis")
         if self.length <= 0.0 or self.width <= 0.0:
             raise ShapeError("obstacle box extents must be positive")
 

@@ -685,13 +685,12 @@ def _futures(world: np.ndarray, rot: np.ndarray, xy: np.ndarray, h: int):
 @dataclass(frozen=True, eq=False)
 class _Scene:
     """All that scoring reads of F planned frames and no choice changes, as
-    read-only arrays: the ``_world`` path, the ego rotations (F, 2, 2) and
-    positions (F, 2) with the frame deltas (F-1, 2, 2) and (F-1, 2) that
-    move each frame's points into the frame before, the proposals
-    (F, K, h, 2), the absolute step of each planned waypoint (F, h), the
-    ego-frame ground-truth futures (F, h, 2), and min ADE/FDE."""
+    read-only arrays: the ego rotations (F, 2, 2) and positions (F, 2) with
+    the frame deltas (F-1, 2, 2) and (F-1, 2) that move each frame's points
+    into the frame before, the proposals (F, K, h, 2), the absolute step of
+    each planned waypoint (F, h), the ego-frame ground-truth futures
+    (F, h, 2), and min ADE/FDE."""
 
-    world: np.ndarray
     rot: np.ndarray
     xy: np.ndarray
     delta_rot: np.ndarray
@@ -703,18 +702,23 @@ class _Scene:
     min_fde: float
 
 
-def _scene(world, rot, xy, steps, gt, points) -> _Scene:
-    """The ``_Scene`` of frames planned along ``world`` from the ego poses
-    ``rot``/``xy``, with the ``_futures`` ``steps`` and ``gt`` and the
-    proposals ``points``.  The rollout builds it from its stream and
+def _scene(rot, xy, steps, gt, points) -> _Scene:
+    """The ``_Scene`` of frames planned from the ego poses ``rot``/``xy``,
+    with the ``_futures`` ``steps`` and ``gt`` and the proposals
+    ``points``.  The rollout builds it from its stream and
     ``report_from_log`` from a log, both here."""
     ade, fde, _ = _best_displacements(points, gt)
     delta_rot, delta_xy = _frame_delta(rot[:-1], xy[:-1], rot[1:], xy[1:])
-    for array in (world, rot, xy, delta_rot, delta_xy, points, steps, gt):
+    for array in (rot, xy, delta_rot, delta_xy, points, steps, gt):
         array.setflags(write=False)
-    return _Scene(
-        world, rot, xy, delta_rot, delta_xy, points, steps, gt, min_ade=_mean_of(ade), min_fde=_mean_of(fde)
-    )
+    return _Scene(rot, xy, delta_rot, delta_xy, points, steps, gt, min_ade=_mean_of(ade), min_fde=_mean_of(fde))
+
+
+def _pose_stack(poses) -> tuple[np.ndarray, np.ndarray]:
+    """The (F, 2, 2) rotations and (F, 2) positions of F ``Pose2``s: how
+    the stream pass and a log stack their poses."""
+    rot = np.array([p.rotation for p in poses]).reshape(-1, 2, 2)
+    return rot, np.array([p.translation for p in poses]).reshape(-1, 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -755,7 +759,7 @@ def _stream(spec: ScenarioSpec, settings: RunSettings) -> _Stream:
         heading = math.atan2(disp[1], disp[0]) if (disp[0], disp[1]) != (0.0, 0.0) else pose.heading()
         pose = Pose2.from_heading(heading, step_world)
         poses.append(pose)
-    rot, xy = np.array([p.rotation for p in poses]), np.array([p.translation for p in poses])
+    rot, xy = _pose_stack(poses)
     steps, gt = _futures(world, rot, xy, h)
 
     cands, scores, queries = _fan(gt, draws[:, :width], k, settings.mode_noise_m, settings.jitter_m, d_q)
@@ -763,7 +767,7 @@ def _stream(spec: ScenarioSpec, settings: RunSettings) -> _Stream:
     if settings.occlusion_start is not None:
         scores[settings.occlusion_start : settings.occlusion_start + settings.occlusion_len] = 1.0 / k
     proposals = TrajectorySet.per_frame(cands, scores, queries, dt=SIM_DT)
-    return _Stream(_scene(world, rot, xy, steps, gt, cands), tuple(poses), proposals, scores, queries)
+    return _Stream(_scene(rot, xy, steps, gt, cands), tuple(poses), proposals, scores, queries)
 
 
 def _stream_key(spec: ScenarioSpec, settings: RunSettings) -> tuple:
@@ -893,40 +897,45 @@ def run_closed_loop(
     return ScenarioLog(spec, settings, frames), report
 
 
-def _check_frame(frame: FrameRecord, j: int, settings: RunSettings) -> None:
+def _check_frame(frame: FrameRecord, j: int, shapes: dict) -> None:
     """Frame j of a log fits it: planned at j * SIM_DT, and its arrays have
-    the shapes the settings give."""
-    k, h = settings.k, settings.horizon_steps
+    the ``_frame_shapes`` of the log's settings.  Only the points and the
+    queries are compared: the pose, the scores and the refined scores have
+    the shapes their own records give them against the points."""
     props = frame.proposals
     if frame.time_s != j * SIM_DT:
         raise AlignmentError(f"frame {j}: time {frame.time_s!r} s, its position says {j * SIM_DT} s")
     if props.dt != SIM_DT:
         raise AlignmentError(f"frame {j}: plan dt {props.dt!r}, the log's is {SIM_DT}")
-    if props.points.shape != (k, h, 2) or props.queries.shape != (k, settings.d_q):
-        raise AlignmentError(
-            f"frame {j}: points {props.points.shape} and queries {props.queries.shape}, "
-            f"settings say {(k, h, 2)} and {(k, settings.d_q)}"
-        )
+    got, want = (props.points.shape, props.queries.shape), (shapes["points"], shapes["queries"])
+    if got != want:
+        raise AlignmentError(f"frame {j}: points and queries {got}, settings say {want}")
+
+
+def _log_futures(log: ScenarioLog) -> tuple:
+    """A log's checked pose stack and the ``_futures`` planned from it:
+    every frame checked against the ``_frame_shapes`` of its settings, the
+    ego poses stacked by ``_pose_stack`` as the stream pass stacks its
+    own, then ``(rot, xy, steps, gt)``."""
+    shapes, h = _frame_shapes(log.settings), log.settings.horizon_steps
+    for j, frame in enumerate(log.frames):
+        _check_frame(frame, j, shapes)
+    rot, xy = _pose_stack([frame.ego_pose for frame in log.frames])
+    return rot, xy, *_futures(_world(log.spec, h), rot, xy, h)
 
 
 def _log_scene(log: ScenarioLog) -> _Scene:
     """The ``_Scene`` of a log whose frames all fit its settings, stacked
     from the log alone."""
-    h, k = log.settings.horizon_steps, log.settings.k
-    for j, frame in enumerate(log.frames):
-        _check_frame(frame, j, log.settings)
-    f = len(log.frames)
-    rot = np.array([fr.ego_pose.rotation for fr in log.frames]).reshape(f, 2, 2)
-    xy = np.array([fr.ego_pose.translation for fr in log.frames]).reshape(f, 2)
-    points = np.array([fr.proposals.points for fr in log.frames]).reshape(f, k, h, 2)
-    world = _world(log.spec, h)
-    return _scene(world, rot, xy, *_futures(world, rot, xy, h), points)
+    rot, xy, steps, gt = _log_futures(log)
+    points = np.array([frame.proposals.points for frame in log.frames])
+    return _scene(rot, xy, steps, gt, points.reshape(-1, log.settings.k, *gt.shape[1:]))
 
 
 def ground_truth_futures(log: ScenarioLog) -> np.ndarray:
     """Every frame's ground-truth future in its ego frame (x forward), the
     (F, horizon_steps, 2) stack the metrics score against."""
-    return _log_scene(log).gt
+    return _log_futures(log)[3]
 
 
 def report_from_log(log: ScenarioLog) -> MetricReport:
@@ -986,6 +995,27 @@ def _score_choice(scene: _Scene, chosen_index, settings: RunSettings, obstacles)
 # shape comes from the header's k, horizon_steps and d_q.  The chosen plan
 # is not stored: it is row chosen_index of the proposals.  Format v1, still
 # read, wrote the arrays as decimal JSON lists and the chosen plan in full.
+# A header of either format holds only kind, format_version, spec and
+# settings, and a v2 frame only kind, time_s, chosen_index, dt and the
+# ``_frame_shapes`` arrays; ``load_log`` refuses any other key.
+
+
+def _frame_shapes(settings: RunSettings) -> dict:
+    """The format-2 frame record's float arrays, name -> shape from the
+    settings, in the order a record lists them; ``refined_scores`` only on
+    the frames the momentum planner refined."""
+    k = settings.k
+    return {"rotation": (2, 2), "xy": (2,), "points": (k, settings.horizon_steps, 2), "scores": (k,),
+            "queries": (k, settings.d_q), "refined_scores": (k,)}
+
+
+def _frame_arrays(frame: FrameRecord) -> dict:
+    """A frame's float arrays under the names of ``_frame_shapes``; no
+    ``refined_scores`` where the frame was not refined."""
+    pose, props = frame.ego_pose, frame.proposals
+    arrays = {"rotation": pose.rotation, "xy": pose.translation, "points": props.points, "scores": props.scores,
+              "queries": props.queries, "refined_scores": frame.refined_scores}
+    return {name: array for name, array in arrays.items() if array is not None}
 
 
 def _encode(array) -> str:
@@ -1001,21 +1031,9 @@ def _decode(text: str, shape: tuple[int, ...], name: str) -> np.ndarray:
 
 
 def _frame_to_dict(frame: FrameRecord) -> dict:
-    props = frame.proposals
-    rec = {
-        "kind": "frame",
-        "time_s": float(frame.time_s),
-        "chosen_index": frame.chosen_index,
-        "dt": float(props.dt),
-        "rotation": _encode(frame.ego_pose.rotation),
-        "xy": _encode(frame.ego_pose.translation),
-        "points": _encode(props.points),
-        "scores": _encode(props.scores),
-        "queries": _encode(props.queries),
-    }
-    if frame.refined_scores is not None:
-        rec["refined_scores"] = _encode(frame.refined_scores)
-    return rec
+    rec = {"kind": "frame", "time_s": float(frame.time_s), "chosen_index": frame.chosen_index,
+           "dt": float(frame.proposals.dt)}
+    return rec | {name: _encode(array) for name, array in _frame_arrays(frame).items()}
 
 
 def _finite_number(obj: dict, key: str) -> float:
@@ -1025,22 +1043,19 @@ def _finite_number(obj: dict, key: str) -> float:
     return float(value)
 
 
-def _frame_from_v2(obj: dict, settings: RunSettings) -> FrameRecord:
-    k = settings.k
-    proposals = TrajectorySet.from_points(
-        _decode(obj["points"], (k, settings.horizon_steps, 2), "points"),
-        _decode(obj["scores"], (k,), "scores"),
-        _decode(obj["queries"], (k, settings.d_q), "queries"),
-        dt=_finite_number(obj, "dt"),
-    )
-    pose = Pose2(_decode(obj["rotation"], (2, 2), "rotation"), _decode(obj["xy"], (2,), "xy"))
-    refined = obj.get("refined_scores")
-    if refined is not None:
-        refined = _decode(refined, (k,), "refined_scores")
-    return FrameRecord(_finite_number(obj, "time_s"), pose, proposals, obj["chosen_index"], refined)
+def _frame_from_v2(obj: dict, shapes: dict) -> FrameRecord:
+    unknown = obj.keys() - shapes.keys() - {"kind", "time_s", "chosen_index", "dt"}
+    if unknown:
+        raise ValueError(f"unknown frame keys: {sorted(unknown)}")
+    # refined_scores may be absent or null; every other array is required
+    a = {name: _decode(obj[name], shape, name) for name, shape in shapes.items()
+         if name != "refined_scores" or obj.get(name) is not None}
+    proposals = TrajectorySet.from_points(a["points"], a["scores"], a["queries"], _finite_number(obj, "dt"))
+    pose, time_s = Pose2(a["rotation"], a["xy"]), _finite_number(obj, "time_s")
+    return FrameRecord(time_s, pose, proposals, obj["chosen_index"], a.get("refined_scores"))
 
 
-def _frame_from_v1(obj: dict, settings: RunSettings) -> FrameRecord:
+def _frame_from_v1(obj: dict) -> FrameRecord:
     props = obj["proposals"]
     proposals = TrajectorySet(
         tuple(trajectory_from_dict(t) for t in props["trajectories"]),
@@ -1070,8 +1085,9 @@ def log_to_jsonl(log: ScenarioLog) -> str:
         "settings": log.settings.to_dict(),
     }
     lines = [json.dumps(header)]
+    shapes = _frame_shapes(log.settings)
     for j, frame in enumerate(log.frames):
-        _check_frame(frame, j, log.settings)
+        _check_frame(frame, j, shapes)
         lines.append(json.dumps(_frame_to_dict(frame)))
     return "\n".join(lines) + "\n"
 
@@ -1103,13 +1119,17 @@ def load_log(path) -> ScenarioLog:
     version = header.get("format_version")
     if type(version) is not int or version not in (1, LOG_FORMAT_VERSION):
         raise LogCorruptionError(f"unsupported format_version {version!r}", line_number=1)
+    unknown = header.keys() - {"kind", "format_version", "spec", "settings"}
+    if unknown:
+        raise LogCorruptionError(f"unknown header keys: {sorted(unknown)}", line_number=1)
     try:
         spec = ScenarioSpec.from_dict(header["spec"])
         settings = RunSettings.from_dict(header["settings"])
     except (KeyError, ConfigError) as exc:
         raise LogCorruptionError(f"bad header: {exc}", line_number=1) from exc
 
-    read_frame = _frame_from_v1 if version == 1 else _frame_from_v2
+    shapes = _frame_shapes(settings)
+    read_frame = _frame_from_v1 if version == 1 else functools.partial(_frame_from_v2, shapes=shapes)
     frames = []
     for line_no, text in enumerate(lines[1:], start=2):
         if not text.strip():
@@ -1118,8 +1138,8 @@ def load_log(path) -> ScenarioLog:
         if obj.get("kind") != "frame":
             raise LogCorruptionError(f"unexpected record kind {obj.get('kind')!r}", line_number=line_no)
         try:
-            frame = read_frame(obj, settings)
-            _check_frame(frame, len(frames), settings)
+            frame = read_frame(obj)
+            _check_frame(frame, len(frames), shapes)
         except (KeyError, TypeError, ValueError) as exc:
             raise LogCorruptionError(f"bad frame record: {exc}", line_number=line_no) from exc
         frames.append(frame)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from momentum_planning.cli import main
 from momentum_planning.curation import SampleRecord, save_samples_jsonl
+from momentum_planning.metrics import MAX_OBSTACLE_COORD_M
 from momentum_planning.simulator import (
     MAX_D_Q,
     MAX_DURATION_S,
@@ -133,6 +134,8 @@ FAST_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": 4.0, "width": 2.0,
         ("scenario", "obstacles", [{**OK_BOX, "center": ["30", 9.0]}]),
         ("scenario", "obstacles", [{**OK_BOX, "heading": False}]),
         ("scenario", "obstacles", [{**OK_BOX, "length": "4"}]),
+        ("scenario", "obstacles", [{**OK_BOX, "center": [1.7e308, 1.7e308]}]),
+        ("scenario", "obstacles", [{**OK_BOX, "center": [0.0, -math.nextafter(MAX_OBSTACLE_COORD_M, math.inf)]}]),
     ],
     ids=["history_depth", "obstacle_length", "radius_inf", "short_duration",
          "negative_weight_seed", "fractional_k", "speed_over_bound", "negative_seed",
@@ -143,7 +146,8 @@ FAST_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": 4.0, "width": 2.0,
          "huge_int_heading", "mode_noise_1e155", "jitter_1e155", "jitter_1e308", "ns_1e308",
          "ns_over_bound", "duration_bool", "ns_string", "speed_string", "horizon_string",
          "horizon_bool", "obstacle_velocity_bool", "obstacle_center_string_entry",
-         "obstacle_heading_bool", "obstacle_length_string"],
+         "obstacle_heading_bool", "obstacle_length_string", "obstacle_center_1.7e308",
+         "obstacle_center_over_bound"],
 )
 def test_bad_config_values_exit_2_without_outputs(tmp_path, section, key, value):
     cfg = write_config(tmp_path / "cfg.json")
@@ -205,6 +209,19 @@ def test_seed_and_noise_bounds_are_inclusive(tmp_path):
     assert (log.spec.seed, log.settings.weight_seed, log.settings.ns) == (MAX_SEED, MAX_SEED, MAX_NOISE)
 
 
+def test_obstacle_center_bound_is_inclusive(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json")
+    obj = json.loads(cfg.read_text())
+    obj["scenario"]["obstacles"] = [{**OK_BOX, "center": [MAX_OBSTACLE_COORD_M, -MAX_OBSTACLE_COORD_M],
+                                     "velocity": [MAX_SPEED_MPS, 0.0]}]
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert load_log(out / "run_seed0.jsonl").spec.obstacles[0].box.center[0] == MAX_OBSTACLE_COORD_M
+
+
 # ---------------------------------------------------------------------------
 # every config dict either runs or exits 2 having written nothing
 
@@ -223,7 +240,9 @@ def _floats(lo, hi):
 # scenes short so that an example runs in milliseconds
 OBSTACLE_KEYS = {
     "center": (st.lists(_floats(-30.0, 30.0), min_size=2, max_size=2),
-               [[1e308, -1e308], [0.0, 0.0], [1.0, 2.0, 3.0], [1.0], "12"]),
+               [[1e308, -1e308], [0.0, 0.0], [1.0, 2.0, 3.0], [1.0], "12",
+                [MAX_OBSTACLE_COORD_M, -MAX_OBSTACLE_COORD_M],
+                [0.0, math.nextafter(MAX_OBSTACLE_COORD_M, _UP)]]),
     "heading": (_floats(-4.0, 4.0), [math.pi, 1e308]),
     "length": (_floats(0.5, 6.0), [5e-324, 1e308]),
     "width": (_floats(0.5, 3.0), [5e-324, 1e308]),
@@ -464,6 +483,26 @@ def test_eval_v1_header_that_does_not_fit_exits_4_with_line(tmp_path, capsys, ke
     log_path.write_text("\n".join(lines) + "\n")
     assert main(["eval", "--log", str(log_path)]) == 4
     assert f"line {line}:" in capsys.readouterr().err
+
+
+def _misspell_refined(rec):
+    rec["refined_score"] = rec.pop("refined_scores")
+
+
+@pytest.mark.parametrize("line, edit, key", [(3, _misspell_refined, "refined_score"),
+                                             (1, lambda rec: rec.update(note="x"), "note")],
+                         ids=["frame_misspelt_refined_scores", "header_extra_key"])
+def test_eval_log_with_a_key_outside_the_format_exits_4_with_line(tmp_path, capsys, line, edit, key):
+    # the format-2 fixture's frame 1 (line 3) was refined by the momentum planner
+    log_path = tmp_path / "run.jsonl"
+    lines = (DATA / "v2_scurve_momentum_depth2_obstacles.jsonl").read_text().splitlines()
+    rec = json.loads(lines[line - 1])
+    edit(rec)
+    lines[line - 1] = json.dumps(rec)
+    log_path.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--log", str(log_path)]) == 4
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err and repr(key) in err
 
 
 def test_eval_log_missing_a_middle_frame_exits_4_with_line(tmp_path, capsys):

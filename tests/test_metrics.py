@@ -23,6 +23,7 @@ from momentum_planning.errors import (
 )
 from momentum_planning.matching import TrajectorySet
 from momentum_planning.metrics import (
+    MAX_OBSTACLE_COORD_M,
     L2Protocol,
     LossWeights,
     MetricReport,
@@ -125,6 +126,14 @@ def test_box_validation():
         ObstacleBox((0.0, 0.0), 0.0, -1.0, 1.0)
     with pytest.raises(ShapeError):
         ObstacleBox((0.0, math.nan), 0.0, 1.0, 1.0)
+
+
+def test_box_center_is_bounded_on_each_axis():
+    bound, past = MAX_OBSTACLE_COORD_M, math.nextafter(MAX_OBSTACLE_COORD_M, math.inf)
+    assert ObstacleBox((bound, -bound), 0.0, 1.0, 1.0).center == (bound, -bound)
+    for center in ((past, 0.0), (0.0, -past), (1.7e308, 1.7e308)):
+        with pytest.raises(ShapeError, match="center"):
+            ObstacleBox(center, 0.0, 1.0, 1.0)
 
 
 def _depth_inside(point, box):

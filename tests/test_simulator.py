@@ -1042,13 +1042,14 @@ def test_a_reused_stream_is_read_only():
     arrays += [a for pose in stream.poses for a in (pose.rotation, pose.translation)]
     arrays += [a for props in stream.proposals for a in (props.points, props.scores, props.queries)]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    assert len(arrays) == 10 + 5 * len(log.frames)
+    scene_arrays = [f for f in dataclasses.fields(stream.scene) if f.type == "np.ndarray"]
+    assert len(arrays) == len(scene_arrays) + 2 + 5 * len(log.frames)
     for array in arrays:
         assert not array.flags.writeable
     with pytest.raises(ValueError):
         log.frames[0].proposals.points[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
-        stream.scene.world[1] = 0.0
+        stream.scene.gt[1] = 0.0
 
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
@@ -1251,6 +1252,27 @@ def scored_logs(draw):
 @given(scored_logs())
 def test_batched_report_matches_per_frame_loop(log):
     assert report_from_log(log).to_csv_text() == reference_report_from_log(log).to_csv_text()
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_logs())
+def test_ground_truth_futures_equal_the_log_scenes(log):
+    gt, scene_gt = simulator.ground_truth_futures(log), simulator._log_scene(log).gt
+    assert gt.shape == scene_gt.shape and gt.tobytes() == scene_gt.tobytes()
+
+
+def test_ground_truth_futures_build_no_scene(monkeypatch):
+    # the ground truth needs the checked pose stack and the futures only,
+    # not the scene's min ADE/FDE, frame deltas or proposal stack
+    log, _ = run_closed_loop(arc_spec(seed=5), RunSettings(planner="momentum", history_depth=2))
+    expected = simulator._log_scene(log).gt
+
+    def refuse(*args):
+        raise AssertionError("ground_truth_futures built scene quantities")
+
+    monkeypatch.setattr(simulator, "_scene", refuse)
+    monkeypatch.setattr(simulator, "_best_displacements", refuse)
+    assert simulator.ground_truth_futures(log).tobytes() == expected.tobytes()
 
 
 def test_frame_with_wrong_plan_length_is_rejected():
@@ -1570,6 +1592,25 @@ def test_v2_load_rejects_bad_frame(tmp_path, edit):
     with pytest.raises(LogCorruptionError) as err:
         load_log(path)
     assert err.value.line_number == 3
+
+
+@pytest.mark.parametrize("fixture, line, key", [(None, 3, "note"), ("v1_arc_momentum_depth2", 1, "note")],
+                         ids=["v2_frame", "v1_header"])
+def test_load_refuses_keys_the_format_does_not_define(tmp_path, fixture, line, key):
+    # a format-2 frame and either format's header hold only the format's keys
+    if fixture is None:
+        log, _ = run_closed_loop(arc_spec(seed=2), RunSettings(planner="momentum", history_depth=2))
+        lines = log_to_jsonl(log).splitlines()
+    else:
+        lines = (DATA / f"{fixture}.jsonl").read_text().splitlines()
+    rec = json.loads(lines[line - 1])
+    rec[key] = "x"
+    lines[line - 1] = json.dumps(rec)
+    path = tmp_path / "extra.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogCorruptionError, match=repr(key)) as err:
+        load_log(path)
+    assert err.value.line_number == line
 
 
 @pytest.mark.parametrize("version", [0, 3, True, 2.0, "2", None])
