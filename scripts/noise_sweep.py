@@ -15,9 +15,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import dataclasses
-
-from momentum_planning.simulator import RunSettings, ScenarioSpec, run_closed_loop
+from momentum_planning.metrics import mean_reports
+from momentum_planning.simulator import RunSettings, ScenarioSpec, paired_reports
 
 
 def main() -> int:
@@ -31,24 +30,12 @@ def main() -> int:
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
 
-    base_m = RunSettings(planner="momentum", history_depth=1)
-    base_o = RunSettings(planner="oneshot", history_depth=0)
+    spec = ScenarioSpec("arc_turn", duration_s=4.0, speed_mps=5.0, radius_m=20.0, angle_rad=math.pi / 2.0)
 
     print(f"{'ns':>6}  {'momentum':>10}  {'one-shot':>10}  {'gap':>8}")
     for ns in args.levels:
-        momentum = dataclasses.replace(base_m, ns=ns)
-        oneshot = dataclasses.replace(base_o, ns=ns)
-        m_sum = o_sum = 0.0
-        for seed in range(args.seeds):
-            spec = ScenarioSpec(
-                "arc_turn", duration_s=4.0, speed_mps=5.0, radius_m=20.0,
-                angle_rad=math.pi / 2.0, seed=seed,
-            )
-            _, rep_m = run_closed_loop(spec, momentum)
-            _, rep_o = run_closed_loop(spec, oneshot)
-            m_sum += rep_m.tpc[args.horizon]
-            o_sum += rep_o.tpc[args.horizon]
-        m, o = m_sum / args.seeds, o_sum / args.seeds
+        pairs = paired_reports(spec, RunSettings(history_depth=1, ns=ns), range(args.seeds))
+        m, o = (mean_reports(reps).tpc[args.horizon] for reps in list(zip(*pairs))[1:])
         print(f"{ns:6.2f}  {m:10.4f}  {o:10.4f}  {o - m:+8.4f}")
     return 0
 

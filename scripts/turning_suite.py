@@ -16,7 +16,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from momentum_planning.simulator import RunSettings, ScenarioSpec, run_closed_loop
+from momentum_planning.metrics import mean_reports
+from momentum_planning.simulator import RunSettings, ScenarioSpec, paired_reports
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -40,27 +41,22 @@ def main() -> int:
     if args.seeds < 1:
         parser.error("--seeds must be at least 1")
 
-    momentum = RunSettings(planner="momentum", history_depth=args.depth)
-    oneshot = RunSettings(planner="oneshot", history_depth=0)
-    if args.horizon not in momentum.horizons_s:
-        parser.error(f"--horizon must be one of {momentum.horizons_s}")
+    settings = RunSettings(planner="momentum", history_depth=args.depth)
+    if args.horizon not in settings.horizons_s:
+        parser.error(f"--horizon must be one of {settings.horizons_s}")
+    spec = ScenarioSpec(
+        "arc_turn", duration_s=args.duration, speed_mps=args.speed,
+        radius_m=args.radius, angle_rad=math.pi / 2.0,
+    )
 
-    rows = []
     start = time.perf_counter()
-    for seed in range(args.seeds):
-        spec = ScenarioSpec(
-            "arc_turn", duration_s=args.duration, speed_mps=args.speed,
-            radius_m=args.radius, angle_rad=math.pi / 2.0, seed=seed,
-        )
-        _, rep_m = run_closed_loop(spec, momentum)
-        _, rep_o = run_closed_loop(spec, oneshot)
-        rows.append((seed, rep_m.tpc[args.horizon], rep_o.tpc[args.horizon]))
+    pairs = paired_reports(spec, settings, range(args.seeds))
     elapsed = time.perf_counter() - start
 
+    rows = [(seed, rep_m.tpc[args.horizon], rep_o.tpc[args.horizon]) for seed, rep_m, rep_o in pairs]
     wins = sum(m < o for _, m, o in rows)
     losses = sum(m > o for _, m, o in rows)
-    mean_m = math.fsum(m for _, m, _ in rows) / len(rows)
-    mean_o = math.fsum(o for _, _, o in rows) / len(rows)
+    mean_m, mean_o = (mean_reports(reps).tpc[args.horizon] for reps in list(zip(*pairs))[1:])
     p = sign_test_p(wins, losses)
 
     print(f"seeds: {len(rows)}   horizon: {args.horizon} s   wall time: {elapsed:.1f} s")

@@ -38,13 +38,14 @@ from .errors import (
     ShapeError,
 )
 from .matching import DistanceKind
-from .metrics import L2Protocol, MetricReport, mean_reports
+from .metrics import L2Protocol, mean_reports
 from .simulator import (
     MAX_SEED,
     RunSettings,
     ScenarioLog,
     ScenarioSpec,
     load_log,
+    paired_reports,
     report_from_log,
     run_closed_loop,
     save_log,
@@ -180,40 +181,35 @@ def cmd_curate(args) -> int:
     return 0
 
 
-def _report_rows(report: MetricReport):
-    return {(metric, horizon): value for metric, horizon, value in report.rows()}
+def _row_key(metric: str, horizon) -> str:
+    """A report row's metric and horizon cells, as ``to_csv_text`` writes them."""
+    return f"{metric},{'' if horizon is None else repr(horizon)}"
+
+
+def _summary_cells(reports) -> list[str]:
+    """Each row of ``reports`` as ``mean,std`` cells: the mean is the row of
+    ``mean_reports``, the fold ``run`` writes to metrics_mean.csv, and the
+    std numpy's population std over the reports."""
+    columns = zip(*([value for _, _, value in rep.rows()] for rep in reports))
+    return [f"{mean!r},{float(np.std(column))!r}"
+            for (_, _, mean), column in zip(mean_reports(reports).rows(), columns)]
 
 
 def cmd_compare(args) -> int:
     spec, settings, seeds = _load_run_config(args.config, args)
-    momentum = dataclasses.replace(settings, planner="momentum")
-    oneshot = dataclasses.replace(momentum, planner="oneshot", history_depth=0)
     out = _prepare_out_dir(args.out)
+    pairs = paired_reports(spec, settings, seeds)
 
-    per_seed = {}
     lines = ["seed,metric,horizon_s,momentum,oneshot"]
-    for seed in seeds:
-        seeded_spec = dataclasses.replace(spec, seed=seed)
-        _, rep_m = run_closed_loop(seeded_spec, momentum)
-        _, rep_o = run_closed_loop(seeded_spec, oneshot)
-        rows_m, rows_o = _report_rows(rep_m), _report_rows(rep_o)
-        for key in rows_m:
-            metric, horizon = key
-            h = "" if horizon is None else repr(horizon)
-            lines.append(f"{seed},{metric},{h},{rows_m[key]!r},{rows_o[key]!r}")
-            per_seed.setdefault(key, []).append((rows_m[key], rows_o[key]))
-        logger.info("seed %d compared", seed)
+    for seed, rep_m, rep_o in pairs:
+        for (metric, horizon, m), (_, _, o) in zip(rep_m.rows(), rep_o.rows()):
+            lines.append(f"{seed},{_row_key(metric, horizon)},{m!r},{o!r}")
     _write_text(out / "compare.csv", "\n".join(lines) + "\n")
 
+    _, reps_m, reps_o = zip(*pairs)
     summary = ["metric,horizon_s,momentum_mean,momentum_std,oneshot_mean,oneshot_std"]
-    for (metric, horizon), pairs in per_seed.items():
-        m = np.array([p[0] for p in pairs])
-        o = np.array([p[1] for p in pairs])
-        h = "" if horizon is None else repr(horizon)
-        summary.append(
-            f"{metric},{h},{float(m.mean())!r},{float(m.std())!r},"
-            f"{float(o.mean())!r},{float(o.std())!r}"
-        )
+    for (metric, horizon, _), m, o in zip(reps_m[0].rows(), _summary_cells(reps_m), _summary_cells(reps_o)):
+        summary.append(f"{_row_key(metric, horizon)},{m},{o}")
     _write_text(out / "compare_summary.csv", "\n".join(summary) + "\n")
     return 0
 

@@ -38,7 +38,7 @@ import functools
 import json
 import logging
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from time import perf_counter_ns
 from typing import Sequence
@@ -613,15 +613,17 @@ def _choose_momentum(stream: _Stream, settings: RunSettings, weights: WeightBund
     (F, K) scores, (F, K, D) queries and frame deltas.
 
     Frames go in blocks of at most ``_SELECT_BLOCK_ELEMENTS`` values per
-    array.  Each block score-gates its history frames once and runs the
-    cell over them from the zero state; at depth 2 a second step takes
-    each frame j from frame j-2's state, which for the block's first frame
-    the previous block carries.  Each frame's refined scores are then
-    computed for every candidate TTM could pick.  The previous frame's
-    choice is one of its refined scores' argmaxes (the choice made before
-    the block, for the block's first frame), so TTM distances are computed
-    to those plans only.  The choices are chased through the argmin and
-    argmax tables over Python ints; ties go to the lowest index.
+    array, and no state passes from one block to the next.  Each block
+    score-gates its history frames, and at depth 2 the one frame before
+    them, and runs the cell over them from the zero state; at depth 2 a
+    second step takes each frame j from frame j-2's state, and frame 1,
+    whose history is frame 0 alone, from the zero state.  Each frame's
+    refined scores are then computed for every candidate TTM could pick.
+    The previous frame's choice is one of its refined scores' argmaxes (the
+    choice made before the block, for the block's first frame), so TTM
+    distances are computed to those plans only.  The choices are chased
+    through the argmin and argmax tables over Python ints; ties go to the
+    lowest index.
     """
     points, scores, queries = stream.scene.points, stream.scores, stream.queries
     delta_rot, delta_xy = stream.scene.delta_rot, stream.scene.delta_xy
@@ -630,20 +632,17 @@ def _choose_momentum(stream: _Stream, settings: RunSettings, weights: WeightBund
     chosen, refined_rows = [int(np.argmax(scores[0]))], [None]
     cell = (weights.get("lstm.W_ih"), weights.get("lstm.W_hh"), weights.get("lstm.b"))
     block = max(1, _SELECT_BLOCK_ELEMENTS // (k * max(k * n * n, 4 * d_q)))
-    carry_h = carry_c = np.zeros((1, k, d_q))
+    zero = np.zeros((1, k, d_q))
     for s in range(1, n_frames, block):
         e = min(s + block, n_frames)
-        hist = slice(s - 1, e - 1)
-        gated = _score_gate(queries[hist], scores[hist], weights, "identity")[-1]
+        hist, lo = slice(s - 1, e - 1), max(0, s - settings.history_depth)
+        gated = _score_gate(queries[lo : e - 1], scores[lo : e - 1], weights, "identity")[-1]
         _, _, _, _, c1, _, mixed = _lstm_gates(gated, None, None, *cell)
         if settings.history_depth == 2:
-            h1 = mixed
-            h0 = np.concatenate([carry_h, h1[:-1]])
-            c0 = np.concatenate([carry_c, c1[:-1]])
+            h0, c0 = (np.concatenate([zero, a[:-1]]) for a in (mixed, c1))
             mixed = _lstm_gates(gated, h0, c0, *cell)[-1]
-            carry_h, carry_c = h1[-1:], c1[-1:]
         # (frames, TTM pick, K)
-        refined = _refined_scores(queries[s:e], mixed[:, None], queries[s:e][:, None], weights)
+        refined = _refined_scores(queries[s:e], mixed[s - 1 - lo :, None], queries[s:e][:, None], weights)
         best = refined.argmax(axis=-1).tolist()
         reach = [[chosen[-1]]] + [sorted(set(row)) for row in best[:-1]]
         width = max(map(len, reach))
@@ -786,10 +785,10 @@ def _stream_key(spec: ScenarioSpec, settings: RunSettings) -> tuple:
 # (key, stream) of the most recent rollout, one tuple so that no reader
 # sees one stream's key with another's stream.  One entry serves paired
 # runs, every planner on one scene back to back, and holds one stream.  It
-# is module state because callers pair planners through separate
-# run_closed_loop calls; the key covers every input the stream reads and
-# the stream is read-only, so a reused stream is the one a cold rollout
-# would build.
+# is module state because ``paired_reports`` and the benchmark's
+# turn-compare pair planners through separate run_closed_loop calls; the
+# key covers every input the stream reads and the stream is read-only, so
+# a reused stream is the one a cold rollout would build.
 _last_stream: tuple | None = None
 
 
@@ -849,7 +848,8 @@ def run_closed_loop(
       * the scene the plans are scored on (``_scene``): pose stacks, frame
         deltas, ego-frame ground truth, min ADE/FDE.
     The most recent stream is kept, so the next rollout on the same scene
-    and stream settings (another planner, say) reuses it.
+    and stream settings (another planner, say, as ``paired_reports`` runs
+    it) reuses it.
     The selection pass (``_choose``) then chooses over those stacks: the row
     argmax for one-shot.  For momentum, only the previous choice depends on
     the planner, so each frame's TTM distances to every candidate of the
@@ -895,6 +895,26 @@ def run_closed_loop(
             "reused" if reused else "built", (t1 - t0) // 1000, (t2 - t1) // 1000, (t3 - t2) // 1000,
         )
     return ScenarioLog(spec, settings, frames), report
+
+
+def paired_reports(spec: ScenarioSpec, settings: RunSettings, seeds) -> list[tuple]:
+    """The paired study behind ``compare`` and the experiment scripts:
+    ``(seed, momentum report, one-shot report)`` for each of ``seeds``, on
+    ``spec`` at that seed.
+
+    The momentum planner runs under ``settings``, whatever planner they
+    name; its one-shot baseline runs under the same settings with
+    ``planner="oneshot"`` and ``history_depth=0``.  The two rollouts of a
+    seed run back to back, so the baseline scores the momentum rollout's
+    stream.
+    """
+    momentum = replace(settings, planner="momentum")
+    oneshot = replace(momentum, planner="oneshot", history_depth=0)
+    pairs = []
+    for seed in seeds:
+        seeded = replace(spec, seed=seed)
+        pairs.append((seed, run_closed_loop(seeded, momentum)[1], run_closed_loop(seeded, oneshot)[1]))
+    return pairs
 
 
 def _check_frame(frame: FrameRecord, j: int, shapes: dict) -> None:

@@ -135,10 +135,6 @@ class OverlapMask:
     def __len__(self) -> int:
         return len(self.flags)
 
-    @property
-    def true_count(self) -> int:
-        return int(self.flags.sum())
-
 
 def _to_frame(points, rotation, translation) -> np.ndarray:
     """Points (..., N, 2) re-expressed in the frames whose poses are the

@@ -27,6 +27,7 @@ from momentum_planning.simulator import (
     RunSettings,
     ScenarioSpec,
     load_log,
+    paired_reports,
     run_closed_loop,
     save_log,
 )
@@ -407,6 +408,24 @@ def test_eval_corrupt_log_exits_4_with_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_eval_log_longer_than_its_path_exits_4_writing_nothing(tmp_path, capsys):
+    # every frame record is well formed, but two frames run past the
+    # scenario's path: bad data, not a corrupt file
+    cfg = write_config(tmp_path / "cfg.json")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    log_path = tmp_path / "out" / "run_seed0.jsonl"
+    lines = log_path.read_text().splitlines()
+    for _ in range(2):
+        frame = json.loads(lines[-1])
+        frame["time_s"] += 0.5
+        lines.append(json.dumps(frame))
+    log_path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "replay"
+    assert main(["eval", "--log", str(log_path), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "bad input data: log has 6 frames, the scenario's path covers 5\n"
+    assert not out.exists()
+
+
 def test_eval_log_with_ragged_proposals_exits_4(tmp_path, capsys):
     # only a v1 log, which lists each candidate on its own, can be ragged
     log_path = tmp_path / "run_seed0.jsonl"
@@ -593,6 +612,52 @@ def test_compare_oneshot_column_matches_oneshot_run(tmp_path):
         seed, metric, h, _m, o = line.split(",")
         key = (metric, float(h) if h else None)
         assert float(o) == expected[key]
+
+
+@pytest.mark.parametrize("planner,depth", [("momentum", 1), ("momentum", 2), ("oneshot", 2)])
+def test_compare_rows_are_the_paired_reports(tmp_path, planner, depth):
+    # a config that names the one-shot planner still compares momentum,
+    # at the config's depth, against the depth-0 one-shot baseline
+    cfg = write_config(tmp_path / "cfg.json", seeds=[3, 1])
+    obj = json.loads(cfg.read_text())
+    obj["settings"] |= {"planner": planner, "history_depth": depth}
+    cfg.write_text(json.dumps(obj))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+    spec = ScenarioSpec.from_dict(obj["scenario"])
+    momentum = RunSettings.from_dict(obj["settings"] | {"planner": "momentum"})
+    lines = ["seed,metric,horizon_s,momentum,oneshot"]
+    for seed, rep_m, rep_o in paired_reports(spec, RunSettings.from_dict(obj["settings"]), [3, 1]):
+        _, rep = run_closed_loop(ScenarioSpec.from_dict(obj["scenario"] | {"seed": seed}), momentum)
+        assert rep_m.to_csv_text() == rep.to_csv_text()
+        for (metric, h, m), (_, _, o) in zip(rep_m.rows(), rep_o.rows()):
+            lines.append(f"{seed},{metric},{'' if h is None else repr(h)},{m!r},{o!r}")
+    assert (out / "compare.csv").read_text() == "\n".join(lines) + "\n"
+
+
+README_CONFIG = {
+    "scenario": {"kind": "arc_turn", "duration_s": 4.0, "speed_mps": 5.0,
+                 "radius_m": 20.0, "angle_rad": 1.5707963, "seed": 0},
+    "settings": {"planner": "momentum", "history_depth": 1, "distance": "hausdorff", "ns": 0.1},
+    "seeds": [0, 1, 2],
+}
+
+
+def test_compare_summary_means_are_the_run_means(tmp_path):
+    # both mean columns of compare_summary.csv are, bit for bit, what run
+    # writes to metrics_mean.csv for that planner on the README config
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    assert main(["compare", "--config", str(cfg), "--out", str(tmp_path / "cmp")]) == 0
+    summary = [line.split(",") for line in (tmp_path / "cmp" / "compare_summary.csv").read_text().splitlines()]
+    assert summary[0] == ["metric", "horizon_s", "momentum_mean", "momentum_std", "oneshot_mean", "oneshot_std"]
+    oneshot = tmp_path / "oneshot.json"
+    oneshot.write_text(json.dumps(README_CONFIG | {"settings": {"planner": "oneshot", "history_depth": 0,
+                                                                "distance": "hausdorff", "ns": 0.1}}))
+    for path, column in ((cfg, 2), (oneshot, 4)):
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / path.stem)]) == 0
+        means = (tmp_path / path.stem / "metrics_mean.csv").read_text().splitlines()
+        assert [",".join(row[:2] + [row[column]]) for row in summary[1:]] == means[1:]
 
 
 def test_bad_log_level_env_exits_2(tmp_path, monkeypatch):

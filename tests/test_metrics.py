@@ -388,7 +388,7 @@ def test_tpc_single_outlier_among_five():
     shifted[2] += np.array([3.0, 0.0])
     cur_pred = Trajectory(shifted)
     mask = overlap_mask(cur_pred, prev_pred, 1)
-    assert mask.true_count == 5
+    assert int(mask.flags.sum()) == 5
     value = tpc(cur_pred, prev_pred, Pose2.identity(), mask)
     assert value == pytest.approx(math.sqrt(9.0 / 5.0), abs=1e-12)
 

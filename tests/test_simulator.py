@@ -1070,6 +1070,45 @@ def test_paired_rollouts_on_a_shared_stream_equal_cold_ones(kind):
             assert _same_run(run_closed_loop(spec, second), cold[second])
 
 
+PAIRED_BOXES = {
+    "no_box": (),
+    "parked": (ScriptedObstacle(ObstacleBox((9.0, 1.0), 0.2, 4.0, 2.0)),),
+    "moving": (ScriptedObstacle(ObstacleBox((14.0, 6.0), -1.2, 4.0, 1.8), (0.0, -2.0)),),
+}
+
+
+@pytest.mark.parametrize("distance", list(DistanceKind))
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("boxes", list(PAIRED_BOXES))
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_paired_reports_equal_two_cold_rollouts_per_seed(monkeypatch, kind, boxes, depth, distance):
+    # the momentum rollout under the settings, then its one-shot baseline
+    # (planner "oneshot", depth 0), back to back per seed: each equals a
+    # rollout that builds its own stream, log and report alike, and the
+    # settings' own planner does not matter
+    spec = ScenarioSpec(kind, 3.0, 6.0, radius_m=18.0, angle_rad=1.2, obstacles=PAIRED_BOXES[boxes], seed=1)
+    momentum = RunSettings(planner="momentum", history_depth=depth, distance=distance, ns=0.2)
+    oneshot = dataclasses.replace(momentum, planner="oneshot", history_depth=0)
+    seeds = [5, 0, 2]
+    for settings_ in (momentum, dataclasses.replace(momentum, planner="oneshot")):
+        runs = []
+
+        def spy(spec_, st_, weights=None):
+            runs.append((spec_, st_, run_closed_loop(spec_, st_, weights)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(simulator, "run_closed_loop", spy)
+        pairs = simulator.paired_reports(spec, settings_, seeds)
+        monkeypatch.undo()
+        expected = [(dataclasses.replace(spec, seed=seed), st_) for seed in seeds for st_ in (momentum, oneshot)]
+        assert [(spec_, st_) for spec_, st_, _ in runs] == expected
+        for spec_, st_, run in runs:
+            assert _same_run(run, _cold(spec_, st_))
+        assert [seed for seed, _, _ in pairs] == seeds
+        reports = [rep for _, rep_m, rep_o in pairs for rep in (rep_m, rep_o)]
+        assert [rep.to_csv_text() for rep in reports] == [run[1].to_csv_text() for _, _, run in runs]
+
+
 def test_replay_builds_no_stream(monkeypatch, tmp_path):
     # a replay scores the log through the same scene and score functions,
     # never through the rollout's stream or the one kept

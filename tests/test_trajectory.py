@@ -284,7 +284,7 @@ def test_overlap_mask_true_count_formula(n_cur, n_prev, gap):
     prev = Trajectory(np.zeros((n_prev, 2)))
     mask = overlap_mask(cur, prev, gap)
     assert len(mask) == n_cur
-    assert mask.true_count == max(0, min(n_cur, n_prev - gap))
+    assert int(mask.flags.sum()) == max(0, min(n_cur, n_prev - gap))
 
 
 def test_overlap_mask_rejects_dt_mismatch():
