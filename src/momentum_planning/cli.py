@@ -38,7 +38,7 @@ from .errors import (
     ShapeError,
 )
 from .matching import DistanceKind
-from .metrics import L2Protocol, mean_reports
+from .metrics import L2Protocol, _row_key, mean_reports
 from .simulator import (
     MAX_SEED,
     RunSettings,
@@ -179,11 +179,6 @@ def cmd_curate(args) -> int:
     save_manifest_json(out / "scenes.json", kept)
     logger.info("kept %d of %d samples", len(kept), len(samples))
     return 0
-
-
-def _row_key(metric: str, horizon) -> str:
-    """A report row's metric and horizon cells, as ``to_csv_text`` writes them."""
-    return f"{metric},{'' if horizon is None else repr(horizon)}"
 
 
 def _summary_cells(reports) -> list[str]:

@@ -9,7 +9,8 @@ ablations and is sensitive to where samples happen to bunch up.
 Both distances have one definition, ``_pair_distances``, over stacked
 (frame, candidate, plan) arrays: a rollout's selection calls it over frame
 blocks, ``ttm_select`` on one frame, and ``hausdorff`` and
-``trajectory_distance`` on one pair.
+``trajectory_distance`` on one pair.  The pointwise mean averages
+``_displacements``, the per-waypoint distance every metric reads too.
 """
 
 from __future__ import annotations
@@ -166,6 +167,13 @@ def _moved(points, rotation, translation) -> np.ndarray:
     return moved
 
 
+def _displacements(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distance per waypoint between broadcast (..., N, 2) stacks,
+    in C order, so that each row sums as it would alone."""
+    d = a - b
+    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2, order="C")
+
+
 def _pair_distances(moved, plans, kind: DistanceKind) -> np.ndarray:
     """TTM distance (F, K, K') of each moved candidate (F, K, N, 2) to each
     of the frame's historical plans (F, K', M, 2): the symmetric Hausdorff
@@ -185,9 +193,7 @@ def _pair_distances(moved, plans, kind: DistanceKind) -> np.ndarray:
         sq += dy
         del dy
         return np.sqrt(np.maximum(sq.min(axis=-1).max(axis=-1), sq.min(axis=-2).max(axis=-1)))
-    diff = moved[:, :, None] - plans[:, None]
-    # C order, so that each waypoint row is summed as it is summed alone
-    return np.sqrt(diff[..., 0] ** 2 + diff[..., 1] ** 2, order="C").mean(axis=-1)
+    return _displacements(moved[:, :, None], plans[:, None]).mean(axis=-1)
 
 
 def ttm_select(

@@ -12,12 +12,13 @@ one after moving it into the previous frame; only waypoints whose absolute
 time exists in both predictions participate, and the per-sample value is
 the RMSE over those pairs.
 
-Each metric has one definition, a kernel over stacks of F frames:
-displacements and the two L2 protocols, the TPC pairing, min ADE/FDE,
-swept-box collisions, the horizon rule and the per-frame mean.  A rollout's
-report folds them over every frame at once; ``l2_error``, ``tpc``,
-``min_ade_fde``, ``collision_flags`` and ``collision_rate`` are their calls
-on one frame.
+Each metric has one definition, a kernel over stacks of F frames: the
+two L2 protocols, the TPC pairing, min ADE/FDE, swept-box collisions, the
+horizon rule and the per-frame mean, which is nan over no frames.  The
+pointwise displacement they read is ``matching._displacements``, the one
+the pointwise-mean distance averages.  A rollout's report folds them over
+every frame at once; ``l2_error``, ``tpc``, ``min_ade_fde``,
+``collision_flags`` and ``collision_rate`` are their calls on one frame.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import AlignmentError, ConfigError, EmptyInputError, GeometryError, HorizonError, ShapeError
-from .matching import TrajectorySet, _moved
+from .matching import TrajectorySet, _displacements, _moved
 from .trajectory import OverlapMask, Pose2, Trajectory, _from_frame
 from .trajectory import transform_to_frame  # noqa: F401
 
@@ -118,15 +119,9 @@ def _horizon_index(horizon_s: float, dt: float, available: int) -> int:
 
 def _mean_of(values: np.ndarray) -> float:
     """The mean of per-frame values, summed with ``math.fsum`` in frame
-    order; 0.0 for no frames."""
-    return math.fsum(values.tolist()) / len(values) if len(values) else 0.0
-
-
-def _displacements(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Euclidean distance per waypoint between broadcast (..., N, 2) stacks,
-    in C order, so that each row sums as it would alone."""
-    d = a - b
-    return np.sqrt(d[..., 0] ** 2 + d[..., 1] ** 2, order="C")
+    order; nan for no frames, so that an empty aggregate never reads as a
+    perfect score."""
+    return math.fsum(values.tolist()) / len(values) if len(values) else math.nan
 
 
 def _l2(d: np.ndarray, steps: int, protocol: L2Protocol) -> np.ndarray:
@@ -411,8 +406,13 @@ class MetricReport:
     def to_csv_text(self) -> str:
         lines = ["metric,horizon_s,value"]
         for name, h, v in self.rows():
-            lines.append(f"{name},{'' if h is None else repr(h)},{repr(v)}")
+            lines.append(f"{_row_key(name, h)},{v!r}")
         return "\n".join(lines) + "\n"
+
+
+def _row_key(metric: str, horizon) -> str:
+    """A report row's metric and horizon cells, as every CSV writes them."""
+    return f"{metric},{'' if horizon is None else repr(horizon)}"
 
 
 def _fold_report(horizons_s, dt: float, protocol: L2Protocol, d, hits, sq, min_ade: float,

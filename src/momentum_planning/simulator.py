@@ -49,9 +49,9 @@ from .errors import AlignmentError, ConfigError, EmptyInputError, HorizonError, 
 from .interactor import QueryBatch, WeightBundle, mix_history, softmax
 from .interactor import _lstm_gates, _refined_scores, _score_gate
 from .interactor import mpi_forward  # noqa: F401
-from .matching import DistanceKind, TrajectorySet, _moved, _pair_distances, ttm_select
-from .metrics import L2Protocol, MetricReport, ObstacleBox, _best_displacements, _consistency_sq
-from .metrics import _displacements, _fold_report, _horizon_index, _mean_of, _number, _swept_hits
+from .matching import DistanceKind, TrajectorySet, _displacements, _moved, _pair_distances, ttm_select
+from .metrics import MAX_OBSTACLE_COORD_M, L2Protocol, MetricReport, ObstacleBox, _best_displacements
+from .metrics import _consistency_sq, _fold_report, _horizon_index, _mean_of, _number, _swept_hits
 from .metrics import collision_flags, l2_error, min_ade_fde, tpc  # noqa: F401
 from .trajectory import Pose2, Trajectory, _frame_delta, _from_frame, _to_frame, trajectory_from_dict
 from .trajectory import transform_to_frame  # noqa: F401
@@ -79,6 +79,9 @@ MIN_RADIUS_M = 1.0
 MAX_K = 16
 MAX_HORIZON_STEPS = 20
 MAX_D_Q = 128
+# the last absolute step any obstacle track is read at, 610 s in: the last
+# waypoint of the last plan of the longest scene
+MAX_TRACK_STEP = round(MAX_DURATION_S / SIM_DT) + MAX_HORIZON_STEPS
 # seeds, scenario and weight seeds alike, fit in 64 unsigned bits; far
 # larger ones make the ``run_seed<seed>`` file names too long to write
 MAX_SEED = 2**64 - 1
@@ -199,7 +202,8 @@ def _read_record(cls, obj, what: str):
 
 @dataclass(frozen=True)
 class ScriptedObstacle:
-    """A box with constant-velocity motion."""
+    """A box with constant-velocity motion whose centre stays within
+    ``MAX_OBSTACLE_COORD_M`` on each axis up to ``MAX_TRACK_STEP``."""
 
     box: ObstacleBox
     velocity: tuple[float, float] = (0.0, 0.0)
@@ -209,6 +213,15 @@ class ScriptedObstacle:
         if not math.hypot(*self.velocity) <= MAX_SPEED_MPS:
             raise ConfigError(
                 f"obstacle speed must be finite and at most {MAX_SPEED_MPS} m/s, got {self.velocity}"
+            )
+        # the centre at MAX_TRACK_STEP in _boxes_at's float arithmetic; the
+        # centre moves monotonically on each axis, and so do its rounded
+        # products, so the first and last steps bound every step's box
+        t = MAX_TRACK_STEP * SIM_DT
+        if not all(abs(c + v * t) <= MAX_OBSTACLE_COORD_M for c, v in zip(self.box.center, self.velocity)):
+            raise ConfigError(
+                f"obstacle at {self.box.center} moving at {self.velocity} m/s passes "
+                f"{MAX_OBSTACLE_COORD_M:g} m on an axis within {MAX_TRACK_STEP * SIM_DT:g} s"
             )
 
     def at_step(self, step: int) -> ObstacleBox:

@@ -409,7 +409,7 @@ def reference_report_from_log(log):
                     tpc_acc[hh].append(value)
 
     def mean_of(values):
-        return math.fsum(values) / len(values) if values else 0.0
+        return math.fsum(values) / len(values) if values else math.nan
 
     return MetricReport(
         l2={hh: mean_of(l2_acc[hh]) for hh in horizons},

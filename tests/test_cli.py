@@ -137,6 +137,7 @@ FAST_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": 4.0, "width": 2.0,
         ("scenario", "obstacles", [{**OK_BOX, "length": "4"}]),
         ("scenario", "obstacles", [{**OK_BOX, "center": [1.7e308, 1.7e308]}]),
         ("scenario", "obstacles", [{**OK_BOX, "center": [0.0, -math.nextafter(MAX_OBSTACLE_COORD_M, math.inf)]}]),
+        ("scenario", "obstacles", [{**OK_BOX, "center": [MAX_OBSTACLE_COORD_M, 0.0], "velocity": [100.0, 0.0]}]),
     ],
     ids=["history_depth", "obstacle_length", "radius_inf", "short_duration",
          "negative_weight_seed", "fractional_k", "speed_over_bound", "negative_seed",
@@ -148,7 +149,7 @@ FAST_BOX = {"center": [5.0, 0.0], "heading": 0.0, "length": 4.0, "width": 2.0,
          "ns_over_bound", "duration_bool", "ns_string", "speed_string", "horizon_string",
          "horizon_bool", "obstacle_velocity_bool", "obstacle_center_string_entry",
          "obstacle_heading_bool", "obstacle_length_string", "obstacle_center_1.7e308",
-         "obstacle_center_over_bound"],
+         "obstacle_center_over_bound", "obstacle_track_over_bound"],
 )
 def test_bad_config_values_exit_2_without_outputs(tmp_path, section, key, value):
     cfg = write_config(tmp_path / "cfg.json")
@@ -214,7 +215,7 @@ def test_obstacle_center_bound_is_inclusive(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     obj = json.loads(cfg.read_text())
     obj["scenario"]["obstacles"] = [{**OK_BOX, "center": [MAX_OBSTACLE_COORD_M, -MAX_OBSTACLE_COORD_M],
-                                     "velocity": [MAX_SPEED_MPS, 0.0]}]
+                                     "velocity": [-MAX_SPEED_MPS, 0.0]}]
     cfg.write_text(json.dumps(obj))
     out = tmp_path / "out"
     with warnings.catch_warnings():
@@ -370,6 +371,23 @@ def test_eval_reproduces_run_csv_bytes(tmp_path):
     run_csv = (out / "metrics_seed3.csv").read_bytes()
     eval_csv = (eval_out / "run_seed3.metrics.csv").read_bytes()
     assert run_csv == eval_csv
+
+
+def test_one_frame_run_reports_nan_consistency_and_replays_it(tmp_path):
+    # one frame has no plan before it, so no TPC sample: the report says nan,
+    # not a perfect 0.0, and the replay writes the same bytes
+    cfg = write_config(tmp_path / "cfg.json")
+    obj = json.loads(cfg.read_text())
+    obj["scenario"]["duration_s"] = 0.5
+    cfg.write_text(json.dumps(obj))
+    out, eval_out = tmp_path / "out", tmp_path / "eval"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["eval", "--log", str(out / "run_seed0.jsonl"), "--out", str(eval_out)]) == 0
+    run_csv = (out / "metrics_seed0.csv").read_text()
+    assert (eval_out / "run_seed0.metrics.csv").read_text() == run_csv
+    rows = [line.split(",") for line in run_csv.splitlines()[1:]]
+    assert [value for metric, _, value in rows if metric == "tpc"] == ["nan"] * 3
+    assert all(math.isfinite(float(value)) for metric, _, value in rows if metric != "tpc")
 
 
 def test_eval_protocol_flag_changes_l2(tmp_path):

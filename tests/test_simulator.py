@@ -45,6 +45,7 @@ from momentum_planning.simulator import (
     MAX_HORIZON_STEPS,
     MAX_K,
     MAX_SPEED_MPS,
+    MAX_TRACK_STEP,
     MIN_RADIUS_M,
     PLANNER_KINDS,
     SCENARIO_KINDS,
@@ -68,7 +69,14 @@ from momentum_planning.simulator import (
     step_momentum,
     step_oneshot,
 )
-from momentum_planning.metrics import L2Protocol, ObstacleBox, _horizon_index, collision_flags
+from momentum_planning.metrics import (
+    MAX_OBSTACLE_COORD_M,
+    L2Protocol,
+    ObstacleBox,
+    _horizon_index,
+    collision_flags,
+    mean_reports,
+)
 from momentum_planning.trajectory import (
     Pose2,
     Trajectory,
@@ -190,6 +198,50 @@ def test_bad_scenario_spec_rejected(kwargs):
 def test_obstacle_speed_is_bounded(velocity):
     with pytest.raises(ConfigError):
         ScriptedObstacle(ObstacleBox((1.0, 2.0), 0.3, 4.0, 2.0), velocity)
+
+
+def test_obstacle_track_leaving_the_coordinate_bound_is_refused():
+    # a box at the bound driving out of it: a rollout would move it past the
+    # bound, where at_step and gen_scenario cannot build its box
+    box = ObstacleBox((MAX_OBSTACLE_COORD_M, 0.0), 0.0, 4.0, 2.0)
+    with pytest.raises(ConfigError, match="within 610 s"):
+        ScriptedObstacle(box, velocity=(100.0, 0.0))
+
+
+def _farthest_start(v: float) -> float:
+    """The largest centre coordinate whose track at speed ``v`` >= 0 along
+    the axis is within the bound at ``MAX_TRACK_STEP``, in the arithmetic
+    of ``_boxes_at``."""
+    t = MAX_TRACK_STEP * SIM_DT
+    c = MAX_OBSTACLE_COORD_M - v * t
+    while c + v * t > MAX_OBSTACLE_COORD_M:
+        c = math.nextafter(c, -math.inf)
+    while math.nextafter(c, math.inf) + v * t <= MAX_OBSTACLE_COORD_M:
+        c = math.nextafter(c, math.inf)
+    return c
+
+
+@pytest.mark.parametrize(
+    "velocity", [(MAX_SPEED_MPS, 0.0), (0.0, -MAX_SPEED_MPS), (60.0, 80.0), (-0.1, 3e-7), (0.0, 0.0)]
+)
+def test_accepted_tracks_at_the_bound_build_every_box(velocity):
+    # each axis starts as far out as its track may go by the longest scene's
+    # last step; every box up to that step builds, and one ulp farther out
+    # on a moving axis is refused
+    center = tuple(math.copysign(_farthest_start(abs(v)), v) for v in velocity)
+    obstacle = ScriptedObstacle(ObstacleBox(center, 0.3, 4.0, 2.0), velocity)
+    for step in (0, 1, MAX_TRACK_STEP // 2, MAX_TRACK_STEP - 1, MAX_TRACK_STEP):
+        obstacle.at_step(step)
+    spec = ScenarioSpec("straight", MAX_DURATION_S, MAX_SPEED_MPS, obstacles=(obstacle,))
+    _, tracks = gen_scenario(spec, extra_steps=MAX_HORIZON_STEPS)
+    assert len(tracks[0]) == MAX_TRACK_STEP + 1
+    assert tracks[0][-1] == obstacle.at_step(MAX_TRACK_STEP)
+    for axis, v in enumerate(velocity):
+        if v:
+            past = list(center)
+            past[axis] = math.nextafter(center[axis], math.copysign(math.inf, v))
+            with pytest.raises(ConfigError):
+                ScriptedObstacle(ObstacleBox(tuple(past), 0.3, 4.0, 2.0), velocity)
 
 
 def test_scenario_bounds_are_inclusive():
@@ -1366,9 +1418,25 @@ def test_log_longer_than_its_path_is_rejected():
         report_from_log(ScenarioLog(spec, log.settings, log.frames))
 
 
-def test_header_only_log_reports_zeros():
+def test_header_only_log_reports_nan():
     report = report_from_log(ScenarioLog(arc_spec(), RunSettings(), ()))
-    assert {v for _, _, v in report.rows()} == {0.0}
+    assert all(math.isnan(v) for _, _, v in report.rows())
+
+
+def test_one_frame_scene_reports_nan_consistency():
+    # a 0.5 s scene is one frame, with no plan before it to compare: its TPC
+    # is nan at every horizon, not a perfect 0.0, and a mean over it is nan
+    # rather than half the other scene's
+    log, report = run_closed_loop(arc_spec(duration=0.5), RunSettings())
+    assert len(log.frames) == 1
+    assert all(math.isnan(v) for v in report.tpc.values())
+    assert all(math.isfinite(v) for name, _, v in report.rows() if name != "tpc")
+    for replayed in (report_from_log(log), reference_report_from_log(log)):
+        assert replayed.to_csv_text() == report.to_csv_text()
+    _, arc = run_closed_loop(arc_spec(), RunSettings())
+    mean = mean_reports([arc, report])
+    assert all(math.isnan(v) for v in mean.tpc.values())
+    assert mean.l2 == {h: math.fsum([arc.l2[h], report.l2[h]]) / 2 for h in arc.l2}
 
 
 def test_every_traced_function_resolves_where_the_bench_looks_it_up():
