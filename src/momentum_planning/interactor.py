@@ -48,6 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyInputError, ShapeError
+from .trajectory import _mean
 
 
 def _shapes(d: int, k: int, n_t: int) -> dict:
@@ -374,7 +375,7 @@ def _head_input(query, instance_features):
         raise ShapeError(f"features must be (M, {q.shape[-1]}), got {feats.shape}")
     if feats.shape[-2] == 0:
         raise EmptyInputError("plan head needs at least one instance feature row")
-    pooled = feats.mean(axis=-2)
+    pooled = _mean(feats, -2)
     if pooled.shape != q.shape:
         # one pool for many queries; broadcast_to would cost the one-query
         # reverse pass more than the rest of this stage

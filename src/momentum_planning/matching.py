@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AlignmentError, EmptyInputError, GeometryError, ShapeError
-from .trajectory import DEFAULT_DT, Pose2, Trajectory, _to_frame, resample
+from .trajectory import DEFAULT_DT, Pose2, Trajectory, _mean, _to_frame, resample
 from .trajectory import transform_to_frame  # noqa: F401
 
 # nothing here calls transform_to_frame; it stays importable on this module
@@ -193,7 +193,7 @@ def _pair_distances(moved, plans, kind: DistanceKind) -> np.ndarray:
         sq += dy
         del dy
         return np.sqrt(np.maximum(sq.min(axis=-1).max(axis=-1), sq.min(axis=-2).max(axis=-1)))
-    return _displacements(moved[:, :, None], plans[:, None]).mean(axis=-1)
+    return _mean(_displacements(moved[:, :, None], plans[:, None]), -1)
 
 
 def ttm_select(

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError, EmptyInputError, GeometryError, HorizonError, ShapeError
 from .matching import TrajectorySet, _displacements, _moved
-from .trajectory import OverlapMask, Pose2, Trajectory, _from_frame
+from .trajectory import OverlapMask, Pose2, Trajectory, _from_frame, _mean
 from .trajectory import transform_to_frame  # noqa: F401
 
 # nothing here calls transform_to_frame; it stays importable on this module
@@ -128,7 +128,7 @@ def _l2(d: np.ndarray, steps: int, protocol: L2Protocol) -> np.ndarray:
     """L2 per row of (F, n) displacements over the first ``steps``
     waypoints: the last one's, or their mean."""
     if protocol is L2Protocol.AVERAGED_UP_TO:
-        return d[:, :steps].mean(axis=-1)
+        return _mean(d[:, :steps], -1)
     return d[:, steps - 1]
 
 
@@ -272,7 +272,7 @@ def _consistency_sq(cur, prev, rotation, translation, gap: int) -> np.ndarray:
 
 def _rms(sq: np.ndarray) -> np.ndarray:
     """Root of the mean over the last axis."""
-    return np.sqrt(sq.mean(axis=-1))
+    return np.sqrt(_mean(sq, -1))
 
 
 def tpc(
@@ -308,7 +308,7 @@ def _best_displacements(points: np.ndarray, gt: np.ndarray):
     stacks (F, K, N, 2) against ground truths (F, N, 2); ties go to the
     lowest index."""
     d = _displacements(points, gt[:, None])
-    ade = d.mean(axis=-1)
+    ade = _mean(d, -1)
     return ade.min(axis=-1), d[..., -1].min(axis=-1), ade.argmin(axis=-1)
 
 

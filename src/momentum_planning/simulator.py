@@ -34,6 +34,7 @@ definition, ``_boxes_at``.
 from __future__ import annotations
 
 import base64
+import binascii
 import functools
 import json
 import logging
@@ -53,7 +54,7 @@ from .matching import DistanceKind, TrajectorySet, _displacements, _moved, _pair
 from .metrics import MAX_OBSTACLE_COORD_M, L2Protocol, MetricReport, ObstacleBox, _best_displacements
 from .metrics import _consistency_sq, _fold_report, _horizon_index, _mean_of, _number, _swept_hits
 from .metrics import collision_flags, l2_error, min_ade_fde, tpc  # noqa: F401
-from .trajectory import Pose2, Trajectory, _frame_delta, _from_frame, _to_frame, trajectory_from_dict
+from .trajectory import Pose2, Trajectory, _frame_delta, _from_frame, _mean, _to_frame, trajectory_from_dict
 from .trajectory import transform_to_frame  # noqa: F401
 
 # The per-trajectory metrics above score one frame each and report_from_log
@@ -225,8 +226,10 @@ class ScriptedObstacle:
             )
 
     def at_step(self, step: int) -> ObstacleBox:
-        """The box at absolute ``step``: ``_boxes_at`` for one obstacle and
-        one step."""
+        """The box at absolute ``step``, in [0, ``MAX_TRACK_STEP``]:
+        ``_boxes_at`` for one obstacle and one step."""
+        if not 0 <= step <= MAX_TRACK_STEP:
+            raise ConfigError(f"track step must be in [0, {MAX_TRACK_STEP}] (MAX_TRACK_STEP), got {step!r}")
         center, heading, length, width = _boxes_at((self,), step)
         return ObstacleBox(center[0], heading[0], length[0], width[0])
 
@@ -450,8 +453,13 @@ def gen_scenario(spec: ScenarioSpec, extra_steps: int = 0):
     Returns ``(path, tracks)`` where path holds ``round(duration/dt) +
     extra_steps`` waypoints (the ego's start pose at the origin is not a
     waypoint) and ``tracks[i][step]`` is obstacle i at that absolute step,
-    every step's box from one ``_boxes_at`` call.
+    every step's box from one ``_boxes_at`` call.  ``extra_steps`` is in
+    [0, ``MAX_HORIZON_STEPS``], so every step is a track step.
     """
+    if not 0 <= extra_steps <= MAX_HORIZON_STEPS:
+        raise ConfigError(
+            f"extra steps must be in [0, {MAX_HORIZON_STEPS}] (MAX_HORIZON_STEPS), got {extra_steps!r}"
+        )
     path = _gen_path(spec, extra_steps)
     center, heading, length, width = _boxes_at(spec.obstacles, np.arange(len(path) + 1))
     # each obstacle's heading, length and width, which its motion keeps
@@ -478,7 +486,7 @@ def candidate_queries(points: np.ndarray, d_q: int) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) == 0:
         raise EmptyInputError("no candidates to embed")
-    flat = (pts - pts.mean(axis=1, keepdims=True)).reshape(len(pts), -1, 1)
+    flat = (pts - _mean(pts, 1, keepdims=True)).reshape(len(pts), -1, 1)
     return (_query_projection(d_q, flat.shape[1]) @ flat)[..., 0]
 
 
@@ -513,6 +521,15 @@ def _fan_width(k: int, n: int) -> int:
     return 2 + 2 * k * (n - 1) + 2 * n
 
 
+@functools.lru_cache(maxsize=MAX_K)
+def _fan_offsets(k: int) -> np.ndarray:
+    """The fan's K lateral offset coefficients, read-only: ``linspace(-1,
+    1, K)``, or 0 for one candidate."""
+    coeffs = np.linspace(-1.0, 1.0, k) if k > 1 else np.zeros(1)
+    coeffs.setflags(write=False)
+    return coeffs
+
+
 def _fan(gt: np.ndarray, draws: np.ndarray, k: int, mode_noise: float, jitter: float, d_q: int):
     """The proposal model over F frames at once.
 
@@ -530,12 +547,11 @@ def _fan(gt: np.ndarray, draws: np.ndarray, k: int, mode_noise: float, jitter: f
 
     normals = _lateral_normals(gt)
     ramp = np.arange(n) / (n - 1) if n > 1 else np.zeros(n)
-    coeffs = np.linspace(-1.0, 1.0, k) if k > 1 else np.zeros(1)
-    cands = gt[:, None] + (mode_noise * coeffs)[:, None, None] * ramp[:, None] * normals[:, None]
+    cands = gt[:, None] + (mode_noise * _fan_offsets(k))[:, None, None] * ramp[:, None] * normals[:, None]
     cands[:, :, 0] += shared_first[:, None]
     cands[:, :, 1:] += cand_jitter
 
-    ades = _displacements(cands, observed[:, None]).mean(axis=-1)
+    ades = _mean(_displacements(cands, observed[:, None]), -1)
     scores = softmax(-ades)
     queries = candidate_queries(cands.reshape(f * k, n, 2), d_q).reshape(f, k, d_q)
     return cands, scores, queries
@@ -936,13 +952,19 @@ def _check_frame(frame: FrameRecord, j: int, shapes: dict) -> None:
     queries are compared: the pose, the scores and the refined scores have
     the shapes their own records give them against the points."""
     props = frame.proposals
-    if frame.time_s != j * SIM_DT:
-        raise AlignmentError(f"frame {j}: time {frame.time_s!r} s, its position says {j * SIM_DT} s")
-    if props.dt != SIM_DT:
-        raise AlignmentError(f"frame {j}: plan dt {props.dt!r}, the log's is {SIM_DT}")
+    _check_clock(j, frame.time_s, props.dt)
     got, want = (props.points.shape, props.queries.shape), (shapes["points"], shapes["queries"])
     if got != want:
         raise AlignmentError(f"frame {j}: points and queries {got}, settings say {want}")
+
+
+def _check_clock(j: int, time_s, dt) -> None:
+    """Frame j of a log is planned at j * SIM_DT, on plans sampled every
+    SIM_DT."""
+    if time_s != j * SIM_DT:
+        raise AlignmentError(f"frame {j}: time {time_s!r} s, its position says {j * SIM_DT} s")
+    if dt != SIM_DT:
+        raise AlignmentError(f"frame {j}: plan dt {dt!r}, the log's is {SIM_DT}")
 
 
 def _log_futures(log: ScenarioLog) -> tuple:
@@ -980,9 +1002,17 @@ def report_from_log(log: ScenarioLog) -> MetricReport:
     run's report exactly.  It reads nothing a rollout kept, so a replay is
     an independent recomputation.
     """
-    return _score_choice(
-        _log_scene(log), [f.chosen_index for f in log.frames], log.settings, log.spec.obstacles
-    )
+    timed = _logger.isEnabledFor(logging.DEBUG)
+    clock = perf_counter_ns if timed else int  # below debug level int() stands in: 0, no timing
+    t0 = clock()
+    scene = _log_scene(log)
+    t1 = clock()
+    report = _score_choice(scene, [f.chosen_index for f in log.frames], log.settings, log.spec.obstacles)
+    if timed:
+        t2 = clock()
+        _logger.debug("report_from_log: %d frames, scene %d us, score %d us",
+                      len(log.frames), (t1 - t0) // 1000, (t2 - t1) // 1000)
+    return report
 
 
 def _score_choice(scene: _Scene, chosen_index, settings: RunSettings, obstacles) -> MetricReport:
@@ -1052,21 +1082,26 @@ def _frame_arrays(frame: FrameRecord) -> dict:
 
 
 def _encode(array) -> str:
-    return base64.b64encode(np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
+    return binascii.b2a_base64(np.ascontiguousarray(array, dtype="<f8"), newline=False).decode("ascii")
 
 
-def _decode(text: str, shape: tuple[int, ...], name: str) -> np.ndarray:
+def _decode(text: str, shape: tuple[int, ...], name: str) -> bytes:
+    """The little-endian float64 bytes of an array of ``shape`` in base64."""
     raw = base64.b64decode(text, validate=True)
     size = 8 * math.prod(shape)
     if len(raw) != size:
         raise ShapeError(f"{name} holds {len(raw)} bytes, shape {shape} needs {size}")
-    return np.frombuffer(raw, dtype="<f8").reshape(shape)
+    return raw
 
 
-def _frame_to_dict(frame: FrameRecord) -> dict:
-    rec = {"kind": "frame", "time_s": float(frame.time_s), "chosen_index": frame.chosen_index,
-           "dt": float(frame.proposals.dt)}
-    return rec | {name: _encode(array) for name, array in _frame_arrays(frame).items()}
+def _frame_line(frame: FrameRecord) -> str:
+    """A frame's format-2 record as ``json.dumps`` writes it, in one
+    formatting step.  ``_check_frame`` has made time_s and dt finite and the
+    chosen index an int, and JSON writes those as their ``repr``; base64
+    holds no character JSON escapes."""
+    arrays = "".join(f', "{name}": "{_encode(array)}"' for name, array in _frame_arrays(frame).items())
+    return (f'{{"kind": "frame", "time_s": {float(frame.time_s)!r}, "chosen_index": {frame.chosen_index!r}, '
+            f'"dt": {float(frame.proposals.dt)!r}{arrays}}}')
 
 
 def _finite_number(obj: dict, key: str) -> float:
@@ -1076,16 +1111,39 @@ def _finite_number(obj: dict, key: str) -> float:
     return float(value)
 
 
-def _frame_from_v2(obj: dict, shapes: dict) -> FrameRecord:
+def _v2_fields(obj: dict, shapes: dict) -> dict:
+    """A format-2 frame record decoded: time_s and dt as finite numbers, the
+    chosen index as written, and each ``_frame_shapes`` array as its bytes.
+    refined_scores may be absent or null; every other array is required."""
     unknown = obj.keys() - shapes.keys() - {"kind", "time_s", "chosen_index", "dt"}
     if unknown:
         raise ValueError(f"unknown frame keys: {sorted(unknown)}")
-    # refined_scores may be absent or null; every other array is required
-    a = {name: _decode(obj[name], shape, name) for name, shape in shapes.items()
-         if name != "refined_scores" or obj.get(name) is not None}
-    proposals = TrajectorySet.from_points(a["points"], a["scores"], a["queries"], _finite_number(obj, "dt"))
-    pose, time_s = Pose2(a["rotation"], a["xy"]), _finite_number(obj, "time_s")
-    return FrameRecord(time_s, pose, proposals, obj["chosen_index"], a.get("refined_scores"))
+    fields = {name: _decode(obj[name], shape, name) for name, shape in shapes.items()
+              if name != "refined_scores" or obj.get(name) is not None}
+    return fields | {"dt": _finite_number(obj, "dt"), "time_s": _finite_number(obj, "time_s"),
+                     "chosen_index": obj["chosen_index"]}
+
+
+def _v2_frames(records: list, first: int, shapes: dict) -> list:
+    """The frames of decoded format-2 records, the first of them frame
+    ``first`` of its log.  Each array is one stack of every record's bytes;
+    the proposals are checked once, as a whole, by ``TrajectorySet.per_frame``
+    and every frame holds views of their rows.  Each pose is its own
+    ``Pose2``."""
+    if not records:
+        return []
+    for j, rec in enumerate(records, first):
+        _check_clock(j, rec["time_s"], rec["dt"])
+
+    def stack(name, recs=records):
+        return np.frombuffer(b"".join(rec[name] for rec in recs), dtype="<f8").reshape(-1, *shapes[name])
+
+    proposals = TrajectorySet.per_frame(stack("points"), stack("scores"), stack("queries"), dt=SIM_DT)
+    poses = [Pose2(r, t) for r, t in zip(stack("rotation"), stack("xy"))]
+    refined = iter(stack("refined_scores", [rec for rec in records if "refined_scores" in rec]))
+    return [FrameRecord(rec["time_s"], pose, props, rec["chosen_index"],
+                        next(refined) if "refined_scores" in rec else None)
+            for rec, pose, props in zip(records, poses, proposals)]
 
 
 def _frame_from_v1(obj: dict) -> FrameRecord:
@@ -1110,6 +1168,29 @@ def _frame_from_v1(obj: dict) -> FrameRecord:
     return frame
 
 
+def _v1_frames(frames: list, first: int, shapes: dict) -> list:
+    """Format-1 frames, the first of them frame ``first`` of its log, each
+    checked by ``_check_frame``."""
+    for j, frame in enumerate(frames, first):
+        _check_frame(frame, j, shapes)
+    return frames
+
+
+def _checked_frames(build, records: list, line_numbers: list, shapes: dict) -> list:
+    """``build(records, 0, shapes)``, the frames of a log's decoded records.
+    If that fails, the records are built one at a time to find the first
+    at fault, and its error is raised as corrupt input on its line."""
+    try:
+        return build(records, 0, shapes)
+    except (KeyError, TypeError, ValueError):
+        for j, (rec, line_no) in enumerate(zip(records, line_numbers)):
+            try:
+                build([rec], j, shapes)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise LogCorruptionError(f"bad frame record: {exc}", line_number=line_no) from exc
+        raise
+
+
 def log_to_jsonl(log: ScenarioLog) -> str:
     header = {
         "kind": "header",
@@ -1121,7 +1202,7 @@ def log_to_jsonl(log: ScenarioLog) -> str:
     shapes = _frame_shapes(log.settings)
     for j, frame in enumerate(log.frames):
         _check_frame(frame, j, shapes)
-        lines.append(json.dumps(_frame_to_dict(frame)))
+        lines.append(_frame_line(frame))
     return "\n".join(lines) + "\n"
 
 
@@ -1132,6 +1213,13 @@ def save_log(log: ScenarioLog, path) -> None:
 
 
 def load_log(path) -> ScenarioLog:
+    """Read a log of either format.  Each frame line is decoded on its own,
+    then the frames are built and checked together (``_v2_frames``,
+    ``_v1_frames``); any fault is a ``LogCorruptionError`` naming the first
+    line at fault."""
+    timed = _logger.isEnabledFor(logging.DEBUG)
+    clock = perf_counter_ns if timed else int  # below debug level int() stands in: 0, no timing
+    t0 = clock()
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -1162,18 +1250,31 @@ def load_log(path) -> ScenarioLog:
         raise LogCorruptionError(f"bad header: {exc}", line_number=1) from exc
 
     shapes = _frame_shapes(settings)
-    read_frame = _frame_from_v1 if version == 1 else functools.partial(_frame_from_v2, shapes=shapes)
-    frames = []
-    for line_no, text in enumerate(lines[1:], start=2):
-        if not text.strip():
-            continue
-        obj = parse(line_no, text)
-        if obj.get("kind") != "frame":
-            raise LogCorruptionError(f"unexpected record kind {obj.get('kind')!r}", line_number=line_no)
-        try:
-            frame = read_frame(obj)
-            _check_frame(frame, len(frames), shapes)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LogCorruptionError(f"bad frame record: {exc}", line_number=line_no) from exc
-        frames.append(frame)
+    if version == 1:
+        decode, build = _frame_from_v1, _v1_frames
+    else:
+        decode, build = functools.partial(_v2_fields, shapes=shapes), _v2_frames
+    records, line_numbers = [], []
+    try:
+        for line_no, text in enumerate(lines[1:], start=2):
+            if not text.strip():
+                continue
+            obj = parse(line_no, text)
+            if obj.get("kind") != "frame":
+                raise LogCorruptionError(f"unexpected record kind {obj.get('kind')!r}", line_number=line_no)
+            try:
+                records.append(decode(obj))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise LogCorruptionError(f"bad frame record: {exc}", line_number=line_no) from exc
+            line_numbers.append(line_no)
+    except LogCorruptionError:
+        # a frame on an earlier line that is at fault is named first
+        _checked_frames(build, records, line_numbers, shapes)
+        raise
+    t1 = clock()
+    frames = _checked_frames(build, records, line_numbers, shapes)
+    if timed:
+        t2 = clock()
+        _logger.debug("load_log: %d frames, decode %d us, check %d us",
+                      len(frames), (t1 - t0) // 1000, (t2 - t1) // 1000)
     return ScenarioLog(spec, settings, tuple(frames))

@@ -136,6 +136,14 @@ class OverlapMask:
         return len(self.flags)
 
 
+def _mean(x: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """The mean of a float64 array over ``axis``, as ``x.mean(axis)``
+    computes it: numpy's pairwise ``add.reduce`` over the axis, divided by
+    its length.  The stacked kernels call this one mean, which skips the
+    Python-level dispatch ``ndarray.mean`` runs before that reduction."""
+    return np.add.reduce(x, axis, keepdims=keepdims) / x.shape[axis]
+
+
 def _to_frame(points, rotation, translation) -> np.ndarray:
     """Points (..., N, 2) re-expressed in the frames whose poses are the
     (..., 2, 2) rotations and (..., 2) translations, leading axes broadcast:

@@ -5,8 +5,11 @@ obstacle motion that their batched kernels' one-frame calls must
 reproduce, and the per-candidate proposal and matching loops,
 the per-frame momentum step and the per-frame rollout and scoring loops
 that the batched ``propose``, ``ttm_select``, ``step_momentum``,
-``run_closed_loop`` and ``report_from_log`` must reproduce."""
+``run_closed_loop`` and ``report_from_log`` must reproduce, and the
+``json.dumps`` frame writer that the one-step writer must reproduce."""
 
+import base64
+import json
 import math
 
 import numpy as np
@@ -418,6 +421,34 @@ def reference_report_from_log(log):
         min_ade=mean_of(ade_acc),
         min_fde=mean_of(fde_acc),
     )
+
+
+# ---------------------------------------------------------------------------
+# the format-2 frame writer as it was written before it formatted a frame
+# line in one step, kept verbatim as the oracle that must reproduce bit for
+# bit
+
+
+def _reference_frame_arrays(frame):
+    pose, props = frame.ego_pose, frame.proposals
+    arrays = {"rotation": pose.rotation, "xy": pose.translation, "points": props.points, "scores": props.scores,
+              "queries": props.queries, "refined_scores": frame.refined_scores}
+    return {name: array for name, array in arrays.items() if array is not None}
+
+
+def _reference_encode(array):
+    return base64.b64encode(np.ascontiguousarray(array, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _reference_frame_to_dict(frame):
+    rec = {"kind": "frame", "time_s": float(frame.time_s), "chosen_index": frame.chosen_index,
+           "dt": float(frame.proposals.dt)}
+    return rec | {name: _reference_encode(array) for name, array in _reference_frame_arrays(frame).items()}
+
+
+def reference_frame_line(frame):
+    """One frame's format-2 line: ``json.dumps`` of the frame record."""
+    return json.dumps(_reference_frame_to_dict(frame))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import base64
 import json
 import logging
 import math
@@ -553,6 +554,79 @@ def test_eval_log_missing_a_middle_frame_exits_4_with_line(tmp_path, capsys):
     log_path.write_text("\n".join(lines) + "\n")
     assert main(["eval", "--log", str(log_path)]) == 4
     assert "line 5:" in capsys.readouterr().err
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _nan_point(rec):
+    points = np.frombuffer(base64.b64decode(rec["points"]), dtype="<f8").copy()
+    points[7] = math.nan
+    rec["points"] = _b64(points)
+
+
+# faults the reader finds while it decodes a line (the byte length) and
+# while it checks the stacked frames (the rest)
+STACKED_LOG_FAULTS = {
+    "non_finite_point": _nan_point,
+    "non_finite_xy": lambda rec: rec.update(xy=_b64([0.0, math.inf])),
+    "non_orthonormal_rotation": lambda rec: rec.update(rotation=_b64([1.0, 1e-6, 0.0, 1.0])),
+    "determinant_minus_one": lambda rec: rec.update(rotation=_b64([1.0, 0.0, 0.0, -1.0])),
+    "wrong_byte_length": lambda rec: rec.update(scores=_b64([0.1] * 7)),
+    "bad_chosen_index": lambda rec: rec.update(chosen_index=6),
+}
+
+
+@pytest.fixture(scope="module")
+def six_frame_log(tmp_path_factory):
+    """The lines of a saved 6-frame momentum log: a header, then frames 0-5
+    on lines 2-7."""
+    log, _ = run_closed_loop(ScenarioSpec("arc_turn", 3.0, 5.0, seed=4), RunSettings(history_depth=2))
+    path = tmp_path_factory.mktemp("six") / "run.jsonl"
+    save_log(log, path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 7
+    return lines
+
+
+def _eval_with_faults(tmp_path, capsys, lines, faults):
+    """``eval`` on the log with each ``{line: fault}`` applied; its exit
+    code and standard error."""
+    lines = list(lines)
+    for line, fault in faults.items():
+        if fault == "invalid_json":
+            lines[line - 1] = lines[line - 1][: len(lines[line - 1]) // 2]
+        else:
+            rec = json.loads(lines[line - 1])
+            STACKED_LOG_FAULTS[fault](rec)
+            lines[line - 1] = json.dumps(rec)
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    return main(["eval", "--log", str(path)]), capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [4, 7])
+@pytest.mark.parametrize("fault", list(STACKED_LOG_FAULTS))
+def test_eval_names_the_line_of_a_bad_frame_in_the_stacked_reader(tmp_path, capsys, six_frame_log, fault, line):
+    code, err = _eval_with_faults(tmp_path, capsys, six_frame_log, {line: fault})
+    assert code == 4
+    assert f"line {line}:" in err
+
+
+@pytest.mark.parametrize("first, second", [
+    ("non_finite_point", "wrong_byte_length"),
+    ("wrong_byte_length", "determinant_minus_one"),
+    ("determinant_minus_one", "non_finite_xy"),
+    ("bad_chosen_index", "non_orthonormal_rotation"),
+    ("non_orthonormal_rotation", "invalid_json"),
+])
+def test_eval_names_the_first_of_two_bad_frames(tmp_path, capsys, six_frame_log, first, second):
+    # whichever of the two faults the reader meets first, decoding line by
+    # line or checking the stacks, the earlier line is the one named
+    code, err = _eval_with_faults(tmp_path, capsys, six_frame_log, {5: first, 6: second})
+    assert code == 4
+    assert "line 5:" in err and "line 6" not in err
 
 
 def test_eval_missing_log_exits_3(tmp_path):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from helpers import (
     reference_at_step,
     reference_candidate_queries,
+    reference_frame_line,
     reference_lateral_normals,
     reference_propose,
     reference_relative_pose,
@@ -242,6 +243,21 @@ def test_accepted_tracks_at_the_bound_build_every_box(velocity):
             past[axis] = math.nextafter(center[axis], math.copysign(math.inf, v))
             with pytest.raises(ConfigError):
                 ScriptedObstacle(ObstacleBox(tuple(past), 0.3, 4.0, 2.0), velocity)
+
+
+def test_track_steps_past_the_bound_are_refused():
+    # a track accepted at the bound reaches it at MAX_TRACK_STEP; a step past
+    # that, or a path longer than MAX_HORIZON_STEPS past the scene, is a
+    # ConfigError naming the bound, not a ShapeError from inside the box
+    obstacle = ScriptedObstacle(ObstacleBox((1e7 - 61_000.0, 0.0), 0.0, 4.0, 2.0), (100.0, 0.0))
+    spec = ScenarioSpec("straight", 600.0, 100.0, obstacles=(obstacle,))
+    assert obstacle.at_step(MAX_TRACK_STEP).center == (MAX_OBSTACLE_COORD_M, 0.0)
+    for step in (1221, -1):
+        with pytest.raises(ConfigError, match="MAX_TRACK_STEP"):
+            obstacle.at_step(step)
+    for extra in (21, -1):
+        with pytest.raises(ConfigError, match="MAX_HORIZON_STEPS"):
+            gen_scenario(spec, extra_steps=extra)
 
 
 def test_scenario_bounds_are_inclusive():
@@ -1220,7 +1236,8 @@ def _headings(rng, m):
 
 def frame_stack(f, n, seed):
     """F poses, the F poses before them, (F, N, 2) points, 1-3 scripted
-    obstacles and F absolute steps, drawn from ``seed``."""
+    obstacles and F absolute steps up to ``MAX_TRACK_STEP``, drawn from
+    ``seed``."""
     rng = np.random.default_rng(seed)
     poses, prevs = (
         [Pose2.from_heading(h, xy) for h, xy in zip(_headings(rng, f).tolist(), _coords(rng, (f, 2)))]
@@ -1232,7 +1249,7 @@ def frame_stack(f, n, seed):
     velocities = _coords(rng, (o, 2)) * 5e-5  # at most 71 m/s, signed zeros kept
     obstacles = [ScriptedObstacle(ObstacleBox(c, h, length, width), v)
                  for (c, h, (length, width)), v in zip(boxes, velocities)]
-    return poses, prevs, points, obstacles, rng.integers(0, 2400, f)
+    return poses, prevs, points, obstacles, rng.integers(0, MAX_TRACK_STEP + 1, f)
 
 
 def _bits(*values) -> bytes:
@@ -1287,6 +1304,32 @@ def test_debug_level_times_each_rollout_outside_logs_and_csvs(caplog, monkeypatc
         assert re.fullmatch(rf"stream {how}: stream \d+ us, choose \d+ us, score \d+ us", line), line
     for run_q, run_l in zip(quiet, loud):
         assert _same_run(run_q, run_l)
+
+
+def test_debug_level_times_each_load_and_replay_outside_their_results(tmp_path, caplog, monkeypatch):
+    log, _ = run_closed_loop(STREAM_SPEC, STREAM_SETTINGS)
+    path = tmp_path / "run.jsonl"
+    save_log(log, path)
+
+    def refuse():
+        raise AssertionError("a load or replay below debug level did timing work")
+
+    caplog.set_level(logging.INFO, logger="momentum_planning")
+    with monkeypatch.context() as patched:
+        patched.setattr(simulator, "perf_counter_ns", refuse)
+        quiet_log = load_log(path)
+        quiet = report_from_log(quiet_log)
+    assert not caplog.records
+    caplog.set_level(logging.DEBUG, logger="momentum_planning")
+    loud_log = load_log(path)
+    loud = report_from_log(loud_log)
+    lines = [r.getMessage() for r in caplog.records]
+    n = len(log.frames)
+    assert len(lines) == 2
+    assert re.fullmatch(rf"load_log: {n} frames, decode \d+ us, check \d+ us", lines[0]), lines[0]
+    assert re.fullmatch(rf"report_from_log: {n} frames, scene \d+ us, score \d+ us", lines[1]), lines[1]
+    assert log_to_jsonl(loud_log) == log_to_jsonl(quiet_log) == path.read_text()
+    assert loud.to_csv_text() == quiet.to_csv_text()
 
 
 # ---------------------------------------------------------------------------
@@ -1642,6 +1685,17 @@ def test_v2_round_trip_keeps_every_float_bit(tmp_path_factory, log):
     assert_logs_bit_equal(round_trip(log, tmp_path_factory.mktemp("raw")), log)
 
 
+@settings(max_examples=100, deadline=None)
+@given(log=raw_frame_logs(), first_time=st.sampled_from([0, 0.0, -0.0, np.float64(0.0)]))
+def test_frame_lines_equal_json_dumps_of_the_frame_record(log, first_time):
+    # the one-step writer against json.dumps of the record: any finite
+    # floats, -0.0 and subnormals in every array, refined scores present and
+    # absent, and a first frame planned at an int, a signed or a numpy zero
+    frames = (dataclasses.replace(log.frames[0], time_s=first_time),) + log.frames[1:]
+    lines = log_to_jsonl(dataclasses.replace(log, frames=frames)).splitlines()[1:]
+    assert lines == [reference_frame_line(frame) for frame in frames]
+
+
 def test_v2_frame_carries_no_chosen_plan_and_one_dt():
     log, _ = run_closed_loop(arc_spec(seed=2), RunSettings(planner="momentum", history_depth=2))
     lines = log_to_jsonl(log).splitlines()
@@ -1793,3 +1847,64 @@ def test_v2_fixture_replays_to_its_csv_and_reruns_to_its_bytes(monkeypatch):
     monkeypatch.setattr(simulator, "_last_stream", None)  # a cold stream, from the header alone
     rerun, _ = run_closed_loop(log.spec, log.settings)
     assert log_to_jsonl(rerun) == text
+
+
+# ---------------------------------------------------------------------------
+# a golden digest of logs, metrics and replays over a seeded sweep
+
+SWEEP_SETTINGS = (
+    RunSettings(planner="momentum", history_depth=2),
+    RunSettings(planner="oneshot", history_depth=0),
+    RunSettings(planner="momentum", history_depth=1, protocol="uniad", k=4, horizon_steps=10,
+                horizons_s=(0.5, 1.0, 2.5, 3.0)),
+)
+# the SHA-256 of every log, metrics CSV and replayed CSV of the sweep, in
+# order, as the per-frame writer, reader and fold wrote them
+SWEEP_DIGEST = "df4dc675fa9891bb3947f2d6faaea1046d7a24d438c86b9bd52d43778732e2a3"
+
+
+def sweep_scenes():
+    """Eight turn scenes, arc turns and S-curves of 3-5 s, and eight
+    obstacle scenes, straight, arc and S-curve roads past a box parked near
+    the path and a moving one, all drawn from one seed."""
+    rng = np.random.default_rng(2026)
+
+    def uniform(lo, hi):
+        return float(rng.uniform(lo, hi))
+
+    scenes = [
+        ScenarioSpec(("arc_turn", "s_curve")[i % 2], (3.0, 4.0, 5.0)[i % 3], uniform(4.0, 9.0),
+                     radius_m=uniform(15.0, 40.0), angle_rad=uniform(math.pi / 3, 2 * math.pi / 3),
+                     seed=int(rng.integers(2**31)))
+        for i in range(8)
+    ]
+    for i in range(8):
+        speed = uniform(4.0, 8.0)
+        parked = ObstacleBox((speed * uniform(1.0, 3.0), uniform(-1.0, 1.0)), uniform(-math.pi, math.pi), 4.5, 1.8)
+        moving = ObstacleBox((uniform(5.0, 25.0), uniform(-6.0, 6.0)), uniform(-math.pi, math.pi), 4.0, 1.8)
+        obstacles = (ScriptedObstacle(parked), ScriptedObstacle(moving, (uniform(-1.5, 1.5), uniform(-1.5, 1.5))))
+        scenes.append(ScenarioSpec(("straight", "arc_turn", "s_curve")[i % 3], 4.0, speed,
+                                   radius_m=uniform(20.0, 40.0), angle_rad=uniform(math.pi / 4, math.pi / 2),
+                                   obstacles=obstacles, seed=int(rng.integers(2**31))))
+    return scenes
+
+
+def test_sweep_logs_metrics_and_replays_match_their_golden_digest(tmp_path):
+    # 16 scenes x 3 settings: momentum at depth 2, one-shot, and momentum at
+    # depth 1 under the averaged L2 protocol with K = 4 and 10 steps; half
+    # the rollouts hit a box, so the collision bits count too
+    digest = hashlib.sha256()
+    path = tmp_path / "sweep.jsonl"
+    collided = 0
+    for spec in sweep_scenes():
+        for settings_ in SWEEP_SETTINGS:
+            log, report = run_closed_loop(spec, settings_)
+            save_log(log, path)
+            text = path.read_text()
+            loaded = load_log(path)
+            assert log_to_jsonl(loaded) == text
+            for part in (text, report.to_csv_text(), report_from_log(loaded).to_csv_text()):
+                digest.update(part.encode())
+            collided += any(report.collision_rate.values())
+    assert collided == 24
+    assert digest.hexdigest() == SWEEP_DIGEST

@@ -19,6 +19,7 @@ from momentum_planning.trajectory import (
     overlap_mask,
     relative_pose,
     resample,
+    _mean,
     rotation_matrix,
     trajectory_from_dict,
     trajectory_to_dict,
@@ -128,6 +129,16 @@ def test_pose_rejects_non_finite_entries(bad, where):
     (rot if where == "rotation" else trans).flat[1] = bad
     with pytest.raises(InvalidPoseError, match="non-finite"):
         Pose2(rot, trans)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=4), st.data())
+def test_mean_equals_ndarray_mean_bit_for_bit(shape, data):
+    x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+    x *= 10.0 ** data.draw(st.integers(-300, 300))
+    axis = data.draw(st.integers(-len(shape), len(shape) - 1))
+    keepdims = data.draw(st.booleans())
+    assert _mean(x, axis, keepdims).tobytes() == x.mean(axis=axis, keepdims=keepdims).tobytes()
 
 
 # --- frame transforms -------------------------------------------------------------
