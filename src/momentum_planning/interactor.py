@@ -275,8 +275,12 @@ def score_gate(batch: QueryBatch, weights: WeightBundle, activation: str = "iden
 def _lstm_gates(x, h, c, w_ih, w_hh, b):
     # one cell update for all rows of x, h, c (each (..., K, D)); h = c =
     # None is the zero state, which skips the recurrent product and f * c.
-    # Returns every intermediate, gate order along the 4D axis is i, f, g, o
-    a = x @ w_ih.T + b if h is None else x @ w_ih.T + h @ w_hh.T + b
+    # Returns every intermediate, gate order along the 4D axis is i, f, g, o.
+    # The sums run in place, in the order x @ w_ih.T + h @ w_hh.T + b adds
+    a = x @ w_ih.T
+    if h is not None:
+        a += h @ w_hh.T
+    a += b
     d = len(b) // 4
     s = sigmoid(a)
     i, f, o = s[..., :d], s[..., d : 2 * d], s[..., 3 * d :]
@@ -376,11 +380,13 @@ def _head_input(query, instance_features):
     if feats.shape[-2] == 0:
         raise EmptyInputError("plan head needs at least one instance feature row")
     pooled = _mean(feats, -2)
-    if pooled.shape != q.shape:
-        # one pool for many queries; broadcast_to would cost the one-query
-        # reverse pass more than the rest of this stage
-        pooled = np.broadcast_to(pooled, q.shape)
-    return np.concatenate([q, pooled], axis=-1)
+    # each query and its pool (one pool may serve many queries) written side
+    # by side: cheaper than broadcast_to and concatenate for the stacked selection
+    d = q.shape[-1]
+    z = np.empty(q.shape[:-1] + (2 * d,))
+    z[..., :d] = q
+    z[..., d:] = pooled
+    return z
 
 
 def _score_head(z, weights: WeightBundle):

@@ -181,18 +181,25 @@ def _pair_distances(moved, plans, kind: DistanceKind) -> np.ndarray:
     the one definition of both; ``hausdorff``, ``trajectory_distance`` and
     ``ttm_select`` are its calls on one frame."""
     if kind is DistanceKind.HAUSDORFF:
-        a = moved[:, :, None, :, None, :]
-        b = plans[:, None, :, None, :, :]
-        # squared (F, K, K', N, M) distances, built in place to hold two
-        # such arrays at most; sqrt is monotone, so taking it after the
-        # minima and maxima gives the same values
-        sq = a[..., 0] - b[..., 0]
+        a = moved.transpose(2, 0, 1, 3)[:, None, :, :, None, :]
+        b = plans.transpose(2, 0, 1, 3)[None, :, :, None, :, :]
+        # squared (N, M, F, K, K') distances in C order, built in place to
+        # hold two such arrays at most.  The waypoint axes come first: numpy
+        # reduces over a short last axis row by row, tens of ns a row, and
+        # over an outer axis down whole rows at once.  A min or max is exact
+        # in any order, and every entry is >= +0.0 or inf, so these equal
+        # the reductions over inner axes bit for bit; sqrt is monotone, so
+        # taking it after them gives the same values
+        sq = np.subtract(a[..., 0], b[..., 0], order="C")
         sq *= sq
-        dy = a[..., 1] - b[..., 1]
+        dy = np.subtract(a[..., 1], b[..., 1], order="C")
         dy *= dy
         sq += dy
         del dy
-        return np.sqrt(np.maximum(sq.min(axis=-1).max(axis=-1), sq.min(axis=-2).max(axis=-1)))
+        # directed sup-inf from the moved points (min over M, max over N),
+        # then from the plans' (min over N, max over M)
+        to_plans = np.maximum.reduce(np.minimum.reduce(sq, 1), 0)
+        return np.sqrt(np.maximum(to_plans, np.maximum.reduce(np.minimum.reduce(sq, 0), 0)))
     return _mean(_displacements(moved[:, :, None], plans[:, None]), -1)
 
 

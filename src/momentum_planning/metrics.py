@@ -304,12 +304,13 @@ def tpc(
 
 
 def _best_displacements(points: np.ndarray, gt: np.ndarray):
-    """Min ADE (F,), min FDE (F,) and the ADE winner (F,) of candidate
-    stacks (F, K, N, 2) against ground truths (F, N, 2); ties go to the
-    lowest index."""
+    """Min ADE (F,), min FDE (F,) and every candidate's ADE (F, K) of
+    candidate stacks (F, K, N, 2) against ground truths (F, N, 2).  The
+    last is the minimum's operand, returned for ``min_ade_fde``, the one
+    caller that names the ADE winner."""
     d = _displacements(points, gt[:, None])
     ade = _mean(d, -1)
-    return ade.min(axis=-1), d[..., -1].min(axis=-1), ade.argmin(axis=-1)
+    return ade.min(axis=-1), d[..., -1].min(axis=-1), ade
 
 
 def min_ade_fde(candidates: TrajectorySet, gt: Trajectory):
@@ -322,8 +323,8 @@ def min_ade_fde(candidates: TrajectorySet, gt: Trajectory):
     n = candidates.points.shape[1]
     if n != len(gt):
         raise AlignmentError(f"candidate length {n} != ground-truth length {len(gt)}")
-    ade, fde, best = _best_displacements(candidates.points[None], gt.points[None])
-    return float(ade[0]), float(fde[0]), int(best[0])
+    ade, fde, per_candidate = _best_displacements(candidates.points[None], gt.points[None])
+    return float(ade[0]), float(fde[0]), int(per_candidate[0].argmin())
 
 
 def focal_loss(prob: float, target: int, alpha: float = 0.25, gamma: float = 2.0) -> float:

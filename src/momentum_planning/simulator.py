@@ -54,7 +54,8 @@ from .matching import DistanceKind, TrajectorySet, _displacements, _moved, _pair
 from .metrics import MAX_OBSTACLE_COORD_M, L2Protocol, MetricReport, ObstacleBox, _best_displacements
 from .metrics import _consistency_sq, _fold_report, _horizon_index, _mean_of, _number, _swept_hits
 from .metrics import collision_flags, l2_error, min_ade_fde, tpc  # noqa: F401
-from .trajectory import Pose2, Trajectory, _frame_delta, _from_frame, _mean, _to_frame, trajectory_from_dict
+from .trajectory import Pose2, Trajectory, _frame_delta, _from_frame, _mean, _to_frame, rotation_matrix
+from .trajectory import trajectory_from_dict
 from .trajectory import transform_to_frame  # noqa: F401
 
 # The per-trajectory metrics above score one frame each and report_from_log
@@ -498,21 +499,24 @@ def _lateral_normals(points: np.ndarray) -> np.ndarray:
     a unit step along x."""
     n = points.shape[-2]
     if n > 1:
-        seg = np.diff(points, axis=-2)
+        seg = points[..., 1:, :] - points[..., :-1, :]
     else:
         seg = np.zeros(points.shape[:-2] + (1, 2)) + (1.0, 0.0)
     # math.hypot, not np.hypot: the two can differ in the last bit
-    norms = np.array([math.hypot(dx, dy) for dx, dy in seg.reshape(-1, 2).tolist()])
+    flat = seg.reshape(-1, 2)
+    norms = np.array(list(map(math.hypot, flat[:, 0].tolist(), flat[:, 1].tolist())))
     norms = norms.reshape(seg.shape[:-1])
     keep = norms > 0.0
     unit = seg[..., ::-1] * (-1.0, 1.0)
-    np.divide(unit, norms[..., None], out=unit, where=keep[..., None])
-    if not keep.all():
+    if keep.all():
+        unit /= norms[..., None]
+    else:
+        np.divide(unit, norms[..., None], out=unit, where=keep[..., None])
         carried = np.maximum.accumulate(np.where(keep, np.arange(seg.shape[-2]), -1), axis=-1)
         unit = np.where(
             (carried < 0)[..., None], (0.0, 1.0), np.take_along_axis(unit, carried[..., None], axis=-2)
         )
-    return unit[..., np.minimum(np.arange(n), seg.shape[-2] - 1), :]
+    return unit if n == 1 else np.concatenate([unit, unit[..., -1:, :]], axis=-2)
 
 
 def _fan_width(k: int, n: int) -> int:
@@ -662,17 +666,23 @@ def _choose_momentum(stream: _Stream, settings: RunSettings, weights: WeightBund
     cell = (weights.get("lstm.W_ih"), weights.get("lstm.W_hh"), weights.get("lstm.b"))
     block = max(1, _SELECT_BLOCK_ELEMENTS // (k * max(k * n * n, 4 * d_q)))
     zero = np.zeros((1, k, d_q))
+    timed = _logger.isEnabledFor(logging.DEBUG)
+    clock = perf_counter_ns if timed else int  # below debug level int() stands in: 0, no timing
+    mix_ns = refine_ns = ttm_ns = 0
     for s in range(1, n_frames, block):
         e = min(s + block, n_frames)
+        t0 = clock()
         hist, lo = slice(s - 1, e - 1), max(0, s - settings.history_depth)
         gated = _score_gate(queries[lo : e - 1], scores[lo : e - 1], weights, "identity")[-1]
         _, _, _, _, c1, _, mixed = _lstm_gates(gated, None, None, *cell)
         if settings.history_depth == 2:
             h0, c0 = (np.concatenate([zero, a[:-1]]) for a in (mixed, c1))
             mixed = _lstm_gates(gated, h0, c0, *cell)[-1]
+        t1 = clock()
         # (frames, TTM pick, K)
         refined = _refined_scores(queries[s:e], mixed[s - 1 - lo :, None], queries[s:e][:, None], weights)
         best = refined.argmax(axis=-1).tolist()
+        t2 = clock()
         reach = [[chosen[-1]]] + [sorted(set(row)) for row in best[:-1]]
         width = max(map(len, reach))
         cols = np.array([r + r[:1] * (width - len(r)) for r in reach])
@@ -684,6 +694,13 @@ def _choose_momentum(stream: _Stream, settings: RunSettings, weights: WeightBund
             picks.append(ttm[t][reach[t].index(chosen[-1])])
             chosen.append(best[t][picks[-1]])
         refined_rows.extend(refined[np.arange(e - s), picks])
+        t3 = clock()
+        mix_ns, refine_ns, ttm_ns = mix_ns + t1 - t0, refine_ns + t2 - t1, ttm_ns + t3 - t2
+    if timed:
+        _logger.debug(
+            "choose momentum: %d frames, gate + cell %d us, refined scores %d us, TTM + chase %d us",
+            n_frames, mix_ns // 1000, refine_ns // 1000, ttm_ns // 1000,
+        )
     return chosen, refined_rows
 
 
@@ -783,9 +800,9 @@ def _stream(spec: ScenarioSpec, settings: RunSettings) -> _Stream:
         # shared step nonzero or +0.0, so this sum equals it bit for bit
         first = _to_frame(world[j : j + 1], pose.rotation, pose.translation) + shared_first[j - 1]
         step_world = _from_frame(first, pose.rotation, pose.translation)[0]
-        disp = step_world - pose.translation
-        heading = math.atan2(disp[1], disp[0]) if (disp[0], disp[1]) != (0.0, 0.0) else pose.heading()
-        pose = Pose2.from_heading(heading, step_world)
+        dx, dy = (step_world - pose.translation).tolist()
+        heading = math.atan2(dy, dx) if (dx, dy) != (0.0, 0.0) else pose.heading()
+        pose = Pose2(rotation_matrix(heading), step_world)
         poses.append(pose)
     rot, xy = _pose_stack(poses)
     steps, gt = _futures(world, rot, xy, h)

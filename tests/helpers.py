@@ -5,8 +5,10 @@ obstacle motion that their batched kernels' one-frame calls must
 reproduce, and the per-candidate proposal and matching loops,
 the per-frame momentum step and the per-frame rollout and scoring loops
 that the batched ``propose``, ``ttm_select``, ``step_momentum``,
-``run_closed_loop`` and ``report_from_log`` must reproduce, and the
-``json.dumps`` frame writer that the one-step writer must reproduce."""
+``run_closed_loop`` and ``report_from_log`` must reproduce, the
+``json.dumps`` frame writer that the one-step writer must reproduce, and
+the TTM distance table and the plan head's input as they were written
+before their kernels were reordered."""
 
 import base64
 import json
@@ -32,6 +34,7 @@ from momentum_planning.trajectory import (
     OverlapMask,
     Pose2,
     Trajectory,
+    _mean,
     overlap_mask,
     resample,
 )
@@ -160,6 +163,24 @@ def reference_sq_loss_and_grads(selected_query, history, instance_features, weig
         grads["mlp.b"] += d_act.sum(axis=0)
 
     return loss, grads
+
+
+def reference_head_input(query, instance_features):
+    """``interactor._head_input`` as it was when it concatenated the
+    queries with their broadcast pool, kept verbatim as the oracle its
+    in-place fill must reproduce bit for bit."""
+    q = np.asarray(query, dtype=np.float64)
+    feats = np.asarray(instance_features, dtype=np.float64)
+    if feats.ndim < 2 or feats.shape[-1] != q.shape[-1]:
+        raise ShapeError(f"features must be (M, {q.shape[-1]}), got {feats.shape}")
+    if feats.shape[-2] == 0:
+        raise EmptyInputError("plan head needs at least one instance feature row")
+    pooled = _mean(feats, -2)
+    if pooled.shape != q.shape:
+        # one pool for many queries; broadcast_to would cost the one-query
+        # reverse pass more than the rest of this stage
+        pooled = np.broadcast_to(pooled, q.shape)
+    return np.concatenate([q, pooled], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +330,25 @@ def reference_trajectory_distance(a, b, kind):
         return reference_hausdorff(a, b)
     n = max(len(a), len(b))
     return reference_mean_euclidean(resample(a, n), resample(b, n))
+
+
+def reference_hausdorff_table(moved, plans):
+    """The Hausdorff branch of ``matching._pair_distances`` as it was when
+    it reduced over the inner waypoint axes, kept verbatim as the oracle
+    its outer-axis reductions must reproduce bit for bit: the (F, K, K')
+    distances of moved candidates (F, K, N, 2) to plans (F, K', M, 2)."""
+    a = moved[:, :, None, :, None, :]
+    b = plans[:, None, :, None, :, :]
+    # squared (F, K, K', N, M) distances, built in place to hold two
+    # such arrays at most; sqrt is monotone, so taking it after the
+    # minima and maxima gives the same values
+    sq = a[..., 0] - b[..., 0]
+    sq *= sq
+    dy = a[..., 1] - b[..., 1]
+    dy *= dy
+    sq += dy
+    del dy
+    return np.sqrt(np.maximum(sq.min(axis=-1).max(axis=-1), sq.min(axis=-2).max(axis=-1)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_head_input
+
 from momentum_planning.errors import EmptyInputError, ShapeError
 from momentum_planning.interactor import (
     WEIGHT_NAMES,
@@ -337,6 +339,23 @@ def test_batched_stages_equal_the_unbatched_stage_on_every_slice(inp):
         # the public one-query stages that mpi_forward composes give the same
         public = plan_head(cross_attention(query[idx], one_keys, one_keys, wb), one_keys, wb)[1]
         assert same_bits(refined_scores[idx], public)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 4), max_size=2), st.integers(1, 16), st.integers(1, 128), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_head_input_equals_the_concatenated_pool_bit_for_bit(lead, m, d, shared, seed):
+    # one query beside the pool of its M feature rows, or stacked queries,
+    # each beside its own pool or beside one pool shared along the last
+    # leading axis, as the stacked selection shares a frame's pool among
+    # the queries of its TTM picks
+    lead = tuple(lead)
+    rng = np.random.default_rng(seed)
+    feat_lead = lead[:-1] + (1,) if lead and shared else lead
+    query, feats = rng.standard_normal(lead + (d,)), rng.standard_normal(feat_lead + (m, d))
+    got, expected = _head_input(query, feats), reference_head_input(query, feats)
+    assert got.shape == expected.shape == lead + (2 * d,)
+    assert got.tobytes() == expected.tobytes()
 
 
 # --- weights -----------------------------------------------------------------------

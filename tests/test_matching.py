@@ -9,6 +9,7 @@ from helpers import (
     outcome,
     reference_directed_hausdorff,
     reference_hausdorff,
+    reference_hausdorff_table,
     reference_mean_euclidean,
     reference_trajectory_distance,
     reference_ttm_select,
@@ -24,7 +25,8 @@ from momentum_planning.matching import (
     trajectory_distance,
     ttm_select,
 )
-from momentum_planning.trajectory import Pose2, Trajectory, transform_from_frame
+from momentum_planning.simulator import _SELECT_BLOCK_ELEMENTS
+from momentum_planning.trajectory import Pose2, Trajectory, rotation_matrix, transform_from_frame
 
 coord = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
@@ -259,6 +261,44 @@ def test_pair_distances_equal_trajectory_distance(kind, f, k, k_prev, n, m, seed
     for j, a, b in np.ndindex(*dist.shape):
         expected = reference_trajectory_distance(Trajectory(moved[j, a]), Trajectory(plans[j, b]), kind)
         assert dist[j, a, b] == expected
+
+
+@st.composite
+def hausdorff_tables(draw):
+    """Moved candidates (F, K, N, 2) and plans (F, K', M, 2) as the momentum
+    selection passes them: F from 1 to a full selection block of these
+    sizes, K' from 1 to K, N and M drawn apart, the candidates a ``_moved``
+    output (sometimes a strided view of one) and the plans a gather of the
+    frame before's rows by column, as ``points[hist][..., cols]`` is.  Some
+    draws place points about 1e200 m apart, so that squared distances, or
+    the differences themselves, overflow to inf."""
+    k, n, m = draw(st.integers(1, 16)), draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    width = draw(st.integers(1, k))
+    block = max(1, _SELECT_BLOCK_ELEMENTS // (k * width * n * m))
+    f = draw(st.one_of(st.just(block), st.integers(1, min(block, 12))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.01, 1.0, 30.0]))
+    points = np.cumsum(rng.normal(0.0, scale, (f + 1, k, max(n, m), 2)), axis=2)
+    if draw(st.booleans()):
+        # far points, some on each side of the origin
+        points[rng.random(points.shape[:3]) < 0.3] += rng.choice([-1e200, 1e200], 2)
+    rot = np.stack([rotation_matrix(a) for a in rng.uniform(-math.pi, math.pi, f)])
+    moved = _moved(points[1:, :, :n], rot, rng.normal(0.0, 5.0, (f, 2)))
+    if draw(st.booleans()):
+        moved = moved[:, ::-1, ::-1]
+    cols = rng.integers(0, k, (f, width))
+    plans = points[:-1, :, :m][np.arange(f)[:, None], cols]
+    return moved, plans
+
+
+@settings(max_examples=200, deadline=None)
+@given(hausdorff_tables())
+def test_hausdorff_table_equals_the_inner_axis_reductions_bit_for_bit(case):
+    moved, plans = case
+    with np.errstate(over="ignore"):
+        got = _pair_distances(moved, plans, DistanceKind.HAUSDORFF)
+        expected = reference_hausdorff_table(moved, plans)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
 def _ttm_table(points, plans, kind):

@@ -1299,8 +1299,14 @@ def test_debug_level_times_each_rollout_outside_logs_and_csvs(caplog, monkeypatc
     simulator._last_stream = None
     loud = [run_closed_loop(STREAM_SPEC, st_) for st_ in pair]
     lines = [r.getMessage() for r in caplog.records]
-    assert len(lines) == 2
-    for line, how in zip(lines, ("built", "reused")):
+    # the momentum rollout's selection times its stages in a line of its own
+    assert len(lines) == 3
+    f = len(loud[0][0].frames)
+    assert re.fullmatch(
+        rf"choose momentum: {f} frames, gate \+ cell \d+ us, refined scores \d+ us, TTM \+ chase \d+ us",
+        lines[0],
+    ), lines[0]
+    for line, how in zip(lines[1:], ("built", "reused")):
         assert re.fullmatch(rf"stream {how}: stream \d+ us, choose \d+ us, score \d+ us", line), line
     for run_q, run_l in zip(quiet, loud):
         assert _same_run(run_q, run_l)
