@@ -275,13 +275,22 @@ def score_gate(batch: QueryBatch, weights: WeightBundle, activation: str = "iden
 def _lstm_gates(x, h, c, w_ih, w_hh, b):
     # one cell update for all rows of x, h, c (each (..., K, D)); h = c =
     # None is the zero state, which skips the recurrent product and f * c.
-    # Returns every intermediate, gate order along the 4D axis is i, f, g, o.
-    # The sums run in place, in the order x @ w_ih.T + h @ w_hh.T + b adds
-    a = x @ w_ih.T
-    if h is not None:
-        a += h @ w_hh.T
-    a += b
-    d = len(b) // 4
+    # Returns every intermediate, gate order along the 4D axis is i, f, g, o
+    return _lstm_step(x @ w_ih.T, h, c, w_hh, b)
+
+
+def _lstm_step(xw, h, c, w_hh, b):
+    # the same update given its input product xw = x @ w_ih.T (..., K, 4D),
+    # which steps on the same rows share, so it is never written: the sums
+    # go to a new array, and since float addition commutes, h @ w_hh.T + xw
+    # + b gives the bits of x @ w_ih.T + h @ w_hh.T + b
+    if h is None:
+        a = xw + b
+    else:
+        a = h @ w_hh.T
+        a += xw
+        a += b
+    d = a.shape[-1] // 4
     s = sigmoid(a)
     i, f, o = s[..., :d], s[..., d : 2 * d], s[..., 3 * d :]
     g = np.tanh(a[..., 2 * d : 3 * d])

@@ -104,11 +104,9 @@ class TrajectorySet:
             array.setflags(write=False)
         sets = []
         for p, s, q in zip(pts, scores, queries):
+            # the fields as the frozen dataclass's __init__ would set them
             out = cls.__new__(cls)
-            object.__setattr__(out, "points", p)
-            object.__setattr__(out, "dt", dt)
-            object.__setattr__(out, "scores", s)
-            object.__setattr__(out, "queries", q)
+            out.__dict__.update(points=p, dt=dt, scores=s, queries=q)
             sets.append(out)
         return tuple(sets)
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError, EmptyInputError, HorizonError, LogCorruptionError, ShapeError
 from .interactor import QueryBatch, WeightBundle, mix_history, softmax
-from .interactor import _lstm_gates, _refined_scores, _score_gate
+from .interactor import _lstm_step, _refined_scores, _score_gate
 from .interactor import mpi_forward  # noqa: F401
 from .matching import DistanceKind, TrajectorySet, _displacements, _moved, _pair_distances, ttm_select
 from .metrics import MAX_OBSTACLE_COORD_M, L2Protocol, MetricReport, ObstacleBox, _best_displacements
@@ -93,11 +93,17 @@ MAX_SEED = 2**64 - 1
 # noise, and a rollout at it stays far inside the range and warns of nothing
 MAX_NOISE = 1e6
 
-# the most float64 values one frame block of the momentum selection pass
-# holds in one array: its (frames, K, K', N, N) pointwise distances or its
-# (frames, K, 4 d_q) cell pre-activations.  A rollout's whole stack of
-# either would outgrow its stream; at the size bounds a block is one frame.
+# the most float64 values the momentum selection pass holds at once for a
+# run of frames: one block's (frames, K, K', N, N) pointwise distances, or
+# the cell's working set over one span, ``_CELL_ARRAYS`` arrays the size of
+# its (frames, K, 4 d_q) pre-activations.  A rollout's whole stack of either
+# would outgrow its stream; at the size bounds a block is one frame and a
+# span two.
 _SELECT_BLOCK_ELEMENTS = 1 << 17
+# the input product, the pre-activations, the sigmoid and its two
+# temporaries, and the gates' quarter-width arrays: tracemalloc reads about
+# 5.5 pre-activations per frame of a span at the size bounds
+_CELL_ARRAYS = 6
 
 SCENARIO_KINDS = ("straight", "arc_turn", "s_curve")
 PLANNER_KINDS = ("oneshot", "momentum")
@@ -370,6 +376,18 @@ class RunSettings:
         return _read_record(RunSettings, obj, "settings")
 
 
+def _is_index(idx, k: int) -> bool:
+    return type(idx) is int and 0 <= idx < k
+
+
+def _index_error(idx, k: int) -> AlignmentError:
+    return AlignmentError(f"chosen_index must be an integer in [0, {k}), got {idx!r}")
+
+
+def _refined_error(k: int) -> ShapeError:
+    return ShapeError(f"refined_scores must be {k} finite numbers")
+
+
 @dataclass(frozen=True)
 class FrameRecord:
     """One planning step: what was proposed, chosen and where the ego was.
@@ -386,13 +404,53 @@ class FrameRecord:
 
     def __post_init__(self):
         k, idx = len(self.proposals), self.chosen_index
-        if type(idx) is not int or not 0 <= idx < k:
-            raise AlignmentError(f"chosen_index must be an integer in [0, {k}), got {idx!r}")
+        if not _is_index(idx, k):
+            raise _index_error(idx, k)
         if self.refined_scores is not None:
             refined = np.asarray(self.refined_scores, dtype=np.float64)
             if refined.shape != (k,) or not np.isfinite(refined).all():
-                raise ShapeError(f"refined_scores must be {k} finite numbers")
+                raise _refined_error(k)
+            refined.setflags(write=False)
             object.__setattr__(self, "refined_scores", refined)
+
+    @classmethod
+    def per_frame(cls, times, poses, proposals, chosen, refined=None, refined_frames=()) -> tuple:
+        """One record per frame, from each frame's time, pose, proposal set
+        and chosen index; the proposal sets share one K, as
+        ``TrajectorySet.per_frame`` builds them.  Row i of the (F', K)
+        ``refined`` block holds the refined scores of frame
+        ``refined_frames[i]``; the other frames have none.
+
+        The indices and the block are checked once, with the checks each
+        record would make, and the first record at fault raises its own
+        error.  The block is then made read-only; it is not copied, and each
+        refined frame holds a view of its row.
+        """
+        if not chosen:
+            return ()
+        k = len(proposals[0])
+        bad_index = next((j for j, idx in enumerate(chosen) if not _is_index(idx, k)), len(chosen))
+        bad_refined = len(chosen)
+        if refined is not None:
+            refined = np.asarray(refined, dtype=np.float64)
+            if refined_frames and (refined.ndim != 2 or refined.shape[1] != k):
+                bad_refined = refined_frames[0]
+            elif not np.isfinite(refined).all():
+                bad_refined = refined_frames[int(np.argmin(np.isfinite(refined).all(axis=1)))]
+        if min(bad_index, bad_refined) < len(chosen):
+            raise _index_error(chosen[bad_index], k) if bad_index <= bad_refined else _refined_error(k)
+        rows = {}
+        if refined is not None:
+            refined.setflags(write=False)
+            rows = dict(zip(refined_frames, refined))
+        records = []
+        for j, (time_s, pose, props, idx) in enumerate(zip(times, poses, proposals, chosen)):
+            # the fields as the frozen dataclass's __init__ would set them
+            record = cls.__new__(cls)
+            record.__dict__.update(time_s=time_s, ego_pose=pose, proposals=props, chosen_index=idx,
+                                   refined_scores=rows.get(j))
+            records.append(record)
+        return tuple(records)
 
     @property
     def chosen_trajectory(self) -> Trajectory:
@@ -641,61 +699,73 @@ def step_momentum(
 
 
 def _choose_momentum(stream: _Stream, settings: RunSettings, weights: WeightBundle):
-    """The momentum planner's chosen index and refined scores (None on the
-    first frame) for every frame of a stream, over its (F, K, N, 2) points,
-    (F, K) scores, (F, K, D) queries and frame deltas.
+    """The momentum planner's chosen index for every frame of a stream and
+    the (F-1, K) block of refined scores of every frame but the first, over
+    the stream's (F, K, N, 2) points, (F, K) scores, (F, K, D) queries and
+    frame deltas.
 
-    Frames go in blocks of at most ``_SELECT_BLOCK_ELEMENTS`` values per
-    array, and no state passes from one block to the next.  Each block
-    score-gates its history frames, and at depth 2 the one frame before
-    them, and runs the cell over them from the zero state; at depth 2 a
-    second step takes each frame j from frame j-2's state, and frame 1,
-    whose history is frame 0 alone, from the zero state.  Each frame's
-    refined scores are then computed for every candidate TTM could pick.
-    The previous frame's choice is one of its refined scores' argmaxes (the
-    choice made before the block, for the block's first frame), so TTM
-    distances are computed to those plans only.  The choices are chased
-    through the argmin and argmax tables over Python ints; ties go to the
-    lowest index.
+    Frames go in spans, and each span in blocks, that hold at most
+    ``_SELECT_BLOCK_ELEMENTS`` values at once, and no state passes from one
+    span to the next.  Each span score-gates its history frames, and at
+    depth 2 the one frame before them, takes their cell input product once
+    and runs the cell over them from the zero state; at depth 2 a second
+    step on the same product takes each frame j from frame j-2's state, and
+    frame 1, whose history is frame 0 alone, from the zero state.  Block by
+    block, each frame's refined scores are then computed for every candidate
+    TTM could pick.  The previous frame's choice is one of its refined
+    scores' argmaxes (the choice made before the block, for the block's
+    first frame), so TTM distances are computed to those plans only.  The
+    choices are chased through the argmin and argmax tables over Python
+    ints; ties go to the lowest index.
     """
     points, scores, queries = stream.scene.points, stream.scores, stream.queries
     delta_rot, delta_xy = stream.scene.delta_rot, stream.scene.delta_xy
     n_frames, k, n = points.shape[:3]
-    d_q = queries.shape[-1]
-    chosen, refined_rows = [int(np.argmax(scores[0]))], [None]
-    cell = (weights.get("lstm.W_ih"), weights.get("lstm.W_hh"), weights.get("lstm.b"))
-    block = max(1, _SELECT_BLOCK_ELEMENTS // (k * max(k * n * n, 4 * d_q)))
+    d_q, depth = queries.shape[-1], settings.history_depth
+    chosen, refined_rows = [int(np.argmax(scores[0]))], np.empty((n_frames - 1, k))
+    w_ih, w_hh, b = weights.get("lstm.W_ih"), weights.get("lstm.W_hh"), weights.get("lstm.b")
+    # a block holds (frames, K, K', N, N) distances and (frames, K, 2 d_q)
+    # head inputs
+    span = max(1, _SELECT_BLOCK_ELEMENTS // (_CELL_ARRAYS * k * 4 * d_q))
+    block = max(1, _SELECT_BLOCK_ELEMENTS // (k * max(k * n * n, 2 * d_q)))
     zero = np.zeros((1, k, d_q))
     timed = _logger.isEnabledFor(logging.DEBUG)
     clock = perf_counter_ns if timed else int  # below debug level int() stands in: 0, no timing
     mix_ns = refine_ns = ttm_ns = 0
-    for s in range(1, n_frames, block):
-        e = min(s + block, n_frames)
+    for span_start in range(1, n_frames, span):
+        span_end = min(span_start + span, n_frames)
         t0 = clock()
-        hist, lo = slice(s - 1, e - 1), max(0, s - settings.history_depth)
-        gated = _score_gate(queries[lo : e - 1], scores[lo : e - 1], weights, "identity")[-1]
-        _, _, _, _, c1, _, mixed = _lstm_gates(gated, None, None, *cell)
-        if settings.history_depth == 2:
+        lo = max(0, span_start - depth)
+        gated = _score_gate(queries[lo : span_end - 1], scores[lo : span_end - 1], weights, "identity")[-1]
+        xw = gated @ w_ih.T
+        _, _, _, _, c1, _, mixed = _lstm_step(xw, None, None, w_hh, b)
+        if depth == 2:
             h0, c0 = (np.concatenate([zero, a[:-1]]) for a in (mixed, c1))
-            mixed = _lstm_gates(gated, h0, c0, *cell)[-1]
-        t1 = clock()
-        # (frames, TTM pick, K)
-        refined = _refined_scores(queries[s:e], mixed[s - 1 - lo :, None], queries[s:e][:, None], weights)
-        best = refined.argmax(axis=-1).tolist()
-        t2 = clock()
-        reach = [[chosen[-1]]] + [sorted(set(row)) for row in best[:-1]]
-        width = max(map(len, reach))
-        cols = np.array([r + r[:1] * (width - len(r)) for r in reach])
-        plans = points[hist][np.arange(e - s)[:, None], cols]
-        moved = _moved(points[s:e], delta_rot[hist], delta_xy[hist])
-        ttm = _pair_distances(moved, plans, settings.distance).argmin(axis=1).tolist()
-        picks = []
-        for t in range(e - s):
-            picks.append(ttm[t][reach[t].index(chosen[-1])])
-            chosen.append(best[t][picks[-1]])
-        refined_rows.extend(refined[np.arange(e - s), picks])
-        t3 = clock()
-        mix_ns, refine_ns, ttm_ns = mix_ns + t1 - t0, refine_ns + t2 - t1, ttm_ns + t3 - t2
+            mixed = _lstm_step(xw, h0, c0, w_hh, b)[-1]
+        mix_ns += clock() - t0
+        for s in range(span_start, span_end, block):
+            e = min(s + block, span_end)
+            t1 = clock()
+            hist = slice(s - 1, e - 1)
+            # (frames, TTM pick, K)
+            refined = _refined_scores(
+                queries[s:e], mixed[s - 1 - lo : e - 1 - lo, None], queries[s:e][:, None], weights
+            )
+            best = refined.argmax(axis=-1).tolist()
+            t2 = clock()
+            reach = [[chosen[-1]]] + [sorted(set(row)) for row in best[:-1]]
+            width = max(map(len, reach))
+            cols = np.array([r + r[:1] * (width - len(r)) for r in reach])
+            plans = points[hist][np.arange(e - s)[:, None], cols]
+            moved = _moved(points[s:e], delta_rot[hist], delta_xy[hist])
+            ttm = _pair_distances(moved, plans, settings.distance).argmin(axis=1).tolist()
+            picks = []
+            for t in range(e - s):
+                picks.append(ttm[t][reach[t].index(chosen[-1])])
+                chosen.append(best[t][picks[-1]])
+            refined_rows[hist] = refined[np.arange(e - s), picks]
+            t3 = clock()
+            refine_ns, ttm_ns = refine_ns + t2 - t1, ttm_ns + t3 - t2
     if timed:
         _logger.debug(
             "choose momentum: %d frames, gate + cell %d us, refined scores %d us, TTM + chase %d us",
@@ -760,8 +830,8 @@ def _scene(rot, xy, steps, gt, points) -> _Scene:
 
 
 def _pose_stack(poses) -> tuple[np.ndarray, np.ndarray]:
-    """The (F, 2, 2) rotations and (F, 2) positions of F ``Pose2``s: how
-    the stream pass and a log stack their poses."""
+    """The (F, 2, 2) rotations and (F, 2) positions of a log's F
+    ``Pose2``s."""
     rot = np.array([p.rotation for p in poses]).reshape(-1, 2, 2)
     return rot, np.array([p.translation for p in poses]).reshape(-1, 2)
 
@@ -782,37 +852,53 @@ class _Stream:
 def _stream(spec: ScenarioSpec, settings: RunSettings) -> _Stream:
     """The stream pass of a rollout: the ego pose of every frame, every
     frame's proposals over one checked (F, K, N, 2) stack, and the scene
-    they are scored on."""
+    they are scored on.  At debug level it logs the time of each stage."""
+    timed = _logger.isEnabledFor(logging.DEBUG)
+    clock = perf_counter_ns if timed else int  # below debug level int() stands in: 0, no timing
     k, h, d_q = settings.k, settings.horizon_steps, settings.d_q
+    t0 = clock()
     world = _world(spec, h)
     n_frames = int(round(spec.duration_s / SIM_DT))
-    first_dir = world[1] - world[0]
-    pose = Pose2.from_heading(math.atan2(first_dir[1], first_dir[0]), (0.0, 0.0))
-
+    t1 = clock()
     width = _fan_width(k, h)
     draws = np.random.default_rng(spec.seed).standard_normal((n_frames, width + k * d_q))
     shared_first = 0.0 + settings.jitter_m * draws[:, :2]
-    poses = [pose]
+    t2 = clock()
+    first_dir = world[1] - world[0]
+    rot, xy = rotation_matrix(math.atan2(first_dir[1], first_dir[0])), np.zeros(2)
+    rots, xys = [rot], [xy]
     for j in range(1, n_frames):
         # step to the previous frame's first waypoint, which every candidate
         # shares: its ground truth, the one waypoint this step reads, plus
         # the shared step.  The fan's lateral offset there is +-0.0 and the
         # shared step nonzero or +0.0, so this sum equals it bit for bit
-        first = _to_frame(world[j : j + 1], pose.rotation, pose.translation) + shared_first[j - 1]
-        step_world = _from_frame(first, pose.rotation, pose.translation)[0]
-        dx, dy = (step_world - pose.translation).tolist()
-        heading = math.atan2(dy, dx) if (dx, dy) != (0.0, 0.0) else pose.heading()
-        pose = Pose2(rotation_matrix(heading), step_world)
-        poses.append(pose)
-    rot, xy = _pose_stack(poses)
+        first = _to_frame(world[j : j + 1], rot, xy) + shared_first[j - 1]
+        step_world = _from_frame(first, rot, xy)[0]
+        dx, dy = (step_world - xy).tolist()
+        # on a zero-length step the heading stays the rotation's own
+        heading = math.atan2(dy, dx) if (dx, dy) != (0.0, 0.0) else math.atan2(rot[1, 0], rot[0, 0])
+        rot, xy = rotation_matrix(heading), step_world
+        rots.append(rot)
+        xys.append(xy)
+    rot, xy = np.array(rots), np.array(xys)
+    poses = Pose2.per_frame(rot, xy)
+    t3 = clock()
     steps, gt = _futures(world, rot, xy, h)
-
     cands, scores, queries = _fan(gt, draws[:, :width], k, settings.mode_noise_m, settings.jitter_m, d_q)
     queries += (settings.ns * draws[:, width:]).reshape(n_frames, k, d_q)
     if settings.occlusion_start is not None:
         scores[settings.occlusion_start : settings.occlusion_start + settings.occlusion_len] = 1.0 / k
     proposals = TrajectorySet.per_frame(cands, scores, queries, dt=SIM_DT)
-    return _Stream(_scene(rot, xy, steps, gt, cands), tuple(poses), proposals, scores, queries)
+    t4 = clock()
+    scene = _scene(rot, xy, steps, gt, cands)
+    if timed:
+        t5 = clock()
+        _logger.debug(
+            "stream pass: %d frames, world %d us, draws %d us, poses %d us, futures + fan %d us, scene %d us",
+            n_frames, (t1 - t0) // 1000, (t2 - t1) // 1000, (t3 - t2) // 1000, (t4 - t3) // 1000,
+            (t5 - t4) // 1000,
+        )
+    return _Stream(scene, poses, proposals, scores, queries)
 
 
 def _stream_key(spec: ScenarioSpec, settings: RunSettings) -> tuple:
@@ -859,11 +945,12 @@ def _refines(settings: RunSettings) -> bool:
 
 
 def _choose(settings: RunSettings, stream: _Stream, weights: WeightBundle | None):
-    """The planner's chosen index and refined scores (None where it did not
-    refine) for every frame of a stream."""
+    """The planner's chosen index for every frame of a stream, and the
+    (F-1, K) refined scores of every frame but the first, or None where it
+    does not refine."""
     if _refines(settings):
         return _choose_momentum(stream, settings, weights)
-    return np.argmax(stream.scores, axis=1).tolist(), [None] * len(stream.poses)
+    return np.argmax(stream.scores, axis=1).tolist(), None
 
 
 def run_closed_loop(
@@ -886,7 +973,7 @@ def run_closed_loop(
         noise;
       * the ego poses, in a short loop, since each pose follows from the
         previous frame's first step; it moves only that one ground-truth
-        waypoint into each frame;
+        waypoint into each frame, and the pose stack is checked once;
       * every frame's ego-frame ground truth, moved once (``_futures``);
         the proposals are fanned around it and the scene holds it;
       * every frame's candidates, scores, perturbed queries and occlusion,
@@ -902,8 +989,10 @@ def run_closed_loop(
     frame before and its refined scores for every candidate TTM could pick
     are computed stacked over frames, in blocks of bounded size, and the
     choices are chased through them frame by frame; ``step_momentum`` runs
-    the same stages for one frame.  The score pass (``_score_choice``)
-    scores only what the choice changes: L2, TPC and collisions.
+    the same stages for one frame.  The frame records are views of the
+    stacks, checked once (``FrameRecord.per_frame``).  The score pass
+    (``_score_choice``) scores only what the choice changes: L2, TPC and
+    collisions.
 
     The poses can come first only because every candidate shares its first
     waypoint, so the executed path never depends on the planner.  An
@@ -926,11 +1015,9 @@ def run_closed_loop(
     stream, reused = _shared_stream(spec, settings)
     t1 = clock()
     chosen, refined = _choose(settings, stream, weights)
-    frames = tuple(
-        FrameRecord(j * SIM_DT, pose, props, idx, refined_scores)
-        for j, (pose, props, idx, refined_scores) in enumerate(
-            zip(stream.poses, stream.proposals, chosen, refined)
-        )
+    times = [j * SIM_DT for j in range(len(chosen))]
+    frames = FrameRecord.per_frame(
+        times, stream.poses, stream.proposals, chosen, refined, refined_frames=range(1, len(chosen))
     )
     t2 = clock()
     report = _score_choice(stream.scene, chosen, settings, spec.obstacles)
@@ -1143,10 +1230,10 @@ def _v2_fields(obj: dict, shapes: dict) -> dict:
 
 def _v2_frames(records: list, first: int, shapes: dict) -> list:
     """The frames of decoded format-2 records, the first of them frame
-    ``first`` of its log.  Each array is one stack of every record's bytes;
-    the proposals are checked once, as a whole, by ``TrajectorySet.per_frame``
-    and every frame holds views of their rows.  Each pose is its own
-    ``Pose2``."""
+    ``first`` of its log.  Each array is one stack of every record's bytes,
+    checked once, as a whole, by ``TrajectorySet.per_frame``,
+    ``Pose2.per_frame`` and ``FrameRecord.per_frame``, and every frame holds
+    views of their rows."""
     if not records:
         return []
     for j, rec in enumerate(records, first):
@@ -1156,11 +1243,11 @@ def _v2_frames(records: list, first: int, shapes: dict) -> list:
         return np.frombuffer(b"".join(rec[name] for rec in recs), dtype="<f8").reshape(-1, *shapes[name])
 
     proposals = TrajectorySet.per_frame(stack("points"), stack("scores"), stack("queries"), dt=SIM_DT)
-    poses = [Pose2(r, t) for r, t in zip(stack("rotation"), stack("xy"))]
-    refined = iter(stack("refined_scores", [rec for rec in records if "refined_scores" in rec]))
-    return [FrameRecord(rec["time_s"], pose, props, rec["chosen_index"],
-                        next(refined) if "refined_scores" in rec else None)
-            for rec, pose, props in zip(records, poses, proposals)]
+    poses = Pose2.per_frame(stack("rotation"), stack("xy"))
+    refined_frames = [j for j, rec in enumerate(records) if "refined_scores" in rec]
+    refined = stack("refined_scores", [records[j] for j in refined_frames])
+    return list(FrameRecord.per_frame([rec["time_s"] for rec in records], poses, proposals,
+                                      [rec["chosen_index"] for rec in records], refined, refined_frames))
 
 
 def _frame_from_v1(obj: dict) -> FrameRecord:

@@ -72,6 +72,24 @@ class Trajectory:
         return len(self.points)
 
 
+def _check_pose(rotation: list, translation: list) -> None:
+    """Raise ``InvalidPoseError`` unless the 2x2 ``rotation`` and the two
+    ``translation`` entries, as Python floats, make a proper rigid pose:
+    finite, with every entry of R^T R - I and det R - 1 within
+    ``ORTHONORMAL_TOL``.  The checks run on Python floats: numpy's per-call
+    overhead on a 2x2 block costs ten times the arithmetic."""
+    (a, b), (c, d) = rotation
+    x, y = translation
+    isfinite = math.isfinite
+    if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d) and isfinite(x) and isfinite(y)):
+        raise InvalidPoseError("pose contains non-finite entries")
+    tol = ORTHONORMAL_TOL
+    if abs(a * a + c * c - 1.0) > tol or abs(a * b + c * d) > tol or abs(b * b + d * d - 1.0) > tol:
+        raise InvalidPoseError("rotation block is not orthonormal")
+    if abs(a * d - b * c - 1.0) > tol:
+        raise InvalidPoseError("rotation block must have determinant +1")
+
+
 @dataclass(frozen=True)
 class Pose2:
     """A proper rigid transform (rotation + translation) in the plane."""
@@ -84,21 +102,38 @@ class Pose2:
         trans = np.asarray(self.translation, dtype=np.float64).reshape(2)
         if rot.shape != (2, 2):
             raise InvalidPoseError(f"rotation must be 2x2, got {rot.shape}")
-        # the checks run on Python floats: numpy's per-call overhead on a
-        # 2x2 block costs ten times the arithmetic
-        (a, b), (c, d) = rot.tolist()
-        if not all(map(math.isfinite, (a, b, c, d, *trans.tolist()))):
-            raise InvalidPoseError("pose contains non-finite entries")
-        # the entries of R^T R - I
-        off = max(abs(a * a + c * c - 1.0), abs(a * b + c * d), abs(b * b + d * d - 1.0))
-        if off > ORTHONORMAL_TOL:
-            raise InvalidPoseError("rotation block is not orthonormal")
-        if abs(a * d - b * c - 1.0) > ORTHONORMAL_TOL:
-            raise InvalidPoseError("rotation block must have determinant +1")
+        _check_pose(rot.tolist(), trans.tolist())
         rot.setflags(write=False)
         trans.setflags(write=False)
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", trans)
+
+    @classmethod
+    def per_frame(cls, rotation, translation) -> tuple["Pose2", ...]:
+        """One pose per frame of an (F, 2, 2) rotation stack and an (F, 2)
+        translation stack.
+
+        Every pose is checked as ``Pose2`` checks one, the first bad one
+        raising its error, then both stacks are made read-only; they are not
+        copied, and every pose holds views of their rows.
+        """
+        rot = np.asarray(rotation, dtype=np.float64)
+        xy = np.asarray(translation, dtype=np.float64)
+        if rot.shape[1:] != (2, 2) or xy.shape != (len(rot), 2):
+            raise InvalidPoseError(
+                f"expected (F, 2, 2) rotations and (F, 2) translations, got {rot.shape} and {xy.shape}"
+            )
+        for r, t in zip(rot.tolist(), xy.tolist()):
+            _check_pose(r, t)
+        rot.setflags(write=False)
+        xy.setflags(write=False)
+        poses = []
+        for r, t in zip(rot, xy):
+            # the fields as the frozen dataclass's __init__ would set them
+            pose = cls.__new__(cls)
+            pose.__dict__.update(rotation=r, translation=t)
+            poses.append(pose)
+        return tuple(poses)
 
     @staticmethod
     def identity() -> "Pose2":

@@ -905,6 +905,20 @@ def test_rollout_matches_per_frame_reference_where_ttm_decides(monkeypatch):
     assert max(widths) > 1
 
 
+@pytest.mark.parametrize("distance", list(DistanceKind))
+def test_rollout_matches_per_frame_reference_at_the_size_bounds(distance):
+    # at the size bounds a TTM block is one frame and a cell span two, so
+    # an 8-frame depth-2 rollout crosses three span edges, each with no
+    # state carried over
+    spec = ScenarioSpec("s_curve", 4.0, 6.0, radius_m=15.0, seed=5)
+    st_ = RunSettings(planner="momentum", history_depth=2, distance=distance, k=MAX_K,
+                      horizon_steps=MAX_HORIZON_STEPS, d_q=MAX_D_Q, horizons_s=(1.0,))
+    log, report = run_closed_loop(spec, st_)
+    ref_log, ref_report = reference_run_closed_loop(spec, st_)
+    assert log_to_jsonl(log) == log_to_jsonl(ref_log)
+    assert report.to_csv_text() == ref_report.to_csv_text()
+
+
 def test_rollouts_with_equal_settings_share_one_weight_bundle(monkeypatch):
     # the selection pass receives the bundle once per momentum rollout
     seen = []
@@ -1299,14 +1313,19 @@ def test_debug_level_times_each_rollout_outside_logs_and_csvs(caplog, monkeypatc
     simulator._last_stream = None
     loud = [run_closed_loop(STREAM_SPEC, st_) for st_ in pair]
     lines = [r.getMessage() for r in caplog.records]
-    # the momentum rollout's selection times its stages in a line of its own
-    assert len(lines) == 3
+    # the stream pass, built once for the pair, and the momentum rollout's
+    # selection time their stages in lines of their own
+    assert len(lines) == 4
     f = len(loud[0][0].frames)
     assert re.fullmatch(
-        rf"choose momentum: {f} frames, gate \+ cell \d+ us, refined scores \d+ us, TTM \+ chase \d+ us",
+        rf"stream pass: {f} frames, world \d+ us, draws \d+ us, poses \d+ us, futures \+ fan \d+ us, scene \d+ us",
         lines[0],
     ), lines[0]
-    for line, how in zip(lines[1:], ("built", "reused")):
+    assert re.fullmatch(
+        rf"choose momentum: {f} frames, gate \+ cell \d+ us, refined scores \d+ us, TTM \+ chase \d+ us",
+        lines[1],
+    ), lines[1]
+    for line, how in zip(lines[2:], ("built", "reused")):
         assert re.fullmatch(rf"stream {how}: stream \d+ us, choose \d+ us, score \d+ us", line), line
     for run_q, run_l in zip(quiet, loud):
         assert _same_run(run_q, run_l)
@@ -1442,6 +1461,89 @@ def test_frame_record_rejects_refined_scores_that_are_not_k_finite_numbers(refin
     log, _ = run_closed_loop(arc_spec(), RunSettings())
     with pytest.raises(ShapeError, match="refined_scores"):
         dataclasses.replace(log.frames[1], refined_scores=np.array(refined))
+
+
+# one frame's edits: a chosen index that is no int in [0, K), or a refined
+# row that is not K finite numbers
+RECORD_EDITS = {
+    "index_bool": lambda idx, row, k: (True, row),
+    "index_numpy_int": lambda idx, row, k: (np.int64(idx), row),
+    "index_negative": lambda idx, row, k: (-1, row),
+    "index_k": lambda idx, row, k: (k, row),
+    "refined_nan": lambda idx, row, k: (idx, np.where(np.arange(k) == k // 2, math.nan, row)),
+    "refined_inf": lambda idx, row, k: (idx, np.where(np.arange(k) == 0, -math.inf, row)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.sampled_from(sorted(RECORD_EDITS)), st.floats(0.0, 1.0)), max_size=2),
+       st.sampled_from([0, 0, 0, -1, 1]))
+def test_stacked_frame_records_equal_one_record_calls(f, k, seed, edits, width_change):
+    # the stacked check raises the first bad record's own error, and good
+    # stacks give the records FrameRecord gives, their refined scores
+    # read-only views of the one block
+    rng = np.random.default_rng(seed)
+    proposals = TrajectorySet.per_frame(rng.normal(size=(f, k, 3, 2)), rng.random((f, k)), rng.normal(size=(f, k, 4)))
+    poses = Pose2.per_frame(np.broadcast_to(np.eye(2), (f, 2, 2)).copy(), rng.normal(size=(f, 2)))
+    times = [j * SIM_DT for j in range(f)]
+    chosen = rng.integers(0, k, f).tolist()
+    refined_frames = sorted(rng.choice(f, int(rng.integers(0, f + 1)), replace=False).tolist())
+    refined = rng.normal(size=(len(refined_frames), k + width_change))
+    for name, where in edits:
+        j = min(int(where * f), f - 1)
+        if name.startswith("refined") and (j not in refined_frames or width_change):
+            continue
+        row = refined_frames.index(j) if j in refined_frames else None
+        chosen[j], new_row = RECORD_EDITS[name](chosen[j], None if row is None else refined[row], k)
+        if row is not None:
+            refined[row] = new_row
+    rows = dict(zip(refined_frames, refined.copy()))
+    expected = None
+    for j in range(f):
+        try:
+            FrameRecord(times[j], poses[j], proposals[j], chosen[j], rows.get(j))
+        except ValueError as exc:
+            expected = type(exc), str(exc)
+            break
+    try:
+        records = FrameRecord.per_frame(times, poses, proposals, chosen, refined, refined_frames)
+        got = None
+    except ValueError as exc:
+        got = type(exc), str(exc)
+    assert got == expected
+    if expected is None:
+        assert len(records) == f
+        for j, record in enumerate(records):
+            one = FrameRecord(times[j], poses[j], proposals[j], chosen[j], rows.get(j))
+            assert record.time_s == one.time_s and record.ego_pose is one.ego_pose
+            assert record.proposals is one.proposals
+            assert type(record.chosen_index) is int and record.chosen_index == one.chosen_index
+            if one.refined_scores is None:
+                assert record.refined_scores is None
+            else:
+                assert record.refined_scores.tobytes() == one.refined_scores.tobytes()
+                assert record.refined_scores.shape == (k,) and not record.refined_scores.flags.writeable
+
+
+@pytest.mark.parametrize("planner,depth", [("oneshot", 0), ("momentum", 1), ("momentum", 2)])
+def test_every_array_of_a_rollout_frame_is_read_only(tmp_path, planner, depth):
+    # a refined row written to NaN would make save_log write a log that
+    # load_log refuses; no array a frame holds can be written
+    log, _ = run_closed_loop(arc_spec(), RunSettings(planner=planner, history_depth=depth))
+    path = tmp_path / "run.jsonl"
+    save_log(log, path)
+    for frames in (log.frames, load_log(path).frames):
+        for frame in frames:
+            arrays = [frame.ego_pose.rotation, frame.ego_pose.translation, frame.proposals.points,
+                      frame.proposals.scores, frame.proposals.queries, frame.refined_scores]
+            for array in arrays[: 5 if frame.refined_scores is None else 6]:
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = math.nan
+    assert log_to_jsonl(load_log(path)) == log_to_jsonl(log)
+    # a record given a writable array keeps it read-only
+    one = FrameRecord(0.0, log.frames[0].ego_pose, log.frames[0].proposals, 0, np.zeros(6))
+    assert not one.refined_scores.flags.writeable
 
 
 def test_frames_out_of_place_are_rejected(tmp_path):
@@ -1741,6 +1843,9 @@ V2_FRAME_EDITS = {
     "index_k": lambda r: r.update(chosen_index=6),
     "index_negative": lambda r: r.update(chosen_index=-1),
     "index_float": lambda r: r.update(chosen_index=1.0),
+    "index_bool": lambda r: r.update(chosen_index=True),
+    "sheared_rotation": lambda r: r.update(rotation=_b64([1.0, 0.1, 0.0, 1.0])),
+    "reflected_rotation": lambda r: r.update(rotation=_b64([1.0, 0.0, 0.0, -1.0])),
     "negative_dt": lambda r: r.update(dt=-0.5),
     "string_dt": lambda r: r.update(dt="0.5"),
     "nan_time": lambda r: r.update(time_s=math.nan),
@@ -1759,6 +1864,25 @@ def test_v2_load_rejects_bad_frame(tmp_path, edit):
     with pytest.raises(LogCorruptionError) as err:
         load_log(path)
     assert err.value.line_number == 3
+
+
+@pytest.mark.parametrize("edit", ["nan_rotation", "inf_xy", "sheared_rotation", "reflected_rotation", "nan_refined",
+                                  "index_k", "index_negative", "index_float", "index_bool"])
+def test_v2_load_names_the_line_of_a_bad_pose_index_or_refined_row(tmp_path, edit):
+    # the stacked checks of the poses and records name the line of the
+    # first frame at fault: frame 5 of 8, on line 7
+    log, _ = run_closed_loop(arc_spec(seed=2), RunSettings(planner="momentum", history_depth=2))
+    lines = log_to_jsonl(log).splitlines()
+    assert len(lines) == 9
+    rec = json.loads(lines[6])
+    V2_FRAME_EDITS[edit](rec)
+    lines[6] = json.dumps(rec)
+    path = tmp_path / "v2.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LogCorruptionError) as err:
+        load_log(path)
+    assert err.value.line_number == 7
+    assert str(err.value).startswith("line 7: bad frame record: ")
 
 
 @pytest.mark.parametrize("fixture, line, key", [(None, 3, "note"), ("v1_arc_momentum_depth2", 1, "note")],

@@ -131,6 +131,60 @@ def test_pose_rejects_non_finite_entries(bad, where):
         Pose2(rot, trans)
 
 
+# one pose's edits: a bad rotation or translation entry, or a rotation the
+# tolerance accepts or refuses
+POSE_EDITS = {
+    "nan_rotation": lambda r, t: (np.where(np.eye(2) > 0, r, math.nan), t),
+    "inf_rotation": lambda r, t: (np.full((2, 2), math.inf), t),
+    "nan_translation": lambda r, t: (r, np.array([t[0], math.nan])),
+    "inf_translation": lambda r, t: (r, np.array([-math.inf, t[1]])),
+    "shear": lambda r, t: (_sheared(0.1), t),
+    "reflection": lambda r, t: (np.diag([1.0, -1.0]), t),
+    "near_reflection": lambda r, t: (_scaled(0.9e-9) @ np.diag([1.0, -1.0]), t),
+    "inside_stretch": lambda r, t: (_stretched(0.45e-9), t),
+    "inside_shear": lambda r, t: (_sheared(0.9e-9), t),
+    "inside_det": lambda r, t: (_scaled(-0.9e-9), t),
+    "outside_stretch": lambda r, t: (_stretched(-0.55e-9), t),
+    "outside_shear": lambda r, t: (_sheared(1.1e-9), t),
+    "outside_det": lambda r, t: (_scaled(1.1e-9), t),
+}
+
+
+def _raised(fn, *args):
+    """The exact type and message of the error a call raises, None if it
+    returns."""
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1),
+       st.lists(st.tuples(st.sampled_from(sorted(POSE_EDITS)), st.floats(0.0, 1.0)), max_size=3))
+def test_stacked_poses_equal_one_pose_calls(f, seed, edits):
+    # the stacked check raises the first bad pose's own error, and a good
+    # stack gives the poses Pose2 gives, as read-only views of the stacks
+    rng = np.random.default_rng(seed)
+    rot = np.array([rotation_matrix(h) for h in rng.uniform(-math.pi, math.pi, f).tolist()])
+    xy = rng.uniform(-1e3, 1e3, (f, 2))
+    for name, where in edits:
+        j = min(int(where * f), f - 1)
+        rot[j], xy[j] = POSE_EDITS[name](rot[j], xy[j])
+    expected = next(filter(None, (_raised(Pose2, r.copy(), t.copy()) for r, t in zip(rot, xy))), None)
+    assert _raised(Pose2.per_frame, rot.copy(), xy.copy()) == expected
+    if expected is None:
+        poses = Pose2.per_frame(rot, xy)
+        assert len(poses) == f
+        for pose, r, t in zip(poses, rot.copy(), xy.copy()):
+            one = Pose2(r, t)
+            for got, want in ((pose.rotation, one.rotation), (pose.translation, one.translation)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+            assert pose.heading() == one.heading()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(1, 9), min_size=1, max_size=4), st.data())
 def test_mean_equals_ndarray_mean_bit_for_bit(shape, data):
