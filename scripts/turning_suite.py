@@ -48,14 +48,14 @@ def main(argv=None) -> int:
 
     try:
         levels = [RunSettings(planner="momentum", history_depth=args.depth, ns=ns) for ns in args.ns]
+        spec = ScenarioSpec(
+            "arc_turn", duration_s=args.duration, speed_mps=args.speed,
+            radius_m=args.radius, angle_rad=math.pi / 2.0,
+        )
     except ConfigError as exc:
-        parser.error(f"--ns: {exc}")
+        parser.error(str(exc))
     if args.horizon not in levels[0].horizons_s:
         parser.error(f"--horizon must be one of {levels[0].horizons_s}")
-    spec = ScenarioSpec(
-        "arc_turn", duration_s=args.duration, speed_mps=args.speed,
-        radius_m=args.radius, angle_rad=math.pi / 2.0,
-    )
 
     lines = ["ns,seed,tpc_momentum,tpc_oneshot"]
     for settings in levels:

@@ -36,17 +36,22 @@ class SampleRecord:
     gt_future: Trajectory
 
     def __post_init__(self):
-        if not self.sample_id:
-            raise ConfigError("sample_id must be non-empty")
-        if not self.scene_id:
-            raise ConfigError("scene_id must be non-empty")
+        # ids key the scene filter and the manifest, and are written back out
+        for name in ("sample_id", "scene_id"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value):
+                raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
+
+
+def _check_threshold(epsilon_m: float) -> None:
+    if not (epsilon_m > 0.0 and math.isfinite(epsilon_m)):
+        raise ConfigError(f"turn threshold must be positive, got {epsilon_m}")
 
 
 def is_turning(sample: SampleRecord, epsilon_m: float = DEFAULT_TURN_EPSILON_M) -> bool:
     """True when the x coordinate drifts by at least ``epsilon_m`` between
     the first and sixth future waypoints (the threshold is inclusive)."""
-    if not (epsilon_m > 0.0 and math.isfinite(epsilon_m)):
-        raise ConfigError(f"turn threshold must be positive, got {epsilon_m}")
+    _check_threshold(epsilon_m)
     pts = sample.gt_future.points
     if len(pts) < _TURN_WINDOW:
         raise HorizonError(
@@ -72,6 +77,9 @@ def samples_from_log(log: ScenarioLog, scene_id: str) -> list[SampleRecord]:
 def turning_scene_ids(
     samples: Iterable[SampleRecord], epsilon_m: float = DEFAULT_TURN_EPSILON_M
 ) -> set[str]:
+    """The scenes with a turning sample; the threshold is checked first,
+    so an empty pool refuses a bad one too."""
+    _check_threshold(epsilon_m)
     return {s.scene_id for s in samples if is_turning(s, epsilon_m)}
 
 

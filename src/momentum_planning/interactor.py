@@ -24,7 +24,7 @@ the score head, whose logits the loss never reads, and returns zeros for
 its two tensors.
 
 Every history run starts the cell from the zero state, passed as the
-absent state ``_lstm_gates(x, None, None, ...)``.  The forward then skips
+absent state ``_lstm_step(xw, None, None, ...)``.  The forward then skips
 ``h @ W_hh.T`` and ``f * c``; the reverse pass skips, for the step that
 started from it, the W_hh gradient term, the f-gate term (``dc * c * f *
 (1 - f)``, zero there) and the dh and dc it would pass further back.
@@ -272,18 +272,14 @@ def score_gate(batch: QueryBatch, weights: WeightBundle, activation: str = "iden
     return _score_gate(batch.rows, batch.scores, weights, activation)[-1]
 
 
-def _lstm_gates(x, h, c, w_ih, w_hh, b):
-    # one cell update for all rows of x, h, c (each (..., K, D)); h = c =
-    # None is the zero state, which skips the recurrent product and f * c.
-    # Returns every intermediate, gate order along the 4D axis is i, f, g, o
-    return _lstm_step(x @ w_ih.T, h, c, w_hh, b)
-
-
 def _lstm_step(xw, h, c, w_hh, b):
-    # the same update given its input product xw = x @ w_ih.T (..., K, 4D),
-    # which steps on the same rows share, so it is never written: the sums
-    # go to a new array, and since float addition commutes, h @ w_hh.T + xw
-    # + b gives the bits of x @ w_ih.T + h @ w_hh.T + b
+    # one cell update for all rows of h, c (each (..., K, D)) given their
+    # input product xw = x @ w_ih.T (..., K, 4D); h = c = None is the zero
+    # state, which skips the recurrent product and f * c.  Steps on the same
+    # rows share xw, so it is never written: the sums go to a new array, and
+    # since float addition commutes, h @ w_hh.T + xw + b gives the bits of
+    # x @ w_ih.T + h @ w_hh.T + b.  Returns every intermediate, gate order
+    # along the 4D axis is i, f, g, o
     if h is None:
         a = xw + b
     else:
@@ -315,7 +311,7 @@ def _mix_history(history, weights: WeightBundle, activation: str):
     tape = []
     for step in steps:
         gate = _score_gate(step.rows, step.scores, weights, activation)
-        cell = _lstm_gates(gate[-1], h, c, w_ih, w_hh, b)
+        cell = _lstm_step(gate[-1] @ w_ih.T, h, c, w_hh, b)
         tape.append((step, gate, h, c, cell))
         _, _, _, _, c, _, h = cell
     return h, tape

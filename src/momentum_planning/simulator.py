@@ -22,7 +22,9 @@ rollout on the same scene.  The selection pass then chooses over those
 stacks.  Within it only the previous choice depends on the planner, so
 the momentum planner's TTM distances and MPI scores are computed for
 every previous choice at once, stacked over frame blocks, and the choices
-are chased through them.  The score pass scores what the choice changes.
+are chased through them; at history depth 2 each block hands the next the
+cell state of its last history row.  The score pass scores what the
+choice changes.
 An execution that followed the chosen plan instead would have to choose
 inside the pose loop.
 
@@ -94,15 +96,15 @@ MAX_SEED = 2**64 - 1
 MAX_NOISE = 1e6
 
 # the most float64 values the momentum selection pass holds at once for a
-# run of frames: one block's (frames, K, K', N, N) pointwise distances, or
-# the cell's working set over one span, ``_CELL_ARRAYS`` arrays the size of
-# its (frames, K, 4 d_q) pre-activations.  A rollout's whole stack of either
-# would outgrow its stream; at the size bounds a block is one frame and a
-# span two.
+# block of frames: its (frames, K, K', N, N) pointwise distances, or the
+# cell's working set, ``_CELL_ARRAYS`` arrays the size of its (frames, K,
+# 4 d_q) pre-activations.  A rollout's whole stack of either would outgrow
+# its stream; at the size bounds a block is one frame, at the default sizes
+# 28.
 _SELECT_BLOCK_ELEMENTS = 1 << 17
 # the input product, the pre-activations, the sigmoid and its two
 # temporaries, and the gates' quarter-width arrays: tracemalloc reads about
-# 5.5 pre-activations per frame of a span at the size bounds
+# 5.5 pre-activations per frame of a block at the size bounds
 _CELL_ARRAYS = 6
 
 SCENARIO_KINDS = ("straight", "arc_turn", "s_curve")
@@ -704,68 +706,63 @@ def _choose_momentum(stream: _Stream, settings: RunSettings, weights: WeightBund
     the stream's (F, K, N, 2) points, (F, K) scores, (F, K, D) queries and
     frame deltas.
 
-    Frames go in spans, and each span in blocks, that hold at most
-    ``_SELECT_BLOCK_ELEMENTS`` values at once, and no state passes from one
-    span to the next.  Each span score-gates its history frames, and at
-    depth 2 the one frame before them, takes their cell input product once
-    and runs the cell over them from the zero state; at depth 2 a second
-    step on the same product takes each frame j from frame j-2's state, and
-    frame 1, whose history is frame 0 alone, from the zero state.  Block by
-    block, each frame's refined scores are then computed for every candidate
-    TTM could pick.  The previous frame's choice is one of its refined
-    scores' argmaxes (the choice made before the block, for the block's
-    first frame), so TTM distances are computed to those plans only.  The
-    choices are chased through the argmin and argmax tables over Python
-    ints; ties go to the lowest index.
+    Frames go in blocks that hold at most ``_SELECT_BLOCK_ELEMENTS``
+    values at once.  Each block score-gates its frames' history rows, the
+    frame before each, takes their cell input product once and runs the
+    cell over them from the zero state.  At depth 2 a second step on the
+    same product takes each frame's row from the state of the row before
+    it; the block's first row takes it from the state the previous block
+    carries over, which is the zero state before frame 1, whose history is
+    frame 0 alone.  Each frame's refined scores are then computed for every
+    candidate TTM could pick.  The previous frame's choice is one of its
+    refined scores' argmaxes (the choice made before the block, for the
+    block's first frame), so TTM distances are computed to those plans
+    only.  The choices are chased through the argmin and argmax tables over
+    Python ints; ties go to the lowest index.
     """
     points, scores, queries = stream.scene.points, stream.scores, stream.queries
     delta_rot, delta_xy = stream.scene.delta_rot, stream.scene.delta_xy
     n_frames, k, n = points.shape[:3]
-    d_q, depth = queries.shape[-1], settings.history_depth
+    d_q = queries.shape[-1]
     chosen, refined_rows = [int(np.argmax(scores[0]))], np.empty((n_frames - 1, k))
     w_ih, w_hh, b = weights.get("lstm.W_ih"), weights.get("lstm.W_hh"), weights.get("lstm.b")
-    # a block holds (frames, K, K', N, N) distances and (frames, K, 2 d_q)
-    # head inputs
-    span = max(1, _SELECT_BLOCK_ELEMENTS // (_CELL_ARRAYS * k * 4 * d_q))
-    block = max(1, _SELECT_BLOCK_ELEMENTS // (k * max(k * n * n, 2 * d_q)))
-    zero = np.zeros((1, k, d_q))
+    # a block holds the cell's working set over its (frames, K, 4 d_q)
+    # pre-activations and (frames, K, K', N, N) distances; its (frames, K,
+    # 2 d_q) head inputs are smaller than the first
+    block = max(1, _SELECT_BLOCK_ELEMENTS // (k * max(_CELL_ARRAYS * 4 * d_q, k * n * n)))
+    # the first step's state for the row before the block
+    h_last = c_last = np.zeros((1, k, d_q))
     timed = _logger.isEnabledFor(logging.DEBUG)
     clock = perf_counter_ns if timed else int  # below debug level int() stands in: 0, no timing
     mix_ns = refine_ns = ttm_ns = 0
-    for span_start in range(1, n_frames, span):
-        span_end = min(span_start + span, n_frames)
+    for s in range(1, n_frames, block):
+        e = min(s + block, n_frames)
+        hist = slice(s - 1, e - 1)
         t0 = clock()
-        lo = max(0, span_start - depth)
-        gated = _score_gate(queries[lo : span_end - 1], scores[lo : span_end - 1], weights, "identity")[-1]
-        xw = gated @ w_ih.T
+        xw = _score_gate(queries[hist], scores[hist], weights, "identity")[-1] @ w_ih.T
         _, _, _, _, c1, _, mixed = _lstm_step(xw, None, None, w_hh, b)
-        if depth == 2:
-            h0, c0 = (np.concatenate([zero, a[:-1]]) for a in (mixed, c1))
+        if settings.history_depth == 2:
+            h0, c0 = np.concatenate([h_last, mixed[:-1]]), np.concatenate([c_last, c1[:-1]])
+            h_last, c_last = mixed[-1:], c1[-1:]
             mixed = _lstm_step(xw, h0, c0, w_hh, b)[-1]
-        mix_ns += clock() - t0
-        for s in range(span_start, span_end, block):
-            e = min(s + block, span_end)
-            t1 = clock()
-            hist = slice(s - 1, e - 1)
-            # (frames, TTM pick, K)
-            refined = _refined_scores(
-                queries[s:e], mixed[s - 1 - lo : e - 1 - lo, None], queries[s:e][:, None], weights
-            )
-            best = refined.argmax(axis=-1).tolist()
-            t2 = clock()
-            reach = [[chosen[-1]]] + [sorted(set(row)) for row in best[:-1]]
-            width = max(map(len, reach))
-            cols = np.array([r + r[:1] * (width - len(r)) for r in reach])
-            plans = points[hist][np.arange(e - s)[:, None], cols]
-            moved = _moved(points[s:e], delta_rot[hist], delta_xy[hist])
-            ttm = _pair_distances(moved, plans, settings.distance).argmin(axis=1).tolist()
-            picks = []
-            for t in range(e - s):
-                picks.append(ttm[t][reach[t].index(chosen[-1])])
-                chosen.append(best[t][picks[-1]])
-            refined_rows[hist] = refined[np.arange(e - s), picks]
-            t3 = clock()
-            refine_ns, ttm_ns = refine_ns + t2 - t1, ttm_ns + t3 - t2
+        t1 = clock()
+        # (frames, TTM pick, K)
+        refined = _refined_scores(queries[s:e], mixed[:, None], queries[s:e][:, None], weights)
+        best = refined.argmax(axis=-1).tolist()
+        t2 = clock()
+        reach = [[chosen[-1]]] + [sorted(set(row)) for row in best[:-1]]
+        width = max(map(len, reach))
+        cols = np.array([r + r[:1] * (width - len(r)) for r in reach])
+        plans = points[hist][np.arange(e - s)[:, None], cols]
+        moved = _moved(points[s:e], delta_rot[hist], delta_xy[hist])
+        ttm = _pair_distances(moved, plans, settings.distance).argmin(axis=1).tolist()
+        picks = []
+        for t in range(e - s):
+            picks.append(ttm[t][reach[t].index(chosen[-1])])
+            chosen.append(best[t][picks[-1]])
+        refined_rows[hist] = refined[np.arange(e - s), picks]
+        t3 = clock()
+        mix_ns, refine_ns, ttm_ns = mix_ns + t1 - t0, refine_ns + t2 - t1, ttm_ns + t3 - t2
     if timed:
         _logger.debug(
             "choose momentum: %d frames, gate + cell %d us, refined scores %d us, TTM + chase %d us",
@@ -1163,8 +1160,10 @@ def _score_choice(scene: _Scene, chosen_index, settings: RunSettings, obstacles)
 # is not stored: it is row chosen_index of the proposals.  Format v1, still
 # read, wrote the arrays as decimal JSON lists and the chosen plan in full.
 # A header of either format holds only kind, format_version, spec and
-# settings, and a v2 frame only kind, time_s, chosen_index, dt and the
-# ``_frame_shapes`` arrays; ``load_log`` refuses any other key.
+# settings, a v2 frame only kind, time_s, chosen_index, dt and the
+# ``_frame_shapes`` arrays, and a v1 frame, its pose and its proposals
+# only the keys ``_frame_from_v1`` reads; ``load_log`` refuses any other
+# key.
 
 
 def _frame_shapes(settings: RunSettings) -> dict:
@@ -1215,13 +1214,21 @@ def _finite_number(obj: dict, key: str) -> float:
     return float(value)
 
 
+def _known_keys(obj, keys, what: str) -> dict:
+    """``obj``, a frame record or a part of one, if it is a mapping that
+    holds no key outside ``keys``."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{what} must be an object")
+    if obj.keys() - keys:
+        raise ValueError(f"unknown {what} keys: {sorted(obj.keys() - keys)}")
+    return obj
+
+
 def _v2_fields(obj: dict, shapes: dict) -> dict:
     """A format-2 frame record decoded: time_s and dt as finite numbers, the
     chosen index as written, and each ``_frame_shapes`` array as its bytes.
     refined_scores may be absent or null; every other array is required."""
-    unknown = obj.keys() - shapes.keys() - {"kind", "time_s", "chosen_index", "dt"}
-    if unknown:
-        raise ValueError(f"unknown frame keys: {sorted(unknown)}")
+    _known_keys(obj, shapes.keys() | {"kind", "time_s", "chosen_index", "dt"}, "frame")
     fields = {name: _decode(obj[name], shape, name) for name, shape in shapes.items()
               if name != "refined_scores" or obj.get(name) is not None}
     return fields | {"dt": _finite_number(obj, "dt"), "time_s": _finite_number(obj, "time_s"),
@@ -1251,15 +1258,18 @@ def _v2_frames(records: list, first: int, shapes: dict) -> list:
 
 
 def _frame_from_v1(obj: dict) -> FrameRecord:
-    props = obj["proposals"]
+    _known_keys(obj, {"kind", "time_s", "ego_pose", "proposals", "chosen_index", "chosen_trajectory",
+                      "refined_scores"}, "frame")
+    props = _known_keys(obj["proposals"], {"trajectories", "scores", "queries"}, "proposals")
     proposals = TrajectorySet(
         tuple(trajectory_from_dict(t) for t in props["trajectories"]),
         np.asarray(props["scores"], dtype=np.float64),
         np.asarray(props["queries"], dtype=np.float64),
     )
+    ego_pose = _known_keys(obj["ego_pose"], {"rotation", "xy"}, "ego_pose")
     pose = Pose2(
-        np.asarray(obj["ego_pose"]["rotation"], dtype=np.float64),
-        np.asarray(obj["ego_pose"]["xy"], dtype=np.float64),
+        np.asarray(ego_pose["rotation"], dtype=np.float64),
+        np.asarray(ego_pose["xy"], dtype=np.float64),
     )
     idx = obj["chosen_index"]
     frame = FrameRecord(

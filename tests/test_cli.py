@@ -664,10 +664,31 @@ def test_curate_epsilon_flag(tmp_path):
     assert manifest["scenes"] == ["A", "B"]
 
 
-def test_curate_bad_epsilon_exits_2(tmp_path):
+@pytest.mark.parametrize("epsilon", ["-1", "0", "nan", "inf"])
+@pytest.mark.parametrize("pool", ["samples", "empty"])
+def test_curate_bad_epsilon_exits_2(tmp_path, pool, epsilon):
+    # the threshold is checked before any sample is filtered, so an empty
+    # pool refuses it too, and nothing is written
     samples = make_samples(tmp_path)
-    assert main(["curate", "--samples", str(samples),
-                 "--out", str(tmp_path / "cur"), "--epsilon", "-1"]) == 2
+    if pool == "empty":
+        samples.write_text("")
+    out = tmp_path / "cur"
+    assert main(["curate", "--samples", str(samples), "--out", str(out), "--epsilon", epsilon]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("sample_id", {"a": 1}), ("scene_id", ["s"]), ("scene_id", 3)])
+def test_curate_sample_ids_that_are_not_strings_exit_4(tmp_path, capsys, key, value):
+    samples = make_samples(tmp_path)
+    lines = samples.read_text().splitlines()
+    rec = json.loads(lines[1])
+    rec[key] = value
+    lines[1] = json.dumps(rec)
+    samples.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "cur"
+    assert main(["curate", "--samples", str(samples), "--out", str(out)]) == 4
+    assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_curate_corrupt_samples_exit_4(tmp_path, capsys):

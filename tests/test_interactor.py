@@ -16,7 +16,7 @@ from momentum_planning.interactor import (
     _attention_logits,
     _cross_attention,
     _head_input,
-    _lstm_gates,
+    _lstm_step,
     _refined_scores,
     _score_gate,
     _score_head,
@@ -193,10 +193,10 @@ def test_absent_state_equals_the_zero_arrays_bit_for_bit(lead):
     for trial in range(60):
         d, k = int(rng.integers(2, 13)), int(rng.integers(1, 7))
         w = WeightBundle.seeded(d, k, 2, seed=trial)
-        cell = (w.get("lstm.W_ih"), w.get("lstm.W_hh"), w.get("lstm.b"))
+        w_ih, cell = w.get("lstm.W_ih"), (w.get("lstm.W_hh"), w.get("lstm.b"))
         x = (1.0, 80.0)[trial % 2] * rng.standard_normal(lead + (k, d))
         zero = np.zeros_like(x)
-        absent, zeros = _lstm_gates(x, None, None, *cell), _lstm_gates(x, zero, zero, *cell)
+        absent, zeros = _lstm_step(x @ w_ih.T, None, None, *cell), _lstm_step(x @ w_ih.T, zero, zero, *cell)
         for got, want in zip(absent, zeros):
             assert same_bits(got, want), (trial, d, k)
 
@@ -313,9 +313,9 @@ def stacked_stage_inputs(draw):
 @settings(max_examples=60, deadline=None)
 def test_batched_stages_equal_the_unbatched_stage_on_every_slice(inp):
     wb, query, keys = inp["weights"], inp["query"], inp["keys"]
-    cell = (wb.get("lstm.W_ih"), wb.get("lstm.W_hh"), wb.get("lstm.b"))
+    w_ih, cell = wb.get("lstm.W_ih"), (wb.get("lstm.W_hh"), wb.get("lstm.b"))
     gate = _score_gate(inp["rows"], inp["scores"], wb, inp["activation"])
-    lstm = _lstm_gates(inp["rows"], inp["h"], inp["c"], *cell)
+    lstm = _lstm_step(inp["rows"] @ w_ih.T, inp["h"], inp["c"], *cell)
     _, qp, kp, logits = _attention_logits(query, keys, wb)
     refined, (_, _, _, vp, w, ctx) = _cross_attention(query, keys, keys, wb)
     z = _head_input(refined, keys)
@@ -325,7 +325,7 @@ def test_batched_stages_equal_the_unbatched_stage_on_every_slice(inp):
         key_idx = tuple(i if n > 1 else 0 for i, n in zip(idx, keys.shape))
         one_keys = keys[key_idx]
         one_gate = _score_gate(inp["rows"][idx], inp["scores"][idx], wb, inp["activation"])
-        one_lstm = _lstm_gates(inp["rows"][idx], inp["h"][idx], inp["c"][idx], *cell)
+        one_lstm = _lstm_step(inp["rows"][idx] @ w_ih.T, inp["h"][idx], inp["c"][idx], *cell)
         _, one_qp, one_kp, one_logits = _attention_logits(query[idx], one_keys, wb)
         one_refined, (_, _, _, one_vp, one_w, one_ctx) = _cross_attention(query[idx], one_keys, one_keys, wb)
         one_z = _head_input(one_refined, one_keys)

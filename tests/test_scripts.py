@@ -62,7 +62,8 @@ def test_sign_test_p_is_the_binomial_tail():
     assert turning_suite.sign_test_p(0, 0) == 1.0
 
 
-@pytest.mark.parametrize("argv", [["--ns", "-1"], ["--ns", "1e7"], ["--seeds", "0"], ["--horizon", "2.5"]])
+@pytest.mark.parametrize("argv", [["--ns", "-1"], ["--ns", "1e7"], ["--seeds", "0"], ["--horizon", "2.5"],
+                                  ["--duration", "-1"], ["--speed", "0"], ["--radius", "0.5"]])
 def test_bad_study_flags_exit_2_writing_nothing(tmp_path, argv):
     out = tmp_path / "suite.csv"
     with pytest.raises(SystemExit) as exc:

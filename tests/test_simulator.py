@@ -905,14 +905,18 @@ def test_rollout_matches_per_frame_reference_where_ttm_decides(monkeypatch):
     assert max(widths) > 1
 
 
-@pytest.mark.parametrize("distance", list(DistanceKind))
-def test_rollout_matches_per_frame_reference_at_the_size_bounds(distance):
-    # at the size bounds a TTM block is one frame and a cell span two, so
-    # an 8-frame depth-2 rollout crosses three span edges, each with no
-    # state carried over
+@pytest.mark.parametrize("distance, horizon_steps", [
+    pytest.param(DistanceKind.MEAN_EUCLIDEAN, MAX_HORIZON_STEPS, id="euclidean"),
+    pytest.param(DistanceKind.HAUSDORFF, MAX_HORIZON_STEPS, id="hausdorff"),
+    pytest.param(DistanceKind.HAUSDORFF, 6, id="hausdorff_two_frame_blocks"),
+])
+def test_rollout_matches_per_frame_reference_at_the_size_bounds(distance, horizon_steps):
+    # at the size bounds a block is one frame, and with 6 steps two, so the
+    # 8-frame depth-2 rollout crosses six or three block edges, each
+    # carrying the cell state of the row before it
     spec = ScenarioSpec("s_curve", 4.0, 6.0, radius_m=15.0, seed=5)
     st_ = RunSettings(planner="momentum", history_depth=2, distance=distance, k=MAX_K,
-                      horizon_steps=MAX_HORIZON_STEPS, d_q=MAX_D_Q, horizons_s=(1.0,))
+                      horizon_steps=horizon_steps, d_q=MAX_D_Q, horizons_s=(1.0,))
     log, report = run_closed_loop(spec, st_)
     ref_log, ref_report = reference_run_closed_loop(spec, st_)
     assert log_to_jsonl(log) == log_to_jsonl(ref_log)
@@ -1885,17 +1889,22 @@ def test_v2_load_names_the_line_of_a_bad_pose_index_or_refined_row(tmp_path, edi
     assert str(err.value).startswith("line 7: bad frame record: ")
 
 
-@pytest.mark.parametrize("fixture, line, key", [(None, 3, "note"), ("v1_arc_momentum_depth2", 1, "note")],
-                         ids=["v2_frame", "v1_header"])
+@pytest.mark.parametrize("fixture, line, key", [
+    (None, 3, "note"), ("v1_arc_momentum_depth2", 1, "note"), ("v1_arc_momentum_depth2", 4, "refined_score"),
+    ("v1_obstacles_oneshot", 3, "ego_pose.note"), ("v1_obstacles_oneshot", 3, "proposals.note"),
+], ids=["v2_frame", "v1_header", "v1_frame", "v1_ego_pose", "v1_proposals"])
 def test_load_refuses_keys_the_format_does_not_define(tmp_path, fixture, line, key):
-    # a format-2 frame and either format's header hold only the format's keys
+    # a frame, its pose and proposals, and a header hold only the keys
+    # their format defines; a format-1 frame's misspelt refined_scores
+    # would otherwise load as a frame without them
     if fixture is None:
         log, _ = run_closed_loop(arc_spec(seed=2), RunSettings(planner="momentum", history_depth=2))
         lines = log_to_jsonl(log).splitlines()
     else:
         lines = (DATA / f"{fixture}.jsonl").read_text().splitlines()
     rec = json.loads(lines[line - 1])
-    rec[key] = "x"
+    *within, key = key.split(".")
+    (rec[within[0]] if within else rec)[key] = "x"
     lines[line - 1] = json.dumps(rec)
     path = tmp_path / "extra.jsonl"
     path.write_text("\n".join(lines) + "\n")
