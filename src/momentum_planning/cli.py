@@ -87,9 +87,10 @@ def _configure_logging() -> None:
 
 
 def _read_json(path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        obj = json.loads(text)
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 (byte {exc.start}: {exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict):

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, HorizonError, LogCorruptionError
-from .simulator import SIM_DT, ScenarioLog, ground_truth_futures
+from .simulator import SIM_DT, ScenarioLog, _json_objects, _known_keys, ground_truth_futures
 from .trajectory import Trajectory, trajectory_from_dict, trajectory_to_dict
 
 DEFAULT_TURN_EPSILON_M = 25.0
@@ -94,14 +94,10 @@ def curate(
 
 def scene_manifest(samples: Sequence[SampleRecord]) -> dict:
     """Scene ids in first-appearance order with their sample counts."""
-    order: list[str] = []
     counts: dict[str, int] = {}
     for s in samples:
-        if s.scene_id not in counts:
-            order.append(s.scene_id)
-            counts[s.scene_id] = 0
-        counts[s.scene_id] += 1
-    return {"scenes": order, "sample_counts": counts}
+        counts[s.scene_id] = counts.get(s.scene_id, 0) + 1
+    return {"scenes": list(counts), "sample_counts": counts}
 
 
 # ---------------------------------------------------------------------------
@@ -123,29 +119,17 @@ def save_samples_jsonl(path, samples: Iterable[SampleRecord]) -> None:
 
 
 def load_samples_jsonl(path) -> list[SampleRecord]:
+    """The samples of a JSON-lines file, read by the log reader's
+    ``_json_objects``: one object per non-blank line, holding only
+    sample_id, scene_id and future.  Any fault is a ``LogCorruptionError``
+    on its line."""
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LogCorruptionError(
-                    f"invalid JSON ({exc.msg})", line_number=line_no
-                ) from exc
-            try:
-                samples.append(
-                    SampleRecord(
-                        sample_id=obj["sample_id"],
-                        scene_id=obj["scene_id"],
-                        gt_future=trajectory_from_dict(obj["future"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LogCorruptionError(
-                    f"bad sample record: {exc}", line_number=line_no
-                ) from exc
+    for line_no, obj in _json_objects(path):
+        try:
+            _known_keys(obj, {"sample_id", "scene_id", "future"}, "sample")
+            samples.append(SampleRecord(obj["sample_id"], obj["scene_id"], trajectory_from_dict(obj["future"])))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LogCorruptionError(f"bad sample record: {exc}", line_number=line_no) from exc
     return samples
 
 

@@ -57,7 +57,6 @@ from .metrics import MAX_OBSTACLE_COORD_M, L2Protocol, MetricReport, ObstacleBox
 from .metrics import _consistency_sq, _fold_report, _horizon_index, _mean_of, _number, _swept_hits
 from .metrics import collision_flags, l2_error, min_ade_fde, tpc  # noqa: F401
 from .trajectory import Pose2, Trajectory, _frame_delta, _from_frame, _mean, _to_frame, rotation_matrix
-from .trajectory import trajectory_from_dict
 from .trajectory import transform_to_frame  # noqa: F401
 
 # The per-trajectory metrics above score one frame each and report_from_log
@@ -1158,12 +1157,14 @@ def _score_choice(scene: _Scene, chosen_index, settings: RunSettings, obstacles)
 # bytes, so it reads back bit for bit (-0.0 and subnormals included); its
 # shape comes from the header's k, horizon_steps and d_q.  The chosen plan
 # is not stored: it is row chosen_index of the proposals.  Format v1, still
-# read, wrote the arrays as decimal JSON lists and the chosen plan in full.
-# A header of either format holds only kind, format_version, spec and
-# settings, a v2 frame only kind, time_s, chosen_index, dt and the
-# ``_frame_shapes`` arrays, and a v1 frame, its pose and its proposals
-# only the keys ``_frame_from_v1`` reads; ``load_log`` refuses any other
-# key.
+# read, wrote the arrays as decimal JSON lists and the chosen plan in full;
+# ``_v1_fields`` decodes its frame into the record ``_v2_fields`` returns,
+# so the frames of either format are built and checked by
+# ``_stacked_frames``.  A header of either format holds only kind,
+# format_version, spec and settings, a v2 frame only kind, time_s,
+# chosen_index, dt and the ``_frame_shapes`` arrays, and a v1 frame, its
+# pose, its proposals and each plan only the keys ``_v1_fields`` reads;
+# ``load_log`` refuses any other key.
 
 
 def _frame_shapes(settings: RunSettings) -> dict:
@@ -1215,13 +1216,35 @@ def _finite_number(obj: dict, key: str) -> float:
 
 
 def _known_keys(obj, keys, what: str) -> dict:
-    """``obj``, a frame record or a part of one, if it is a mapping that
+    """``obj``, a JSON record or a part of one, if it is a mapping that
     holds no key outside ``keys``."""
     if not isinstance(obj, dict):
         raise TypeError(f"{what} must be an object")
     if obj.keys() - keys:
         raise ValueError(f"unknown {what} keys: {sorted(obj.keys() - keys)}")
     return obj
+
+
+def _json_objects(path):
+    """Each non-blank line of a JSON-lines file as ``(line number, object)``.
+    Lines end at \\n, \\r or \\r\\n; a line that is not UTF-8, not JSON or
+    not a JSON object raises ``LogCorruptionError`` on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    for line_no, raw in enumerate(data.splitlines(), start=1):
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LogCorruptionError(f"not UTF-8 (byte {exc.start}: {exc.reason})", line_number=line_no) from exc
+        if not text.strip():
+            continue
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise LogCorruptionError(f"invalid JSON ({exc.msg})", line_number=line_no) from exc
+        if not isinstance(obj, dict):
+            raise LogCorruptionError("record must be an object", line_number=line_no)
+        yield line_no, obj
 
 
 def _v2_fields(obj: dict, shapes: dict) -> dict:
@@ -1235,10 +1258,47 @@ def _v2_fields(obj: dict, shapes: dict) -> dict:
                      "chosen_index": obj["chosen_index"]}
 
 
-def _v2_frames(records: list, first: int, shapes: dict) -> list:
-    """The frames of decoded format-2 records, the first of them frame
-    ``first`` of its log.  Each array is one stack of every record's bytes,
-    checked once, as a whole, by ``TrajectorySet.per_frame``,
+def _listed(value, shape: tuple[int, ...], name: str) -> bytes:
+    """The little-endian float64 bytes of a decimal JSON list of exactly
+    ``shape``."""
+    array = np.asarray(value, dtype="<f8")
+    if array.shape != shape:
+        raise ShapeError(f"{name} has shape {array.shape}, the settings say {shape}")
+    return array.tobytes()
+
+
+def _v1_fields(obj: dict, shapes: dict) -> dict:
+    """A format-1 frame record decoded into the record ``_v2_fields``
+    returns: each array listed in exactly its ``_frame_shapes`` shape, as
+    its bytes, and one dt, shared by every plan, the stored chosen plan
+    included.  Where the chosen index is valid, the stored chosen plan must
+    be bit-equal to that proposal; ``FrameRecord.per_frame`` refuses any
+    other index."""
+    _known_keys(obj, {"kind", "time_s", "ego_pose", "proposals", "chosen_index", "chosen_trajectory",
+                      "refined_scores"}, "frame")
+    pose = _known_keys(obj["ego_pose"], {"rotation", "xy"}, "ego_pose")
+    props = _known_keys(obj["proposals"], {"trajectories", "scores", "queries"}, "proposals")
+    plans = [_known_keys(t, {"dt", "points"}, "plan") for t in props["trajectories"]]
+    stored = _known_keys(obj["chosen_trajectory"], {"dt", "points"}, "chosen_trajectory")
+    dts = {_finite_number(t, "dt") for t in [*plans, stored]}
+    if len(dts) != 1:
+        raise AlignmentError(f"plans must share one dt, got {sorted(dts)}")
+    lists = {"rotation": pose["rotation"], "xy": pose["xy"], "points": [t["points"] for t in plans],
+             "scores": props["scores"], "queries": props["queries"], "refined_scores": obj.get("refined_scores")}
+    fields = {name: _listed(lists[name], shape, name) for name, shape in shapes.items()
+              if name != "refined_scores" or lists[name] is not None}
+    idx, plan_shape = obj["chosen_index"], shapes["points"][1:]
+    # the one place a chosen plan arrives stored: it must be the proposal
+    if _is_index(idx, len(plans)) and (_listed(stored["points"], plan_shape, "chosen_trajectory")
+                                       != _listed(plans[idx]["points"], plan_shape, "points")):
+        raise ValueError(f"chosen_trajectory is not proposal {idx}")
+    return fields | {"dt": dts.pop(), "time_s": _finite_number(obj, "time_s"), "chosen_index": idx}
+
+
+def _stacked_frames(records: list, first: int, shapes: dict) -> list:
+    """The frames of decoded frame records of either format, the first of
+    them frame ``first`` of its log.  Each array is one stack of every
+    record's bytes, checked once, as a whole, by ``TrajectorySet.per_frame``,
     ``Pose2.per_frame`` and ``FrameRecord.per_frame``, and every frame holds
     views of their rows."""
     if not records:
@@ -1257,49 +1317,16 @@ def _v2_frames(records: list, first: int, shapes: dict) -> list:
                                       [rec["chosen_index"] for rec in records], refined, refined_frames))
 
 
-def _frame_from_v1(obj: dict) -> FrameRecord:
-    _known_keys(obj, {"kind", "time_s", "ego_pose", "proposals", "chosen_index", "chosen_trajectory",
-                      "refined_scores"}, "frame")
-    props = _known_keys(obj["proposals"], {"trajectories", "scores", "queries"}, "proposals")
-    proposals = TrajectorySet(
-        tuple(trajectory_from_dict(t) for t in props["trajectories"]),
-        np.asarray(props["scores"], dtype=np.float64),
-        np.asarray(props["queries"], dtype=np.float64),
-    )
-    ego_pose = _known_keys(obj["ego_pose"], {"rotation", "xy"}, "ego_pose")
-    pose = Pose2(
-        np.asarray(ego_pose["rotation"], dtype=np.float64),
-        np.asarray(ego_pose["xy"], dtype=np.float64),
-    )
-    idx = obj["chosen_index"]
-    frame = FrameRecord(
-        _finite_number(obj, "time_s"), pose, proposals, idx, obj.get("refined_scores")
-    )
-    # the one place a chosen plan arrives stored: it must be the proposal
-    stored = trajectory_from_dict(obj["chosen_trajectory"])
-    if stored.dt != proposals.dt or stored.points.tobytes() != proposals.points[idx].tobytes():
-        raise ValueError(f"chosen_trajectory is not proposal {idx}")
-    return frame
-
-
-def _v1_frames(frames: list, first: int, shapes: dict) -> list:
-    """Format-1 frames, the first of them frame ``first`` of its log, each
-    checked by ``_check_frame``."""
-    for j, frame in enumerate(frames, first):
-        _check_frame(frame, j, shapes)
-    return frames
-
-
-def _checked_frames(build, records: list, line_numbers: list, shapes: dict) -> list:
-    """``build(records, 0, shapes)``, the frames of a log's decoded records.
-    If that fails, the records are built one at a time to find the first
-    at fault, and its error is raised as corrupt input on its line."""
+def _checked_frames(records: list, line_numbers: list, shapes: dict) -> list:
+    """The frames of a log's decoded records, from ``_stacked_frames``.  If
+    that fails, the records are built one at a time to find the first at
+    fault, and its error is raised as corrupt input on its line."""
     try:
-        return build(records, 0, shapes)
+        return _stacked_frames(records, 0, shapes)
     except (KeyError, TypeError, ValueError):
         for j, (rec, line_no) in enumerate(zip(records, line_numbers)):
             try:
-                build([rec], j, shapes)
+                _stacked_frames([rec], j, shapes)
             except (KeyError, TypeError, ValueError) as exc:
                 raise LogCorruptionError(f"bad frame record: {exc}", line_number=line_no) from exc
         raise
@@ -1327,66 +1354,50 @@ def save_log(log: ScenarioLog, path) -> None:
 
 
 def load_log(path) -> ScenarioLog:
-    """Read a log of either format.  Each frame line is decoded on its own,
-    then the frames are built and checked together (``_v2_frames``,
-    ``_v1_frames``); any fault is a ``LogCorruptionError`` naming the first
-    line at fault."""
+    """Read a log of either format.  Its lines are read by
+    ``_json_objects``; each frame line is decoded on its own (``_v2_fields``,
+    ``_v1_fields``), then the frames are built and checked together by
+    ``_stacked_frames``; any fault is a ``LogCorruptionError`` naming the
+    first line at fault."""
     timed = _logger.isEnabledFor(logging.DEBUG)
     clock = perf_counter_ns if timed else int  # below debug level int() stands in: 0, no timing
     t0 = clock()
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+    objects = _json_objects(path)
+    line_no, header = next(objects, (1, None))
+    if header is None:
         raise LogCorruptionError("log file is empty", line_number=1)
-
-    def parse(line_no: int, text: str) -> dict:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise LogCorruptionError(f"invalid JSON ({exc.msg})", line_number=line_no) from exc
-        if not isinstance(obj, dict):
-            raise LogCorruptionError("log record must be an object", line_number=line_no)
-        return obj
-
-    header = parse(1, lines[0])
     if header.get("kind") != "header":
-        raise LogCorruptionError("first record must be the header", line_number=1)
+        raise LogCorruptionError("first record must be the header", line_number=line_no)
     version = header.get("format_version")
     if type(version) is not int or version not in (1, LOG_FORMAT_VERSION):
-        raise LogCorruptionError(f"unsupported format_version {version!r}", line_number=1)
+        raise LogCorruptionError(f"unsupported format_version {version!r}", line_number=line_no)
     unknown = header.keys() - {"kind", "format_version", "spec", "settings"}
     if unknown:
-        raise LogCorruptionError(f"unknown header keys: {sorted(unknown)}", line_number=1)
+        raise LogCorruptionError(f"unknown header keys: {sorted(unknown)}", line_number=line_no)
     try:
         spec = ScenarioSpec.from_dict(header["spec"])
         settings = RunSettings.from_dict(header["settings"])
     except (KeyError, ConfigError) as exc:
-        raise LogCorruptionError(f"bad header: {exc}", line_number=1) from exc
+        raise LogCorruptionError(f"bad header: {exc}", line_number=line_no) from exc
 
     shapes = _frame_shapes(settings)
-    if version == 1:
-        decode, build = _frame_from_v1, _v1_frames
-    else:
-        decode, build = functools.partial(_v2_fields, shapes=shapes), _v2_frames
+    fields = _v1_fields if version == 1 else _v2_fields
     records, line_numbers = [], []
     try:
-        for line_no, text in enumerate(lines[1:], start=2):
-            if not text.strip():
-                continue
-            obj = parse(line_no, text)
+        for line_no, obj in objects:
             if obj.get("kind") != "frame":
                 raise LogCorruptionError(f"unexpected record kind {obj.get('kind')!r}", line_number=line_no)
             try:
-                records.append(decode(obj))
+                records.append(fields(obj, shapes))
             except (KeyError, TypeError, ValueError) as exc:
                 raise LogCorruptionError(f"bad frame record: {exc}", line_number=line_no) from exc
             line_numbers.append(line_no)
     except LogCorruptionError:
         # a frame on an earlier line that is at fault is named first
-        _checked_frames(build, records, line_numbers, shapes)
+        _checked_frames(records, line_numbers, shapes)
         raise
     t1 = clock()
-    frames = _checked_frames(build, records, line_numbers, shapes)
+    frames = _checked_frames(records, line_numbers, shapes)
     if timed:
         t2 = clock()
         _logger.debug("load_log: %d frames, decode %d us, check %d us",

@@ -273,6 +273,9 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 
 
 def trajectory_from_dict(obj: dict) -> Trajectory:
-    if not isinstance(obj, dict) or "dt" not in obj or "points" not in obj:
-        raise GeometryError("trajectory record must carry 'dt' and 'points'")
+    """The trajectory of a record ``trajectory_to_dict`` wrote, which holds
+    exactly the keys 'dt' and 'points'."""
+    if not isinstance(obj, dict) or obj.keys() != {"dt", "points"}:
+        got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+        raise GeometryError(f"trajectory record must hold exactly 'dt' and 'points', got {got}")
     return Trajectory(np.asarray(obj["points"], dtype=np.float64), dt=float(obj["dt"]))

@@ -479,6 +479,24 @@ def _one_ulp_off(rec):
     rec["chosen_trajectory"]["points"][-1] = [x, float(np.nextafter(y, math.inf))]
 
 
+def _nan_waypoint(rec):
+    # a proposal other than the chosen one, so only the stacked check sees it
+    plans = rec["proposals"]["trajectories"]
+    plans[(rec["chosen_index"] + 1) % len(plans)]["points"][2][0] = math.nan
+
+
+def _rotation_off(rec):
+    rec["ego_pose"]["rotation"][0][0] += 1e-6
+
+
+def _short_refined(rec):
+    rec["refined_scores"] = [0.0] * (len(rec["proposals"]["scores"]) - 1)
+
+
+def _string_dt(rec):
+    rec["proposals"]["trajectories"][0]["dt"] = "0.5"
+
+
 def _set(**kv):
     return lambda rec: rec.update(kv)
 
@@ -490,6 +508,11 @@ FRAME_EDITS = [
       for v in (1, 2) for t in (math.nan, math.inf, "0.5")),
     pytest.param(1, _other_proposal, id="v1-chosen-is-another-proposal"),
     pytest.param(1, _one_ulp_off, id="v1-chosen-one-ulp-off"),
+    # a format-1 frame is built and checked by the calls a format-2 frame is
+    pytest.param(1, _nan_waypoint, id="v1-nan-waypoint"),
+    pytest.param(1, _rotation_off, id="v1-rotation-off-orthonormal"),
+    pytest.param(1, _short_refined, id="v1-refined-scores-k-minus-1"),
+    pytest.param(1, _string_dt, id="v1-proposal-dt-string"),
 ]
 
 
@@ -677,17 +700,47 @@ def test_curate_bad_epsilon_exits_2(tmp_path, pool, epsilon):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key, value", [("sample_id", {"a": 1}), ("scene_id", ["s"]), ("scene_id", 3)])
+@pytest.mark.parametrize("key, value", [("sample_id", {"a": 1}), ("scene_id", ["s"]), ("scene_id", 3),
+                                        ("scene", "A"), ("future.note", "x")])
 def test_curate_sample_ids_that_are_not_strings_exit_4(tmp_path, capsys, key, value):
+    # a key outside the sample's format, beside scene_id or in its future,
+    # exits 4 too
     samples = make_samples(tmp_path)
     lines = samples.read_text().splitlines()
     rec = json.loads(lines[1])
-    rec[key] = value
+    *within, key = key.split(".")
+    (rec[within[0]] if within else rec)[key] = value
     lines[1] = json.dumps(rec)
     samples.write_text("\n".join(lines) + "\n")
     out = tmp_path / "cur"
     assert main(["curate", "--samples", str(samples), "--out", str(out)]) == 4
     assert "line 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, line", [
+    ("eval", "--log", 1), ("eval", "--log", 3), ("curate", "--samples", 1), ("curate", "--samples", 2),
+    ("run", "--config", None), ("compare", "--config", None),
+])
+def test_input_that_is_not_utf8_exits_with_its_code_writing_nothing(tmp_path, capsys, command, flag, line):
+    # the bytes ff fe (a UTF-16 byte-order mark) at the start of a line:
+    # corrupt input on that line in a log or a sample file, a bad config
+    if command == "eval":
+        text = (DATA / "v2_scurve_momentum_depth2_obstacles.jsonl").read_text()
+    elif command == "curate":
+        text = make_samples(tmp_path).read_text()
+    else:
+        text = write_config(tmp_path / "cfg.json").read_text()
+    raw = text.encode().splitlines()
+    at = (line or 1) - 1
+    raw[at] = b"\xff\xfe" + raw[at]
+    path = tmp_path / "input"
+    path.write_bytes(b"\n".join(raw) + b"\n")
+    out = tmp_path / "out"
+    assert main([command, flag, str(path), "--out", str(out)]) == (2 if line is None else 4)
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err
+    assert line is None or f"line {line}: not UTF-8" in err
     assert not out.exists()
 
 

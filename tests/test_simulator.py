@@ -1668,6 +1668,23 @@ def test_load_rejects_empty_file(tmp_path):
         load_log(path)
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_load_counts_every_line_and_names_bytes_that_are_not_utf8(tmp_path, newline):
+    # a line ends at \n, \r or \r\n; a blank line is skipped but counted,
+    # and a byte that is not UTF-8 is corrupt input on the line holding it
+    log, _ = run_closed_loop(arc_spec(), RunSettings(planner="oneshot", history_depth=0))
+    raw = [line.encode() for line in log_to_jsonl(log).splitlines()]
+    raw.insert(1, b"  ")
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(newline.join(raw) + newline)
+    assert_logs_bit_equal(load_log(path), log)
+    raw[4] = b"\xff\xfe" + raw[4]
+    path.write_bytes(newline.join(raw) + newline)
+    with pytest.raises(LogCorruptionError, match="not UTF-8") as err:
+        load_log(path)
+    assert err.value.line_number == 5
+
+
 def test_load_rejects_ragged_proposals(tmp_path):
     # format v2 stores one (K, N, 2) stack and cannot express a ragged set;
     # a v1 log lists each candidate on its own
@@ -1892,11 +1909,14 @@ def test_v2_load_names_the_line_of_a_bad_pose_index_or_refined_row(tmp_path, edi
 @pytest.mark.parametrize("fixture, line, key", [
     (None, 3, "note"), ("v1_arc_momentum_depth2", 1, "note"), ("v1_arc_momentum_depth2", 4, "refined_score"),
     ("v1_obstacles_oneshot", 3, "ego_pose.note"), ("v1_obstacles_oneshot", 3, "proposals.note"),
-], ids=["v2_frame", "v1_header", "v1_frame", "v1_ego_pose", "v1_proposals"])
+    ("v1_arc_momentum_depth2", 4, "chosen_trajectory.note"),
+    ("v1_arc_momentum_depth2", 4, "proposals.trajectories.0.dtt"),
+], ids=["v2_frame", "v1_header", "v1_frame", "v1_ego_pose", "v1_proposals", "v1_chosen_trajectory", "v1_plan"])
 def test_load_refuses_keys_the_format_does_not_define(tmp_path, fixture, line, key):
-    # a frame, its pose and proposals, and a header hold only the keys
-    # their format defines; a format-1 frame's misspelt refined_scores
-    # would otherwise load as a frame without them
+    # a frame, its pose, proposals and plans, and a header hold only the
+    # keys their format defines; a format-1 frame's misspelt refined_scores
+    # would otherwise load as a frame without them, and a plan's dtt beside
+    # its dt would be ignored
     if fixture is None:
         log, _ = run_closed_loop(arc_spec(seed=2), RunSettings(planner="momentum", history_depth=2))
         lines = log_to_jsonl(log).splitlines()
@@ -1904,7 +1924,10 @@ def test_load_refuses_keys_the_format_does_not_define(tmp_path, fixture, line, k
         lines = (DATA / f"{fixture}.jsonl").read_text().splitlines()
     rec = json.loads(lines[line - 1])
     *within, key = key.split(".")
-    (rec[within[0]] if within else rec)[key] = "x"
+    part = rec
+    for name in within:
+        part = part[int(name)] if isinstance(part, list) else part[name]
+    part[key] = "x"
     lines[line - 1] = json.dumps(rec)
     path = tmp_path / "extra.jsonl"
     path.write_text("\n".join(lines) + "\n")
