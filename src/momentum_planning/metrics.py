@@ -423,12 +423,16 @@ def _fold_report(horizons_s, dt: float, protocol: L2Protocol, d, hits, sq, min_a
     and its TPC pairing (F', n') against the plan before (a frame without
     one has no row); min ADE/FDE are given.  Each horizon slices its first
     waypoints from those rows, and per-frame values go through
-    ``_mean_of``."""
+    ``_mean_of``.  Where no waypoint of any frame hit anything, every
+    horizon's collision rate is that mean of zeros, 0.0, or nan over no
+    frames, without reducing the flags."""
     l2, collision, consistency = {}, {}, {}
+    any_hit = np.logical_or.reduce(hits, axis=None)
+    no_hit = 0.0 if len(hits) else math.nan
     for h in horizons_s:
         steps = _horizon_index(h, dt, d.shape[1]) + 1
         l2[h] = _mean_of(_l2(d, steps, protocol))
-        collision[h] = _mean_of(_collided(hits, steps))
+        collision[h] = _mean_of(_collided(hits, steps)) if any_hit else no_hit
         consistency[h] = _mean_of(_rms(sq[:, :steps]))
     return MetricReport(l2=l2, collision_rate=collision, tpc=consistency, min_ade=min_ade, min_fde=min_fde)
 

@@ -48,7 +48,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigError, EmptyInputError, HorizonError, LogCorruptionError, ShapeError
+from .errors import AlignmentError, ConfigError, EmptyInputError, GeometryError, HorizonError
+from .errors import LogCorruptionError, ShapeError
 from .interactor import QueryBatch, WeightBundle, mix_history, softmax
 from .interactor import _lstm_step, _refined_scores, _score_gate
 from .interactor import mpi_forward  # noqa: F401
@@ -56,7 +57,7 @@ from .matching import DistanceKind, TrajectorySet, _displacements, _moved, _pair
 from .metrics import MAX_OBSTACLE_COORD_M, L2Protocol, MetricReport, ObstacleBox, _best_displacements
 from .metrics import _consistency_sq, _fold_report, _horizon_index, _mean_of, _number, _swept_hits
 from .metrics import collision_flags, l2_error, min_ade_fde, tpc  # noqa: F401
-from .trajectory import Pose2, Trajectory, _frame_delta, _from_frame, _mean, _to_frame, rotation_matrix
+from .trajectory import Pose2, Trajectory, _frame_delta, _from_frame, _json_numbers, _mean, _to_frame
 from .trajectory import transform_to_frame  # noqa: F401
 
 # The per-trajectory metrics above score one frame each and report_from_log
@@ -498,13 +499,16 @@ def _path_point(spec: ScenarioSpec, s: float) -> tuple[float, float]:
     )
 
 
-def _gen_path(spec: ScenarioSpec, extra_steps: int) -> Trajectory:
-    # ``round(duration/dt) + extra_steps`` waypoints; the ego's start pose at
-    # the origin is not one
+def _path_points(spec: ScenarioSpec, extra_steps: int) -> list[tuple[float, float]]:
+    """The path's ``round(duration/dt) + extra_steps`` waypoints, one step
+    of travel apart; the ego's start pose at the origin is not one."""
     n_steps = int(round(spec.duration_s / SIM_DT)) + int(extra_steps)
     step_len = spec.speed_mps * SIM_DT
-    pts = np.array([_path_point(spec, step_len * (j + 1)) for j in range(n_steps)])
-    return Trajectory(pts, dt=SIM_DT)
+    return [_path_point(spec, step_len * (j + 1)) for j in range(n_steps)]
+
+
+def _gen_path(spec: ScenarioSpec, extra_steps: int) -> Trajectory:
+    return Trajectory(np.array(_path_points(spec, extra_steps)), dt=SIM_DT)
 
 
 def gen_scenario(spec: ScenarioSpec, extra_steps: int = 0):
@@ -593,18 +597,20 @@ def _fan_offsets(k: int) -> np.ndarray:
     return coeffs
 
 
-def _fan(gt: np.ndarray, draws: np.ndarray, k: int, mode_noise: float, jitter: float, d_q: int):
+def _fan(gt: np.ndarray, draws: np.ndarray, shared_first: np.ndarray, k: int, mode_noise: float,
+         jitter: float, d_q: int):
     """The proposal model over F frames at once.
 
     ``gt`` is the (F, N, 2) stack of ego-frame ground-truth futures and
     ``draws`` the (F, ``_fan_width``) standard normals of each frame, in
-    draw order.  ``0.0 + sigma * z`` is what ``rng.normal(0.0, sigma)``
-    computes, +0.0 for sigma = 0 included.  Returns the (F, K, N, 2)
-    candidates, the (F, K) scores and the (F, K, d_q) queries; every value
-    is the one a single frame's computation gives, bit for bit.
+    draw order; ``shared_first`` is the (F, 2) shared first step, ``0.0 +
+    jitter * draws[:, :2]``.  ``0.0 + sigma * z`` is what
+    ``rng.normal(0.0, sigma)`` computes, +0.0 for sigma = 0 included.
+    Returns the (F, K, N, 2) candidates, the (F, K) scores and the
+    (F, K, d_q) queries; every value is the one a single frame's
+    computation gives, bit for bit.
     """
     f, n = gt.shape[:2]
-    shared_first = 0.0 + jitter * draws[:, :2]
     cand_jitter = 0.0 + jitter * draws[:, 2 : 2 + 2 * k * (n - 1)].reshape(f, k, n - 1, 2)
     observed = gt + (0.0 + mode_noise * draws[:, 2 + 2 * k * (n - 1) :].reshape(f, n, 2))
 
@@ -647,7 +653,8 @@ def propose(
         raise ValueError(f"noise scales must be non-negative, got {mode_noise} and {jitter}")
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((1, _fan_width(k, len(gt_future))))
-    cands, scores, queries = _fan(gt_future.points[None], draws, k, mode_noise, jitter, d_q)
+    cands, scores, queries = _fan(gt_future.points[None], draws, 0.0 + jitter * draws[:, :2], k, mode_noise,
+                                  jitter, d_q)
     return TrajectorySet.from_points(cands[0], scores[0], queries[0], dt=gt_future.dt)
 
 
@@ -777,7 +784,10 @@ def _choose_momentum(stream: _Stream, settings: RunSettings, weights: WeightBund
 def _world(spec: ScenarioSpec, horizon_steps: int) -> np.ndarray:
     """The scenario's path in world coordinates, the ego's start at the
     origin first, long enough for the last frame's horizon."""
-    return np.vstack([[0.0, 0.0], _gen_path(spec, extra_steps=horizon_steps).points])
+    world = np.array([(0.0, 0.0), *_path_points(spec, horizon_steps)])
+    if not np.isfinite(world).all():
+        raise GeometryError("trajectory contains non-finite coordinates")
+    return world
 
 
 def _futures(world: np.ndarray, rot: np.ndarray, xy: np.ndarray, h: int):
@@ -860,27 +870,34 @@ def _stream(spec: ScenarioSpec, settings: RunSettings) -> _Stream:
     draws = np.random.default_rng(spec.seed).standard_normal((n_frames, width + k * d_q))
     shared_first = 0.0 + settings.jitter_m * draws[:, :2]
     t2 = clock()
-    first_dir = world[1] - world[0]
-    rot, xy = rotation_matrix(math.atan2(first_dir[1], first_dir[0])), np.zeros(2)
-    rots, xys = [rot], [xy]
-    for j in range(1, n_frames):
-        # step to the previous frame's first waypoint, which every candidate
-        # shares: its ground truth, the one waypoint this step reads, plus
-        # the shared step.  The fan's lateral offset there is +-0.0 and the
-        # shared step nonzero or +0.0, so this sum equals it bit for bit
-        first = _to_frame(world[j : j + 1], rot, xy) + shared_first[j - 1]
-        step_world = _from_frame(first, rot, xy)[0]
-        dx, dy = (step_world - xy).tolist()
+    # each pose goes straight into its row of the stacks, the rotation as
+    # rotation_matrix builds it, and the next step reads the rows as views
+    rot, xy = np.empty((n_frames, 2, 2)), np.empty((n_frames, 2))
+    dx, dy = (world[1] - world[0]).tolist()
+    heading, x, y = math.atan2(dy, dx), 0.0, 0.0
+    for j in range(n_frames):
+        c, s = math.cos(heading), math.sin(heading)
+        rot[j] = ((c, -s), (s, c))
+        xy[j] = (x, y)
+        if j + 1 == n_frames:
+            break
+        # step to this frame's first waypoint, which every candidate shares:
+        # its ground truth, the one waypoint this step reads, plus the
+        # shared step.  The fan's lateral offset there is +-0.0 and the
+        # shared step nonzero or +0.0, so this sum equals it bit for bit.
+        # Both products stay (1, 2) numpy calls: BLAS fuses multiply-adds
+        # that Python float arithmetic would round apart
+        first = _to_frame(world[j + 1 : j + 2], rot[j], xy[j]) + shared_first[j]
+        nx, ny = _from_frame(first, rot[j], xy[j])[0].tolist()
+        dx, dy = nx - x, ny - y
         # on a zero-length step the heading stays the rotation's own
-        heading = math.atan2(dy, dx) if (dx, dy) != (0.0, 0.0) else math.atan2(rot[1, 0], rot[0, 0])
-        rot, xy = rotation_matrix(heading), step_world
-        rots.append(rot)
-        xys.append(xy)
-    rot, xy = np.array(rots), np.array(xys)
+        heading = math.atan2(dy, dx) if (dx, dy) != (0.0, 0.0) else math.atan2(s, c)
+        x, y = nx, ny
     poses = Pose2.per_frame(rot, xy)
     t3 = clock()
     steps, gt = _futures(world, rot, xy, h)
-    cands, scores, queries = _fan(gt, draws[:, :width], k, settings.mode_noise_m, settings.jitter_m, d_q)
+    cands, scores, queries = _fan(gt, draws[:, :width], shared_first, k, settings.mode_noise_m, settings.jitter_m,
+                                  d_q)
     queries += (settings.ns * draws[:, width:]).reshape(n_frames, k, d_q)
     if settings.occlusion_start is not None:
         scores[settings.occlusion_start : settings.occlusion_start + settings.occlusion_len] = 1.0 / k
@@ -1260,8 +1277,8 @@ def _v2_fields(obj: dict, shapes: dict) -> dict:
 
 def _listed(value, shape: tuple[int, ...], name: str) -> bytes:
     """The little-endian float64 bytes of a decimal JSON list of exactly
-    ``shape``."""
-    array = np.asarray(value, dtype="<f8")
+    ``shape`` that holds JSON numbers only."""
+    array = np.asarray(_json_numbers(value, name), dtype="<f8")
     if array.shape != shape:
         raise ShapeError(f"{name} has shape {array.shape}, the settings say {shape}")
     return array.tobytes()

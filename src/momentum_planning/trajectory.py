@@ -189,14 +189,14 @@ def _to_frame(points, rotation, translation) -> np.ndarray:
 def _from_frame(points, rotation, translation) -> np.ndarray:
     """Inverse of ``_to_frame``: every point p becomes R p + t, computed as
     p @ R^T + t."""
-    return points @ np.swapaxes(rotation, -1, -2) + translation[..., None, :]
+    return points @ rotation.swapaxes(-1, -2) + translation[..., None, :]
 
 
 def _frame_delta(rot_prev, t_prev, rot_cur, t_cur):
     """The poses of previous frames seen from current ones, given both in a
     common frame as (..., 2, 2) rotations and (..., 2) translations: the
     rotations R_cur^T R_prev and translations R_cur^T (t_prev - t_cur)."""
-    rot_t = np.swapaxes(rot_cur, -1, -2)
+    rot_t = rot_cur.swapaxes(-1, -2)
     return rot_t @ rot_prev, (rot_t @ (t_prev - t_cur)[..., None])[..., 0]
 
 
@@ -272,10 +272,30 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
     return {"dt": float(traj.dt), "points": traj.points.tolist()}
 
 
+def _json_numbers(value, name: str):
+    """``value``, a JSON value, if it is a number or a list that nests only
+    numbers: ints and floats, never bools or strings, at every depth, and
+    no int that float64 cannot hold."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if type(item) is list:
+            pending.extend(reversed(item))
+        elif type(item) is int:
+            try:
+                float(item)
+            except OverflowError:
+                raise ValueError(f"{name} holds an integer past the float64 range") from None
+        elif type(item) is not float:
+            raise TypeError(f"{name} must hold JSON numbers only, got {item!r}")
+    return value
+
+
 def trajectory_from_dict(obj: dict) -> Trajectory:
     """The trajectory of a record ``trajectory_to_dict`` wrote, which holds
-    exactly the keys 'dt' and 'points'."""
+    exactly the keys 'dt' and 'points', both JSON numbers only."""
     if not isinstance(obj, dict) or obj.keys() != {"dt", "points"}:
         got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
         raise GeometryError(f"trajectory record must hold exactly 'dt' and 'points', got {got}")
-    return Trajectory(np.asarray(obj["points"], dtype=np.float64), dt=float(obj["dt"]))
+    points = np.asarray(_json_numbers(obj["points"], "points"), dtype=np.float64)
+    return Trajectory(points, dt=float(_json_numbers(obj["dt"], "dt")))

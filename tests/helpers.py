@@ -6,7 +6,9 @@ reproduce, and the per-candidate proposal and matching loops,
 the per-frame momentum step and the per-frame rollout and scoring loops
 that the batched ``propose``, ``ttm_select``, ``step_momentum``,
 ``run_closed_loop`` and ``report_from_log`` must reproduce, the
-``json.dumps`` frame writer that the one-step writer must reproduce, and
+per-horizon report fold that the fold with its no-hit shortcut must
+reproduce, the ``json.dumps`` frame writer that the one-step writer must
+reproduce, and
 the TTM distance table and the plan head's input as they were written
 before their kernels were reordered."""
 
@@ -20,6 +22,7 @@ from momentum_planning.errors import AlignmentError, EmptyInputError, HorizonErr
 from momentum_planning.interactor import QueryBatch, WeightBundle, mpi_forward, sigmoid, softmax
 from momentum_planning.matching import DistanceKind, TrajectorySet, ttm_select
 from momentum_planning.metrics import L2Protocol, MetricReport, ObstacleBox
+from momentum_planning.metrics import _collided, _horizon_index, _l2, _mean_of, _rms
 from momentum_planning.simulator import (
     SIM_DT,
     FrameRecord,
@@ -396,6 +399,18 @@ def reference_collision_flags(pred, ego_dims, obstacles):
                 flags[i] = True
                 break
     return flags
+
+
+def reference_fold_report(horizons_s, dt, protocol, d, hits, sq, min_ade, min_fde):
+    """The report's per-horizon loop as it was written before a score pass
+    in which nothing is hit skipped its collision reductions."""
+    l2, collision, consistency = {}, {}, {}
+    for h in horizons_s:
+        steps = _horizon_index(h, dt, d.shape[1]) + 1
+        l2[h] = _mean_of(_l2(d, steps, protocol))
+        collision[h] = _mean_of(_collided(hits, steps))
+        consistency[h] = _mean_of(_rms(sq[:, :steps]))
+    return MetricReport(l2=l2, collision_rate=collision, tpc=consistency, min_ade=min_ade, min_fde=min_fde)
 
 
 def reference_report_from_log(log):

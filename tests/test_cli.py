@@ -501,6 +501,16 @@ def _set(**kv):
     return lambda rec: rec.update(kv)
 
 
+def _entry(*path, by):
+    """Replace the JSON value at ``path`` in a record by ``by`` of it."""
+    def edit(rec):
+        *within, last = path
+        for key in within:
+            rec = rec[key]
+        rec[last] = by(rec[last])
+    return edit
+
+
 FRAME_EDITS = [
     *(pytest.param(v, _set(chosen_index=i), id=f"v{v}-index-{i!r}")
       for v in (1, 2) for i in (99, 6, -1, 2.7, 3.0, True, "3", None)),
@@ -513,6 +523,11 @@ FRAME_EDITS = [
     pytest.param(1, _rotation_off, id="v1-rotation-off-orthonormal"),
     pytest.param(1, _short_refined, id="v1-refined-scores-k-minus-1"),
     pytest.param(1, _string_dt, id="v1-proposal-dt-string"),
+    # format-1 arrays hold JSON numbers only, never strings or booleans
+    pytest.param(1, _entry("proposals", "scores", 0, by=repr), id="v1-score-string"),
+    pytest.param(1, _entry("ego_pose", "xy", 0, by=repr), id="v1-xy-string"),
+    pytest.param(1, _entry("proposals", "scores", 1, by=lambda v: True), id="v1-score-true"),
+    pytest.param(1, _entry("proposals", "scores", 1, by=lambda v: 10**400), id="v1-score-int-past-float64"),
 ]
 
 
@@ -529,8 +544,10 @@ def test_eval_rejects_bad_chosen_plan_or_time(tmp_path, capsys, version, edit):
     edit(rec)
     lines[3] = json.dumps(rec)
     log_path.write_text("\n".join(lines) + "\n")
-    assert main(["eval", "--log", str(log_path)]) == 4
+    out = tmp_path / "replay"
+    assert main(["eval", "--log", str(log_path), "--out", str(out)]) == 4
     assert "line 4" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key, value, line", [("k", 5, 2), ("horizons_s", [1e308], 1)],
@@ -701,10 +718,12 @@ def test_curate_bad_epsilon_exits_2(tmp_path, pool, epsilon):
 
 
 @pytest.mark.parametrize("key, value", [("sample_id", {"a": 1}), ("scene_id", ["s"]), ("scene_id", 3),
-                                        ("scene", "A"), ("future.note", "x")])
+                                        ("scene", "A"), ("future.note", "x"), ("future.dt", "0.5"),
+                                        ("future.dt", True), ("future.points", [["1", "2"], ["3", "4"]]),
+                                        pytest.param("future.dt", 10**400, id="future.dt-int-past-float64")])
 def test_curate_sample_ids_that_are_not_strings_exit_4(tmp_path, capsys, key, value):
     # a key outside the sample's format, beside scene_id or in its future,
-    # exits 4 too
+    # exits 4 too, and so does a future whose numbers are not JSON numbers
     samples = make_samples(tmp_path)
     lines = samples.read_text().splitlines()
     rec = json.loads(lines[1])

@@ -9,6 +9,7 @@ from helpers import (
     outcome,
     reference_boxes_overlap,
     reference_collision_flags,
+    reference_fold_report,
     reference_l2_error,
     reference_min_ade_fde,
     reference_tpc,
@@ -28,6 +29,7 @@ from momentum_planning.metrics import (
     LossWeights,
     MetricReport,
     ObstacleBox,
+    _fold_report,
     boxes_overlap,
     collision_flags,
     collision_rate,
@@ -40,6 +42,7 @@ from momentum_planning.metrics import (
     overlap_flags,
     tpc,
 )
+from momentum_planning.simulator import MAX_HORIZON_STEPS
 from momentum_planning.trajectory import (
     OverlapMask,
     Pose2,
@@ -507,6 +510,25 @@ def test_mean_reports_averages_each_cell():
     mean = mean_reports([_report(1.0), _report(2.0)])
     assert mean.l2[1.0] == pytest.approx(0.15, abs=1e-15)
     assert mean.min_fde == pytest.approx(0.7 * 1.5, abs=1e-15)
+
+
+@st.composite
+def folded_rows(draw):
+    f = draw(st.integers(0, 12))
+    n = draw(st.integers(2, MAX_HORIZON_STEPS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hits = rng.random((f, n)) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    horizons = draw(st.lists(st.integers(1, n), min_size=1, max_size=4, unique=True))
+    return (tuple(0.5 * s for s in horizons), 0.5, draw(st.sampled_from(list(L2Protocol))),
+            rng.exponential(size=(f, n)), hits, rng.exponential(size=(max(f - 1, 0), n - 1)),
+            float(rng.exponential()), float(rng.exponential()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(folded_rows())
+def test_fold_report_equals_the_per_horizon_loop(rows):
+    # hits all false takes the no-hit shortcut: 0.0 per horizon, nan over no frames
+    assert _fold_report(*rows).to_csv_text() == reference_fold_report(*rows).to_csv_text()
 
 
 def test_mean_reports_requires_shared_horizons():

@@ -158,6 +158,21 @@ def test_extra_steps_extend_without_moving_prefix():
     np.testing.assert_array_equal(long.points[: len(short)], short.points)
 
 
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_world_path_is_the_origin_then_the_generated_path(kind):
+    # the stream pass and the replay read the path as one array built in one
+    # call; it must be the origin stacked on gen_scenario's path, bit for bit
+    for duration in (SIM_DT, 7.5, MAX_DURATION_S):
+        for speed in (0.5, 13.0, MAX_SPEED_MPS):
+            for radius in (MIN_RADIUS_M, 17.3, 1e4):
+                spec = ScenarioSpec(kind, duration, speed, radius_m=radius, angle_rad=2.5)
+                for h in (1, 7, MAX_HORIZON_STEPS):
+                    world = simulator._world(spec, h)
+                    expected = np.vstack([[0.0, 0.0], simulator._gen_path(spec, h).points])
+                    assert world.shape == expected.shape
+                    assert world.tobytes() == expected.tobytes()
+
+
 def test_obstacle_tracks_follow_scripted_velocity():
     obs = ScriptedObstacle(ObstacleBox((10.0, 2.0), 0.0, 4.0, 2.0), velocity=(2.0, -1.0))
     spec = ScenarioSpec("straight", 2.0, 5.0, obstacles=(obs,))
@@ -840,6 +855,7 @@ def _reference_cases(kind):
         dict(k=2, horizon_steps=2, jitter_m=0.0, horizons_s=(1.0,), occlusion_start=0, occlusion_len=2),
         dict(mode_noise_m=0.0, ns=0.0, occlusion_start=3, occlusion_len=2),
         dict(occlusion_start=7, occlusion_len=9),
+        dict(jitter_m=0.0, mode_noise_m=0.0),
     ]
     for _ in range(3):
         h = int(rng.integers(2, MAX_HORIZON_STEPS + 1))
@@ -873,6 +889,16 @@ def test_rollout_matches_per_frame_reference(kind):
             if st_.planner == "momentum" and st_.history_depth == 1:
                 deeper = logs[dataclasses.replace(st_, history_depth=2)]
                 assert (logs[st_] != deeper) == (scene is spec)
+    # 60 frames: every pose row the stream pass writes is pinned along a
+    # long chain, with and without noise on the step
+    chain = dataclasses.replace(spec, duration_s=30.0)
+    for noise in (dict(), dict(jitter_m=0.0, mode_noise_m=0.0)):
+        st_ = RunSettings(planner="momentum", history_depth=2, **noise)
+        log, report = run_closed_loop(chain, st_)
+        ref_log, ref_report = reference_run_closed_loop(chain, st_)
+        assert len(log.frames) == 60
+        assert log_to_jsonl(log) == log_to_jsonl(ref_log), st_
+        assert report.to_csv_text() == ref_report.to_csv_text()
 
 
 def test_rollout_matches_per_frame_reference_where_ttm_decides(monkeypatch):
@@ -1571,6 +1597,37 @@ def test_log_longer_than_its_path_is_rejected():
                              RunSettings())
     with pytest.raises(AlignmentError):
         report_from_log(ScenarioLog(spec, log.settings, log.frames))
+
+
+REPLAY_OBSTACLES = {
+    "no_obstacles": (),
+    "far_boxes": (ScriptedObstacle(ObstacleBox((-500.0, 300.0), 0.3, 4.0, 2.0)),
+                  ScriptedObstacle(ObstacleBox((400.0, -900.0), 0.3, 4.0, 2.0), (1.0, -2.0))),
+    # parked on the path 6 m ahead, where the first frames' plans run
+    "parked_box_hit": (ScriptedObstacle(ObstacleBox((6.0, 0.0), 0.0, 3.0, 3.0)),),
+    "header_only": (),
+}
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+@pytest.mark.parametrize("case", list(REPLAY_OBSTACLES))
+def test_replay_collision_rates_match_the_per_frame_loop(kind, case):
+    # a score pass in which nothing is hit reports its rates without the
+    # per-horizon reductions; they must read as the loop's, nan over no frames
+    spec = ScenarioSpec(kind, 4.0, 6.0, radius_m=15.0, obstacles=REPLAY_OBSTACLES[case], seed=2)
+    settings_ = RunSettings(horizons_s=(0.5, 1.5, 3.0))
+    log = run_closed_loop(spec, settings_)[0]
+    if case == "header_only":
+        log = ScenarioLog(spec, settings_, ())
+    report = report_from_log(log)
+    assert report.to_csv_text() == reference_report_from_log(log).to_csv_text()
+    rates = list(report.collision_rate.values())
+    if case == "header_only":
+        assert all(math.isnan(v) for v in rates)
+    elif case == "parked_box_hit":
+        assert max(rates) > 0.0
+    else:
+        assert rates == [0.0] * 3
 
 
 def test_header_only_log_reports_nan():
