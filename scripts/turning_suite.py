@@ -19,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from momentum_planning.errors import ConfigError
+from momentum_planning.fileio import write_in_place
 from momentum_planning.metrics import mean_reports
 from momentum_planning.simulator import RunSettings, ScenarioSpec, paired_reports
 
@@ -77,7 +78,7 @@ def main(argv=None) -> int:
         lines += [f"{settings.ns!r},{s},{m!r},{o!r}" for s, m, o in rows]
 
     if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        write_in_place(args.out, "\n".join(lines) + "\n")
         print(f"wrote {args.out}")
     return 0
 

@@ -37,6 +37,7 @@ from .errors import (
     LogCorruptionError,
     ShapeError,
 )
+from .fileio import write_in_place
 from .matching import DistanceKind
 from .metrics import L2Protocol, _row_key, mean_reports
 from .simulator import (
@@ -134,7 +135,7 @@ def _prepare_out_dir(out) -> Path:
 
 
 def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+    write_in_place(path, text)
     logger.info("wrote %s", path)
 
 

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, HorizonError, LogCorruptionError
+from .fileio import write_in_place
 from .simulator import SIM_DT, ScenarioLog, _json_objects, _known_keys, ground_truth_futures
 from .trajectory import Trajectory, trajectory_from_dict, trajectory_to_dict
 
@@ -113,9 +114,9 @@ def _sample_to_dict(sample: SampleRecord) -> dict:
 
 
 def save_samples_jsonl(path, samples: Iterable[SampleRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sample in samples:
-            fh.write(json.dumps(_sample_to_dict(sample)) + "\n")
+    # every line is formatted before the path is opened: a sample that
+    # fails leaves no file behind, and an existing one as it was
+    write_in_place(path, "".join(json.dumps(_sample_to_dict(sample)) + "\n" for sample in samples))
 
 
 def load_samples_jsonl(path) -> list[SampleRecord]:
@@ -134,6 +135,4 @@ def load_samples_jsonl(path) -> list[SampleRecord]:
 
 
 def save_manifest_json(path, samples: Sequence[SampleRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scene_manifest(samples), fh, indent=2)
-        fh.write("\n")
+    write_in_place(path, json.dumps(scene_manifest(samples), indent=2) + "\n")

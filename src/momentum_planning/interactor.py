@@ -48,6 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyInputError, ShapeError
+from .fileio import write_in_place
 from .trajectory import _mean
 
 
@@ -223,8 +224,7 @@ class WeightBundle:
             name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
             for name, arr in self._tensors.items()
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+        write_in_place(path, json.dumps(payload))
 
     @staticmethod
     def load(path) -> "WeightBundle":

@@ -50,6 +50,7 @@ import numpy as np
 
 from .errors import AlignmentError, ConfigError, EmptyInputError, GeometryError, HorizonError
 from .errors import LogCorruptionError, ShapeError
+from .fileio import write_in_place
 from .interactor import QueryBatch, WeightBundle, mix_history, softmax
 from .interactor import _lstm_step, _refined_scores, _score_gate
 from .interactor import mpi_forward  # noqa: F401
@@ -1365,9 +1366,8 @@ def log_to_jsonl(log: ScenarioLog) -> str:
 
 
 def save_log(log: ScenarioLog, path) -> None:
-    text = log_to_jsonl(log)  # a log that does not fit leaves no file behind
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    # a log that does not fit leaves no file behind, and an existing one as it was
+    write_in_place(path, log_to_jsonl(log))
 
 
 def load_log(path) -> ScenarioLog:

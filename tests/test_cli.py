@@ -845,6 +845,49 @@ def test_compare_summary_means_are_the_run_means(tmp_path):
         assert [",".join(row[:2] + [row[column]]) for row in summary[1:]] == means[1:]
 
 
+def test_rerun_over_a_longer_run_writes_what_a_fresh_run_does(tmp_path):
+    # run and eval overwrite existing files in place: every file of a rerun
+    # into a directory holding a longer run (6 s, seeds 0-2) equals, byte for
+    # byte, the same run into an empty directory, and a file the rerun does
+    # not write stays as it was
+    longer = tmp_path / "longer.json"
+    longer.write_text(json.dumps(README_CONFIG | {"scenario": README_CONFIG["scenario"] | {"duration_s": 6.0}}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(README_CONFIG | {"seeds": [0, 1]}))
+    rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+    assert main(["run", "--config", str(longer), "--out", str(rerun)]) == 0
+    assert main(["eval", "--log", str(rerun / "run_seed0.jsonl"), "--out", str(tmp_path / "replay")]) == 0
+    seed2 = (rerun / "run_seed2.jsonl").read_bytes()
+    longer_size = (rerun / "run_seed0.jsonl").stat().st_size
+    assert main(["run", "--config", str(cfg), "--out", str(rerun)]) == 0
+    assert main(["run", "--config", str(cfg), "--out", str(fresh)]) == 0
+    written = sorted(p.name for p in fresh.iterdir())
+    assert written == ["metrics_mean.csv", "metrics_seed0.csv", "metrics_seed1.csv",
+                       "run_seed0.jsonl", "run_seed1.jsonl"]
+    assert (fresh / "run_seed0.jsonl").stat().st_size < longer_size
+    for name in written:
+        assert (rerun / name).read_bytes() == (fresh / name).read_bytes()
+    assert (rerun / "run_seed2.jsonl").read_bytes() == seed2
+    assert main(["eval", "--log", str(rerun / "run_seed0.jsonl"), "--out", str(tmp_path / "replay")]) == 0
+    assert main(["eval", "--log", str(fresh / "run_seed0.jsonl"), "--out", str(tmp_path / "fresh_replay")]) == 0
+    replayed = (tmp_path / "replay" / "run_seed0.metrics.csv").read_bytes()
+    assert replayed == (tmp_path / "fresh_replay" / "run_seed0.metrics.csv").read_bytes()
+    assert replayed == (fresh / "metrics_seed0.csv").read_bytes()
+
+
+def test_output_path_that_is_a_directory_or_under_a_missing_one_exits_3(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", seeds=[0])
+    out = tmp_path / "out"
+    (out / "run_seed0.jsonl").mkdir(parents=True)
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+    # a dangling symlink whose target's directory does not exist
+    dangling = tmp_path / "dangling"
+    dangling.mkdir()
+    (dangling / "run_seed0.jsonl").symlink_to(tmp_path / "absent" / "run.jsonl")
+    assert main(["run", "--config", str(cfg), "--out", str(dangling)]) == 3
+    assert not (tmp_path / "absent").exists()
+
+
 def test_bad_log_level_env_exits_2(tmp_path, monkeypatch):
     monkeypatch.setenv("MOMAD_LOG_LEVEL", "loud")
     cfg = write_config(tmp_path / "cfg.json")

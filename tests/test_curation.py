@@ -148,6 +148,25 @@ def test_jsonl_round_trip(tmp_path):
         assert a.gt_future.dt == b.gt_future.dt
 
 
+def test_samples_that_fail_midway_leave_an_existing_file_as_it_was(tmp_path):
+    # every line is formatted before the path is opened, so an iterable that
+    # raises after its first sample neither truncates nor half-writes the file
+    path = tmp_path / "samples.jsonl"
+    save_samples_jsonl(path, [sample("a1", "A", 12.5), sample("b1", "B", 31.0, n=8)])
+    before = path.read_bytes()
+
+    def failing():
+        yield sample("c1", "C", 1.0)
+        raise RuntimeError("source failed")
+
+    with pytest.raises(RuntimeError, match="source failed"):
+        save_samples_jsonl(path, failing())
+    assert path.read_bytes() == before
+    with pytest.raises(RuntimeError):
+        save_samples_jsonl(tmp_path / "new.jsonl", failing())
+    assert not (tmp_path / "new.jsonl").exists()
+
+
 def test_jsonl_corruption_reports_line(tmp_path):
     pool = [sample("a1", "A", 12.5), sample("b1", "B", 31.0)]
     path = tmp_path / "samples.jsonl"

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -460,3 +461,25 @@ def test_weight_bundle_json_round_trip(tmp_path, wb):
     again = WeightBundle.load(path)
     assert again == wb
     assert again.d_q == D and again.k == K and again.n_t == N
+
+
+def test_weight_bundle_save_overwrites_in_place(tmp_path, wb, monkeypatch):
+    # saved over a longer file, the weights file is opened once without
+    # O_TRUNC and holds exactly what a save into a new path writes
+    path, fresh = tmp_path / "weights.json", tmp_path / "fresh.json"
+    wb.save(fresh)
+    path.write_text("x" * (2 * fresh.stat().st_size))
+    inode = path.stat().st_ino
+    opened, real_open = [], os.open
+
+    def spy(file, flags, *args, **kwargs):
+        opened.append(flags)
+        return real_open(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    wb.save(path)
+    monkeypatch.undo()
+    assert len(opened) == 1 and not opened[0] & os.O_TRUNC
+    assert path.read_bytes() == fresh.read_bytes()
+    assert path.stat().st_ino == inode
+    assert WeightBundle.load(path) == wb

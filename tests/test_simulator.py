@@ -6,6 +6,7 @@ import importlib.util
 import json
 import logging
 import math
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -1589,6 +1590,74 @@ def test_frames_out_of_place_are_rejected(tmp_path):
         with pytest.raises(AlignmentError, match=where):
             save_log(bad, tmp_path / "bad.jsonl")
     assert not (tmp_path / "bad.jsonl").exists()
+    # refused over an existing log, it leaves that log byte for byte
+    kept = tmp_path / "kept.jsonl"
+    save_log(log, kept)
+    before = kept.read_bytes()
+    for bad in (dropped, retimed):
+        with pytest.raises(AlignmentError):
+            save_log(bad, kept)
+        assert kept.read_bytes() == before
+
+
+def test_save_log_opens_the_path_once_without_truncating(tmp_path, monkeypatch):
+    # an existing file is overwritten in place: its length is set, never cut
+    # to zero first, which on ext4 makes close() flush the file
+    log, _ = run_closed_loop(arc_spec(), RunSettings())
+    path = tmp_path / "run.jsonl"
+    path.write_text("x" * 100_000)
+    opened, real_open = [], os.open
+
+    def spy(file, flags, *args, **kwargs):
+        opened.append((os.fspath(file), flags))
+        return real_open(file, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    save_log(log, path)
+    monkeypatch.undo()
+    assert len(opened) == 1
+    name, flags = opened[0]
+    assert name == os.fspath(path)
+    assert flags & os.O_CREAT and flags & os.O_WRONLY
+    assert not flags & os.O_TRUNC
+    assert path.read_text(encoding="utf-8") == log_to_jsonl(log)
+
+
+def test_save_log_overwrites_in_place(tmp_path):
+    # longer over shorter and shorter over longer give exactly the new log's
+    # bytes, on the same inode with the same mode; a hard link reads the new
+    # log, and a symlinked path stays a symlink whose target holds it
+    short, _ = run_closed_loop(arc_spec(duration=2.0), RunSettings())
+    long, _ = run_closed_loop(arc_spec(duration=6.0), RunSettings())
+    assert len(log_to_jsonl(short)) < len(log_to_jsonl(long))
+    path, hard = tmp_path / "run.jsonl", tmp_path / "hard.jsonl"
+    save_log(short, path)
+    path.chmod(0o640)
+    os.link(path, hard)
+    inode = path.stat().st_ino
+    for log in (long, short, short, long):
+        save_log(log, path)
+        assert path.read_bytes() == log_to_jsonl(log).encode("utf-8")
+        assert hard.read_bytes() == path.read_bytes()
+        assert path.stat().st_ino == inode
+        assert path.stat().st_mode & 0o777 == 0o640
+    target, link = tmp_path / "target.jsonl", tmp_path / "link.jsonl"
+    save_log(long, target)
+    link.symlink_to(target.name)
+    save_log(short, link)
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_bytes() == log_to_jsonl(short).encode("utf-8")
+    assert log_to_jsonl(load_log(link)) == log_to_jsonl(short)
+
+
+def test_save_log_to_a_device_a_directory_or_a_missing_parent(tmp_path):
+    log, _ = run_closed_loop(arc_spec(), RunSettings())
+    save_log(log, os.devnull)  # a device has no length to set, and is written as before
+    with pytest.raises(IsADirectoryError):
+        save_log(log, tmp_path)
+    with pytest.raises(FileNotFoundError):
+        save_log(log, tmp_path / "absent" / "run.jsonl")
+    assert not (tmp_path / "absent").exists()
 
 
 def test_log_longer_than_its_path_is_rejected():
