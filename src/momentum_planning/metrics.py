@@ -19,6 +19,13 @@ pointwise displacement they read is ``matching._displacements``, the one
 the pointwise-mean distance averages.  A rollout's report folds them over
 every frame at once; ``l2_error``, ``tpc``, ``min_ade_fde``,
 ``collision_flags`` and ``collision_rate`` are their calls on one frame.
+
+The ego box heads along its path.  When every step of every path moves,
+its headings are the steps' ``arctan2``; only a stack with a standing step
+runs the carry rule, where such a step keeps the heading before it.  The
+collision kernels call ufunc reductions (``np.logical_or.reduce``) rather
+than ``ndarray.any``: on these (obstacle, frame, waypoint) stacks numpy's
+Python-level wrappers cost more than the arithmetic.
 """
 
 from __future__ import annotations
@@ -186,19 +193,25 @@ def ego_headings(points: np.ndarray) -> np.ndarray:
     A zero-length step keeps the heading of the step before it (0 at the
     start) and the last waypoint reuses the previous heading; a single
     waypoint points from the origin towards itself.
+
+    When every step of every path has nonzero length, the headings are the
+    steps' ``arctan2`` with the last repeated, which is what the carry rule
+    gives such a stack; the carry rule runs only when some step stands
+    still, since ``take_along_axis`` builds its index arrays in Python.
     """
     if points.shape[-2] == 1:
         x, y = points[..., 0], points[..., 1]
         return np.where((x != 0.0) | (y != 0.0), np.arctan2(y, x), 0.0)
-    d = np.diff(points, axis=-2)
+    d = points[..., 1:, :] - points[..., :-1, :]
     moved = (d[..., 0] != 0.0) | (d[..., 1] != 0.0)
-    last_moved = np.maximum.accumulate(np.where(moved, np.arange(moved.shape[-1]), -1), axis=-1)
-    step_heading = np.arctan2(d[..., 1], d[..., 0])
-    headings = np.where(
-        last_moved >= 0,
-        np.take_along_axis(step_heading, np.maximum(last_moved, 0), axis=-1),
-        0.0,
-    )
+    headings = np.arctan2(d[..., 1], d[..., 0])
+    if not np.logical_and.reduce(moved, axis=None):
+        last_moved = np.maximum.accumulate(np.where(moved, np.arange(moved.shape[-1]), -1), axis=-1)
+        headings = np.where(
+            last_moved >= 0,
+            np.take_along_axis(headings, np.maximum(last_moved, 0), axis=-1),
+            0.0,
+        )
     return np.concatenate([headings, headings[..., -1:]], axis=-1)
 
 
@@ -208,13 +221,13 @@ def _swept_hits(points: np.ndarray, length: float, width: float, boxes) -> np.nd
     ``boxes``: obstacle stacks in ``overlap_flags`` form whose leading
     obstacle axis comes before axes that broadcast against the paths."""
     ego = (points, ego_headings(points), length, width)
-    return overlap_flags(ego, boxes).any(axis=0)
+    return np.logical_or.reduce(overlap_flags(ego, boxes), axis=0)
 
 
 def _collided(hits: np.ndarray, steps: int) -> np.ndarray:
     """100 per row of (F, n) hit flags with a hit among its first ``steps``
     waypoints, else 0."""
-    return np.where(hits[:, :steps].any(axis=-1), 100.0, 0.0)
+    return np.where(np.logical_or.reduce(hits[:, :steps], axis=-1), 100.0, 0.0)
 
 
 def _clamped_track(obstacle, n: int) -> list:

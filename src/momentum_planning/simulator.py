@@ -266,8 +266,9 @@ def _boxes_at(obstacles, steps) -> tuple:
     definition of the obstacle motion model."""
     rows = np.array([(*o.box.center, *o.velocity, o.box.heading, o.box.length, o.box.width)
                      for o in obstacles])
-    rows = rows.reshape((len(obstacles),) + (1,) * np.ndim(steps) + (7,))
-    t = (np.asarray(steps) * SIM_DT)[..., None]
+    steps = np.asarray(steps)
+    rows = rows.reshape((len(obstacles),) + (1,) * steps.ndim + (7,))
+    t = (steps * SIM_DT)[..., None]
     return rows[..., 0:2] + rows[..., 2:4] * t, rows[..., 4], rows[..., 5], rows[..., 6]
 
 
@@ -1254,7 +1255,7 @@ def _json_objects(path):
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise LogCorruptionError(f"not UTF-8 (byte {exc.start}: {exc.reason})", line_number=line_no) from exc
-        if not text.strip():
+        if not text or text.isspace():
             continue
         try:
             obj = json.loads(text)

@@ -291,6 +291,25 @@ def test_zero_length_step_keeps_the_previous_heading():
     np.testing.assert_array_equal(ego_headings(np.array([[0.0, 2.0]])), [math.pi / 2])
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_paths_that_all_move_take_the_carry_rules_headings(n):
+    # a stack with no standing step takes the steps' arctan2 directly; one
+    # extra plan that stands still sends the whole stack through the carry
+    # rule, which must give every moving row the same bits
+    rng = np.random.default_rng(n)
+    stack = np.cumsum(rng.normal(size=(6, n, 2)), axis=-2)
+    assert np.all(np.diff(stack, axis=-2) != 0.0)
+    headings = ego_headings(stack)
+    for row, points in zip(headings, stack):
+        assert row.tobytes() == ego_headings(points).tobytes()
+    for segment in sorted({0, (n - 1) // 2, n - 2}):
+        standing = stack[0].copy()
+        standing[segment + 1] = standing[segment]
+        carried = ego_headings(np.concatenate([stack, standing[None]]))
+        assert carried[:-1].tobytes() == headings.tobytes()
+        assert carried[-1, segment] == (carried[-1, segment - 1] if segment else 0.0)
+
+
 def test_zero_length_step_decides_a_collision():
     # the ego drives diagonally, stands still for one step, then turns to
     # +y; waypoint 1's own step has zero length, so it keeps the diagonal

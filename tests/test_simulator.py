@@ -1811,6 +1811,22 @@ def test_load_counts_every_line_and_names_bytes_that_are_not_utf8(tmp_path, newl
     assert err.value.line_number == 5
 
 
+def test_load_skips_whitespace_only_lines_and_counts_them(tmp_path):
+    # a line of any Unicode whitespace (a tab, the ideographic space, the
+    # file separator) is blank: skipped, but counted for a later line's number
+    log, _ = run_closed_loop(arc_spec(), RunSettings(planner="oneshot", history_depth=0))
+    lines = log_to_jsonl(log).splitlines()
+    lines[2:2] = [" \t", "\u3000", "\x1c"]
+    path = tmp_path / "run.jsonl"
+    path.write_bytes("\n".join(lines).encode() + b"\n")
+    assert_logs_bit_equal(load_log(path), log)
+    lines[6] = lines[6][: len(lines[6]) // 2]
+    path.write_bytes("\n".join(lines).encode() + b"\n")
+    with pytest.raises(LogCorruptionError) as err:
+        load_log(path)
+    assert err.value.line_number == 7
+
+
 def test_load_rejects_ragged_proposals(tmp_path):
     # format v2 stores one (K, N, 2) stack and cannot express a ragged set;
     # a v1 log lists each candidate on its own
